@@ -12,11 +12,11 @@ Round structure (one round = one parallel phase, independent of tensor size):
   relu                           9   (gtz + one multiplication)
   mux                            1
 
-The a2b conversion masks the arithmetic value with a word assembled from 64
-dealer bit pairs, opens the difference (uniform, so it reveals nothing), and
-adds the public difference back onto the XOR-shared mask inside a
-carry-lookahead adder; only the adder's AND gates are interactive, giving
-exactly log2(64) = 6 AND phases.
+The a2b conversion masks the arithmetic value with one dealt word pair (an
+additive and a XOR sharing of the same uniform word), opens the difference
+(uniform, so it reveals nothing), and adds the public difference back onto
+the XOR-shared mask inside a carry-lookahead adder; only the adder's AND
+gates are interactive, giving exactly log2(64) = 6 AND phases.
 """
 
 from __future__ import annotations
@@ -175,26 +175,15 @@ def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) ->
     return p ^ carry
 
 
-def _assemble_mask(pairs) -> tuple:
-    """Build (arith share of word r, XOR share of word r) from 64 bit pairs
-    laid out on the last axis."""
-    weights = np.arange(WORD_BITS, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        arith_word = np.add.reduce(pairs.arith.data << weights, axis=-1, dtype=np.uint64)
-    bin_word = np.bitwise_xor.reduce(pairs.bin.data << weights, axis=-1)
-    return RingTensor(arith_word), RingTensor(bin_word)
-
-
 def a2b(ctx: ProtocolCtx, x: ArithShare, tag_prefix: str = "a2b") -> BinShare:
     """Arithmetic share -> XOR share of the same 64-bit pattern.
 
     Opens x - r for a dealer-issued word r known in both sharings (uniform, so
     the opening is noise), then adds the public difference onto the XOR-shared
     r in the boolean adder. 1 opening round + 6 AND phases."""
-    pairs = ctx.triples.bitpairs(tuple(x.shape) + (WORD_BITS,))
-    r_arith, r_bin = _assemble_mask(pairs)
-    (diff,) = open_values(ctx, f"{tag_prefix}.mask", [x - ctx.arith(r_arith)])
-    return _carry_add_public(ctx, ctx.bin(r_bin), diff, tag=f"{tag_prefix}.and")
+    pairs = ctx.triples.maskpairs(x.shape)
+    (diff,) = open_values(ctx, f"{tag_prefix}.mask", [x - ctx.arith(pairs.arith)])
+    return _carry_add_public(ctx, ctx.bin(pairs.bin), diff, tag=f"{tag_prefix}.and")
 
 
 def _bits_to_arith(ctx: ProtocolCtx, bits: BinShare, tag: str) -> ArithShare:

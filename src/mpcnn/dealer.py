@@ -2,10 +2,12 @@
 
 The dealer derives every element deterministically from its master seed and
 the (session, index) of the request, so serving is idempotent and the halves
-handed to P0 and P1 are consistent without dealer-side state. It retains
-nothing after a send. Dealer traffic rides the transport layer under tags
-TRIPLE_REQ / TRIPLE_RSP / BITPAIR_RSP and is accounted separately from the
-party-to-party transcript.
+handed to P0 and P1 are consistent without dealer-side state. Each request
+derives only the half it serves: P0's half is the first draws of the
+request's stream, and P1's is the secret correlation minus P0's half. The
+dealer retains nothing after a send. Dealer traffic rides the transport
+layer under tags TRIPLE_REQ / TRIPLE_RSP / BITPAIR_RSP and is accounted
+separately from the party-to-party transcript.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ConvGeometry, RingTensor, ShapeMismatch, conv2d_ring, matmul_ring
+from .ring import ConvGeometry, RingTensor, ShapeMismatch, conv2d_ring, matmul_ring, zeros
 from .sharing import Prg, bytes_to_words, fresh_seed, words_to_bytes
-from .transport import Fabric, PeerDisconnected, Role, Session, SessionTimeout
+from .transport import Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout
 
 TAG_REQ = "TRIPLE_REQ"
 TAG_TRIPLE_RSP = "TRIPLE_RSP"
 TAG_BITPAIR_RSP = "BITPAIR_RSP"
+
+PAIR_KINDS = ("bitpair", "maskpair")  # dealt as BitPairs
 
 
 class DealerError(Exception):
@@ -40,7 +44,9 @@ class TripleSpec:
     kind: 'arith' | 'bool' (elementwise, shape applies to a, b, c),
           'conv'  (a: input shape, b: kernel shape, c = ring conv),
           'matmul' (a: (m,k), b: (k,n), c = a @ b),
-          'bitpair' (shape of the bit tensor).
+          'bitpair' (one uniform bit per element of shape),
+          'maskpair' (one uniform 64-bit word per element of shape: the
+                      a2b mask).
     """
 
     kind: str
@@ -75,7 +81,7 @@ class TripleSpec:
         if self.kind == "matmul":
             m, k, n = self.mat
             return (m, k), (k, n), (m, n)
-        if self.kind == "bitpair":
+        if self.kind in PAIR_KINDS:
             return self.shape, self.shape, None
         raise DealerError(f"unknown kind {self.kind}")
 
@@ -91,41 +97,43 @@ class Triple:
 
 @dataclass
 class BitPairs:
-    """One party's halves of bits r: additive share and XOR share agree on r."""
+    """One party's halves of a random r (bits or words): additive share and
+    XOR share agree on r."""
 
     arith: RingTensor
     bin: RingTensor
 
 
-def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec):
-    """Full correlation plus both halves, derived deterministically."""
+def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec, role: Role):
+    """`role`'s half of the correlation at (session, index), derived
+    deterministically. P0's half is the first draws of the stream, so serving
+    P0 costs only those; P1's half redraws it and subtracts it (XORs, for
+    'bool') from the full correlation, which only P1's derivation computes."""
     prg = Prg(master_seed, f"deal:{session_id}:{index}".encode())
-    if spec.kind == "bitpair":
-        r = prg.draw_bits(spec.shape)
+    if spec.kind in PAIR_KINDS:
         a0 = prg.draw_words(spec.shape)
         m0 = prg.draw_words(spec.shape)
-        p0 = BitPairs(a0, m0)
-        p1 = BitPairs(r - a0, r ^ m0)
-        return p0, p1
+        if role is Role.P0:
+            return BitPairs(a0, m0)
+        r = prg.draw_words(spec.shape) if spec.kind == "maskpair" else prg.draw_bits(spec.shape)
+        return BitPairs(r - a0, r ^ m0)
     a_shape, b_shape, c_shape = spec.part_shapes()
-    a = prg.draw_words(a_shape)
-    b = prg.draw_words(b_shape)
-    if spec.kind == "arith":
-        c = a * b
-    elif spec.kind == "bool":
-        c = a & b
-    elif spec.kind == "conv":
-        c = conv2d_ring(a, b, spec.geom)
-    elif spec.kind == "matmul":
-        c = matmul_ring(a, b)
-    else:
-        raise DealerError(f"unknown kind {spec.kind}")
     a0 = prg.draw_words(a_shape)
     b0 = prg.draw_words(b_shape)
     c0 = prg.draw_words(c_shape)
+    if role is Role.P0:
+        return Triple(a0, b0, c0)
+    a = prg.draw_words(a_shape)
+    b = prg.draw_words(b_shape)
     if spec.kind == "bool":
-        return Triple(a0, b0, c0), Triple(a ^ a0, b ^ b0, c ^ c0)
-    return Triple(a0, b0, c0), Triple(a - a0, b - b0, c - c0)
+        return Triple(a ^ a0, b ^ b0, (a & b) ^ c0)
+    if spec.kind == "arith":
+        c = a * b
+    elif spec.kind == "conv":
+        c = conv2d_ring(a, b, spec.geom)
+    else:
+        c = matmul_ring(a, b)
+    return Triple(a - a0, b - b0, c - c0)
 
 
 def _pack_triple(t: Triple) -> bytes:
@@ -193,14 +201,11 @@ class DealerService:
             index, spec = TripleSpec.from_wire(msg.payload)
             key = (role, msg.session_id, index)
             self._served[key] = self._served.get(key, 0) + 1
-            halves = derive_correlation(self.master_seed, msg.session_id, index, spec)
-            half = halves[0] if role is Role.P0 else halves[1]
-            if spec.kind == "bitpair":
+            half = derive_correlation(self.master_seed, msg.session_id, index, spec, role)
+            if spec.kind in PAIR_KINDS:
                 tag, payload = TAG_BITPAIR_RSP, _pack_bitpairs(half)
             else:
                 tag, payload = TAG_TRIPLE_RSP, _pack_triple(half)
-            from .transport import Message
-
             self.fabric.send(role, Message(msg.session_id, self._next_seq(role, msg.session_id), tag, payload))
 
     def rerequest_count(self) -> int:
@@ -230,11 +235,9 @@ class TripleSource:
         self.next_index += 1
         self.requests_made.append(spec)
         self.session.send_to_dealer(TAG_REQ, spec.to_wire(index))
-        tag = TAG_BITPAIR_RSP if spec.kind == "bitpair" else TAG_TRIPLE_RSP
-        payload = self.session.recv_from_dealer(tag)
-        if spec.kind == "bitpair":
-            return _unpack_bitpairs(payload, spec)
-        return _unpack_triple(payload, spec)
+        if spec.kind in PAIR_KINDS:
+            return _unpack_bitpairs(self.session.recv_from_dealer(TAG_BITPAIR_RSP), spec)
+        return _unpack_triple(self.session.recv_from_dealer(TAG_TRIPLE_RSP), spec)
 
     # -- modes --
 
@@ -273,6 +276,9 @@ class TripleSource:
     def bitpairs(self, shape) -> BitPairs:
         return self.take(TripleSpec("bitpair", tuple(shape)))
 
+    def maskpairs(self, shape) -> BitPairs:
+        return self.take(TripleSpec("maskpair", tuple(shape)))
+
     def audit(self) -> dict:
         """Post-run budget audit for pre-dealt mode."""
         return {
@@ -285,21 +291,17 @@ class TripleSource:
 
 class PlanningSource(TripleSource):
     """Dry-run collector: records the request sequence, returns zero-valued
-    correlations (a=b=c=0 is a valid triple), touches no channel."""
+    correlations (a=b=c=0 is a valid triple, r=0 a valid pair), touches no
+    channel."""
 
     def __init__(self):
-        self.next_index = 0
+        super().__init__(session=None)
         self.mode = "planning"
-        self.requests_made = []
-        self.rerequests = 0
-        self._queue = []
 
     def take(self, spec: TripleSpec):
         self.next_index += 1
         self.requests_made.append(spec)
-        from .ring import zeros
-
-        if spec.kind == "bitpair":
-            return BitPairs(zeros(spec.shape), zeros(spec.shape))
         a_shape, b_shape, c_shape = spec.part_shapes()
+        if spec.kind in PAIR_KINDS:
+            return BitPairs(zeros(a_shape), zeros(b_shape))
         return Triple(zeros(a_shape), zeros(b_shape), zeros(c_shape))

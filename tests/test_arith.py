@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpcnn import arith
+from mpcnn.dealer import TAG_BITPAIR_RSP
 from mpcnn.engine import PlainEngine, SecureEngine, maxpool2d, tournament_max
 from mpcnn.ring import (
     ConvGeometry,
@@ -204,6 +205,20 @@ class TestConversions:
         tags = run_secure(rt, fn)
         assert tags["a2b.and"].phases == 6
         assert tags["a2b.mask"].phases == 1
+
+    def test_a2b_deals_one_word_pair_per_element(self, rt):
+        n = 100
+        x = rand_words((n,))
+
+        def fn(ctx):
+            xs = shared_pair(ctx, x)
+            arith.a2b(ctx, xs)
+            d = ctx.session.dealer_transcript
+            return d.bytes_recv, d.tags[TAG_BITPAIR_RSP].bytes_recv
+
+        total, mask = run_secure(rt, fn)
+        assert mask == 16 * n  # one (arith, xor) word pair per element
+        assert total == mask + 6 * 3 * 8 * 2 * n  # plus 6 AND levels on (G, P) lane pairs
 
     def test_b2a_zero_pattern(self, rt):
         # identical words at both parties xor to the all-zero secret

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpcnn.dealer import (
+    DealerError,
     DealerService,
     PlanningSource,
     RandomnessExhausted,
@@ -11,7 +12,7 @@ from mpcnn.dealer import (
     TripleSource,
     derive_correlation,
 )
-from mpcnn.ring import ConvGeometry, ShapeMismatch, conv2d_ring, matmul_ring
+from mpcnn.ring import ConvGeometry, ShapeMismatch, conv2d_ring, matmul_ring, zeros
 from mpcnn.sharing import fresh_seed
 from mpcnn.transport import Role
 
@@ -75,20 +76,77 @@ class TestBitPairs:
         assert 0.48 <= freq <= 0.52
 
 
+class TestMaskPairs:
+    def test_arith_and_bin_agree(self):
+        vals = fetch_both(lambda src: src.maskpairs((10_000,)))
+        p0, p1 = vals[Role.P0], vals[Role.P1]
+        assert (p0.arith + p1.arith) == (p0.bin ^ p1.bin)
+
+    def test_top_bit_frequency(self):
+        # binomial bound at 10^4 samples
+        vals = fetch_both(lambda src: src.maskpairs((10_000,)))
+        r = (vals[Role.P0].arith + vals[Role.P1].arith).data
+        freq = float((r >> np.uint64(63)).mean())
+        assert 0.48 <= freq <= 0.52
+
+
+SPECS = {
+    "arith": TripleSpec("arith", (16,)),
+    "bool": TripleSpec("bool", (16,)),
+    "conv": TripleSpec("conv", (2, 5, 4), geom=ConvGeometry(2, 3, 2, 2)),
+    "matmul": TripleSpec("matmul", (4, 6), mat=(4, 6, 3)),
+    "bitpair": TripleSpec("bitpair", (16,)),
+    "maskpair": TripleSpec("maskpair", (16,)),
+}
+
+
+def reconstruct(spec, h0, h1):
+    """The correlation from both halves, checked for validity."""
+    if spec.kind in ("bitpair", "maskpair"):
+        r = h0.arith + h1.arith
+        assert r == (h0.bin ^ h1.bin)
+        if spec.kind == "bitpair":
+            assert set(np.unique(r.data)) <= {0, 1}
+        return
+    if spec.kind == "bool":
+        a, b, c = h0.a ^ h1.a, h0.b ^ h1.b, h0.c ^ h1.c
+        assert c == (a & b)
+        return
+    a, b, c = h0.a + h1.a, h0.b + h1.b, h0.c + h1.c
+    if spec.kind == "arith":
+        assert c == a * b
+    elif spec.kind == "conv":
+        assert c == conv2d_ring(a, b, spec.geom)
+    else:
+        assert c == matmul_ring(a, b)
+
+
 class TestDerivation:
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_each_role_half_reconstructs(self, kind):
+        seed, spec = fresh_seed(), SPECS[kind]
+        h0 = derive_correlation(seed, 9, 3, spec, Role.P0)
+        h1 = derive_correlation(seed, 9, 3, spec, Role.P1)
+        reconstruct(spec, h0, h1)
+
     def test_idempotent_per_session_index(self):
         seed = fresh_seed()
         spec = TripleSpec("arith", (16,))
-        x = derive_correlation(seed, 9, 3, spec)
-        y = derive_correlation(seed, 9, 3, spec)
-        assert x[0].a == y[0].a and x[1].c == y[1].c
+        for role in (Role.P0, Role.P1):
+            x = derive_correlation(seed, 9, 3, spec, role)
+            y = derive_correlation(seed, 9, 3, spec, role)
+            assert x.a == y.a and x.b == y.b and x.c == y.c
 
     def test_distinct_indices_differ(self):
         seed = fresh_seed()
         spec = TripleSpec("arith", (16,))
-        x = derive_correlation(seed, 9, 3, spec)
-        y = derive_correlation(seed, 9, 4, spec)
-        assert x[0].a != y[0].a
+        x = derive_correlation(seed, 9, 3, spec, Role.P0)
+        y = derive_correlation(seed, 9, 4, spec, Role.P0)
+        assert x.a != y.a
+
+    def test_unknown_kind_is_error(self):
+        with pytest.raises(DealerError):
+            derive_correlation(fresh_seed(), 9, 3, TripleSpec("cube", (4,)), Role.P1)
 
 
 class TestBudget:
@@ -158,3 +216,9 @@ class TestPlanning:
         p = src.bitpairs((8,))
         assert np.all(t.a.data == 0) and np.all(p.bin.data == 0)
         assert src.requests_made == [TripleSpec("arith", (4,)), TripleSpec("bitpair", (8,))]
+
+    def test_planner_fabricates_zero_mask_pairs(self):
+        src = PlanningSource()
+        p = src.maskpairs((2, 3))
+        assert p.arith == zeros((2, 3)) and p.bin == zeros((2, 3))
+        assert src.audit() == {"mode": "planning", "leftovers": 0, "rerequests": 0, "consumed": 1}
