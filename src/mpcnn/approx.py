@@ -6,12 +6,10 @@ Magnitude-dependent initial guesses come from the highest-set-bit indicator
 (msb_onehot), so round counts depend only on the configured iteration counts,
 never on the data.
 
-    exp        [-16, 8]      abs err <= 1e-2   (run at frac_bits >= 24)
-    reciprocal [2^-6, 2^12]  rel err <= 1e-3
+    reciprocal [2^-6, 2^12]  rel err <= 1e-3   (run at frac_bits >= 24)
     rsqrt      [2^-6, 2^10]  rel err <= 1e-2
     sigmoid    [-16, 16]     abs err <= 2e-2
     silu       [-16, 16]     abs err <= 2e-2
-    elu        [-16, 8]      abs err <= 2e-2
     log        [2^-6, 2^6]   abs err <= 2e-2
 """
 
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import e_repeat, e_sum, tournament_max
+from .engine import tournament_max
 from .ring import WORD_BITS, encode
 
 
@@ -31,8 +29,6 @@ class ApproxConfig:
     exp_iters: int = 8  # squarings of the limit-form exponential core
     newton_iters_recip: int = 10
     newton_iters_rsqrt: int = 10
-    exp_frac_degree: int = 10  # Taylor degree of the fractional exponential core
-    exp_int_bits: int = 5  # integer bits consumed by range reduction (|x| < 32)
 
     def replace(self, **kv) -> "ApproxConfig":
         import dataclasses
@@ -118,38 +114,6 @@ def _exp_limit(e, x, cfg: ApproxConfig):
     return base
 
 
-def sec_exp(e, x, cfg: ApproxConfig = DEFAULT_APPROX):
-    """Range-reduced exponential: sign via comparison, integer bits via share
-    conversion selecting table factors, Taylor core on the fractional part."""
-    s = e.gtz(x)
-    ax = e.mux(s, x, e.neg(x))
-    bits = e.int_bits(ax, cfg.exp_int_bits)  # (..., n) unscaled 0/1
-    f = e.cfg.frac_bits
-    # integer part in fixed point: sum b_j * encode(2^j)
-    raw_bits = e.raw(bits).data
-    with np.errstate(over="ignore"):
-        ipart_words = np.add.reduce(
-            raw_bits << (np.arange(cfg.exp_int_bits, dtype=np.uint64) + np.uint64(f)),
-            axis=-1,
-            dtype=np.uint64,
-        )
-    ipart = e.wrap_like(x, ipart_words)
-    frac = e.sub(ax, ipart)  # in [0, 1)
-    z = e.mux(s, frac, e.neg(frac))
-    taylor = [1.0 / math.factorial(k) for k in range(cfg.exp_frac_degree + 1)]
-    core = _horner(e, z, taylor)
-    out = core
-    for j in range(cfg.exp_int_bits):
-        up = _clip_encodable(e, math.exp(2.0**j))
-        down = math.exp(-(2.0**j))
-        b = e.wrap_like(x, raw_bits[..., j])
-        # factor = 1 + b * (E - 1), E = down + s * (up - down); all selects local
-        ej = e.add_const(e.bit_scale(s, up - down), down)
-        delta = e.add_const(ej, -1.0)
-        out = e.fmul(out, e.add_const(e.mul_bit(delta, b), 1.0))
-    return out
-
-
 def sec_sigmoid(e, x, cfg: ApproxConfig = DEFAULT_APPROX):
     """1/(1 + exp(-x)) computed on the non-positive side and mirrored, so the
     exponential core never leaves its domain and the reciprocal sits in [1,2]."""
@@ -167,11 +131,6 @@ def sec_silu(e, x, cfg: ApproxConfig = DEFAULT_APPROX):
     return e.fmul(x, sec_sigmoid(e, x, cfg))
 
 
-def sec_elu(e, x, cfg: ApproxConfig = DEFAULT_APPROX):
-    s = e.gtz(x)
-    return e.mux(s, x, e.add_const(sec_exp(e, x, cfg), -1.0))
-
-
 def sec_log(e, x, cfg: ApproxConfig = DEFAULT_APPROX):
     """ln via mantissa/exponent split: normalize by the leading-one position,
     fit polynomial on [1, 2), add back e2 * ln 2."""
@@ -187,22 +146,3 @@ def sec_max(e, x, axis: int = -1):
     """Tournament maximum along an axis; gtz+mux pairs, log-depth."""
     ax = axis % e.raw(x).data.ndim
     return tournament_max(e, x, axis=ax)
-
-
-def sec_log_softmax(e, x, cfg: ApproxConfig = DEFAULT_APPROX):
-    """x - max(x) - log(sum exp(x - max(x))) along the last axis. The shift and
-    the final subtraction are exact share ops, so the argmax of the output is
-    the argmax of the input by construction."""
-    n = x.shape[-1]
-    m = sec_max(e, x, axis=-1)
-    m_tiled = _tile_last(e, m, n)
-    xs = e.sub(x, m_tiled)
-    exps = sec_exp(e, xs, cfg)
-    total = e_sum(e, exps, axis=-1)
-    log_total = sec_log(e, total, cfg)
-    return e.sub(xs, _tile_last(e, log_total, n))
-
-
-def _tile_last(e, v, n: int):
-    data = e.raw(v).data[..., None]
-    return e.wrap_like(v, np.repeat(data, n, axis=-1))

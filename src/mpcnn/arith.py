@@ -5,10 +5,12 @@ Round structure (one round = one parallel phase, independent of tensor size):
 
   beaver_mul / conv2d / matmul   1   (e and d open together)
   and_gate                       1
-  b2a                            1   (all masked bits open together)
+  b2a                            1   (all masked bits open together, packed
+                                      8 per byte)
   a2b                            7   (1 masked-word opening + 6 AND phases
                                       of the carry-lookahead prefix tree)
-  gtz                            8   (a2b of -x, free msb extract, 1-bit b2a)
+  gtz                            8   (1 masked-word opening + 6 AND phases
+                                      of the carry-out tree + 1-bit b2a)
   relu                           9   (gtz + one multiplication)
   mux                            1
 
@@ -16,7 +18,11 @@ The a2b conversion masks the arithmetic value with one dealt word pair (an
 additive and a XOR sharing of the same uniform word), opens the difference
 (uniform, so it reveals nothing), and adds the public difference back onto
 the XOR-shared mask inside a carry-lookahead adder; only the adder's AND
-gates are interactive, giving exactly log2(64) = 6 AND phases.
+gates are interactive, giving exactly log2(64) = 6 AND phases. gtz opens the
+same masked difference but needs only the sum's top bit, so it computes only
+the carry into bit 63: a bit-sliced prefix tree over lanes 0..62 whose
+groups halve at each of its 6 levels (118 bit-ANDs per element, against
+a2b's 768).
 """
 
 from __future__ import annotations
@@ -175,23 +181,37 @@ def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) ->
     return p ^ carry
 
 
+def _mask_open(ctx: ProtocolCtx, x: ArithShare, tag: str) -> tuple[BinShare, RingTensor]:
+    """Open d = x - r for one dealt mask pair r (uniform, so the opening is
+    noise); returns the XOR share of r and the public d. One round."""
+    pairs = ctx.triples.maskpairs(x.shape)
+    (d,) = open_values(ctx, tag, [x - ctx.arith(pairs.arith)])
+    return ctx.bin(pairs.bin), d
+
+
 def a2b(ctx: ProtocolCtx, x: ArithShare, tag_prefix: str = "a2b") -> BinShare:
     """Arithmetic share -> XOR share of the same 64-bit pattern.
 
-    Opens x - r for a dealer-issued word r known in both sharings (uniform, so
-    the opening is noise), then adds the public difference onto the XOR-shared
-    r in the boolean adder. 1 opening round + 6 AND phases."""
-    pairs = ctx.triples.maskpairs(x.shape)
-    (diff,) = open_values(ctx, f"{tag_prefix}.mask", [x - ctx.arith(pairs.arith)])
-    return _carry_add_public(ctx, ctx.bin(pairs.bin), diff, tag=f"{tag_prefix}.and")
+    Opens x - r for a dealer-issued word r known in both sharings, then adds
+    the public difference onto the XOR-shared r in the boolean adder.
+    1 opening round + 6 AND phases."""
+    r, d = _mask_open(ctx, x, f"{tag_prefix}.mask")
+    return _carry_add_public(ctx, r, d, tag=f"{tag_prefix}.and")
 
 
 def _bits_to_arith(ctx: ProtocolCtx, bits: BinShare, tag: str) -> ArithShare:
     """Single-bit B2A: mask each bit with a dealer pair, open, unmask locally.
-    <b> = <r> + z - 2 z <r> with z = b xor r public."""
+    <b> = <r> + z - 2 z <r> with z = b xor r public. The XOR shares may
+    carry junk above bit 0 that cancels between the parties; only the low
+    bits are opened, packed 8 per byte."""
     pairs = ctx.triples.bitpairs(bits.shape)
-    (z,) = open_values(ctx, tag, [bits ^ ctx.bin(pairs.bin)])
-    zb = z.data  # 0/1 words
+    mine = ((bits.t.data ^ pairs.bin.data) & np.uint64(1)).astype(np.uint8).reshape(-1)
+    payload = np.packbits(mine, bitorder="little").tobytes()
+    got = ctx.session.exchange(tag, payload)
+    if len(got) != len(payload):
+        raise ShapeMismatch(f"{tag}: peer opened {len(got)} bytes, expected {len(payload)}")
+    theirs = np.unpackbits(np.frombuffer(got, dtype=np.uint8), count=mine.size, bitorder="little")
+    zb = (mine ^ theirs).astype(np.uint64).reshape(bits.shape)  # 0/1 words
     with np.errstate(over="ignore"):
         share = pairs.arith.data * (np.uint64(1) - np.uint64(2) * zb)
     if ctx.role is Role.P0:
@@ -214,12 +234,68 @@ def b2a(ctx: ProtocolCtx, x: BinShare, tag_prefix: str = "b2a") -> ArithShare:
 # comparison and selection
 
 
+def _bit_slice(words: np.ndarray) -> np.ndarray:
+    """(..., n) words -> (..., 64, ceil(n/64)) rows: bit k of word j in row l
+    is bit l of element 64j + k; padding elements are zero. Each block of 64
+    elements is a 64x64 bit transpose, done in six rounds of masked block
+    swaps: shifts only, so independent of host byte order."""
+    lead = words.shape[:-1]
+    pad = -words.shape[-1] % 64
+    padded = np.concatenate([words, np.zeros(lead + (pad,), np.uint64)], axis=-1)
+    a = np.ascontiguousarray(np.swapaxes(padded.reshape(lead + (-1, 64)), -1, -2))
+    w = a.shape[-1]
+    j, m = 32, (1 << 32) - 1  # m selects the low j bits of every 2j-bit field
+    while j:  # swap the off-diagonal j x j blocks of every 2j x 2j block
+        v = a.reshape(lead + (64 // (2 * j), 2, j, w))
+        lo, hi = v[..., 0, :, :], v[..., 1, :, :]
+        t = (lo >> np.uint64(j)) ^ hi
+        t &= np.uint64(m)
+        hi ^= t
+        lo ^= t << np.uint64(j)
+        j //= 2
+        m ^= m << j
+    return a
+
+
+def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) -> BinShare:
+    """XOR share (0/1 words) of the top bit of r + d mod 2^64, d public.
+
+    The top bit is r63 ^ d63 ^ c63, where c63 is the carry out of lanes 0..62.
+    Lanes are bit-sliced 64 elements per word (XOR shares allow any local bit
+    permutation), and a prefix tree pairs adjacent groups at each level:
+    G = G_hi ^ (P_hi & G_lo), P = P_hi & P_lo, with an odd top group passing
+    through. Groups go 63 -> 32 -> 16 -> 8 -> 4 -> 2 -> 1, one AND phase
+    each. The lowest group's P is never read, so it is never computed: 118
+    bit-ANDs per element in all."""
+    n = d.data.size
+    g = r.and_public(d).t.data.reshape(-1)  # generate: r & d
+    p = r.xor_public(d).t.data.reshape(-1)  # propagate: r ^ d
+    gs, ps = _bit_slice(np.stack([g, p]))
+    G, P = gs[:63], ps[1:63]  # P[i] belongs to group i + 1
+    while len(G) > 1:
+        m, h = len(G), len(G) // 2
+        z = and_gate(
+            ctx,
+            BinShare(r.owner, RingTensor(np.concatenate([P[0 : 2 * h - 1 : 2], P[2 : 2 * h - 1 : 2]]))),
+            BinShare(r.owner, RingTensor(np.concatenate([G[0 : 2 * h : 2], P[1 : 2 * h - 2 : 2]]))),
+            tag=tag,
+        ).t.data
+        G_next, P_next = G[1 : 2 * h : 2] ^ z[:h], z[h:]
+        if m % 2:
+            G_next = np.concatenate([G_next, G[m - 1 :]])
+            P_next = np.concatenate([P_next, P[m - 2 :]])
+        G, P = G_next, P_next
+    top = ps[63] ^ G[0]  # (W,) words, element 64j + k at bit k of word j
+    bits = (top[:, None] >> np.arange(WORD_BITS, dtype=np.uint64)) & np.uint64(1)
+    return BinShare(r.owner, RingTensor(bits.reshape(-1)[:n].reshape(d.shape)))
+
+
 def gtz(ctx: ProtocolCtx, x: ArithShare) -> ArithShare:
     """1 iff the shared value is strictly positive (gtz(0) = 0), as the msb of
-    -x. Unscaled 0/1 output; exact. 8 rounds."""
-    bx = a2b(ctx, -x, tag_prefix="gtz.a2b")
-    msb = bx.shift_right(WORD_BITS - 1)
-    return _bits_to_arith(ctx, msb, "gtz.b2a")
+    -x: one masked opening of -x, the 6-level carry-out tree for bit 63, and
+    a 1-bit b2a. Unscaled 0/1 output; exact. 8 rounds."""
+    r, d = _mask_open(ctx, -x, "gtz.mask")
+    return _bits_to_arith(ctx, _msb_add_public(ctx, r, d, tag="gtz.and"), "gtz.b2a")
 
 
 def mux(ctx: ProtocolCtx, cond: ArithShare, x: ArithShare, y: ArithShare) -> ArithShare:

@@ -72,9 +72,6 @@ class PlainEngine:
     def fmul(self, a, b):
         return ring_mul_trunc(a, b, self.cfg)
 
-    def mul_bit(self, a, bit):
-        return a * bit  # bit is unscaled 0/1: raw product, no rescale
-
     def add_const(self, a, value: float):
         return a + self.const(a.shape, value)
 
@@ -149,9 +146,6 @@ class SecureEngine:
 
     def fmul(self, a, b):
         return arith.mul_trunc(self.ctx, a, b)
-
-    def mul_bit(self, a, bit):
-        return arith.beaver_mul(self.ctx, a, bit, tag="mux.open")
 
     def add_const(self, a, value: float):
         return add_public(a, encode(np.full(a.shape, value, dtype=np.float64), self.cfg))

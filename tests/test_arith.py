@@ -14,6 +14,7 @@ from mpcnn.ring import (
     decode,
     encode,
     from_words,
+    gtz_plain,
     matmul_ring,
     pool_windows,
     zeros,
@@ -245,6 +246,24 @@ class TestConversions:
         got = run_secure(rt, fn)
         assert np.array_equal(got.data, bits)
 
+    def test_b2a_opens_one_bit_per_bit(self, rt):
+        # 64 masked bits per word, packed 8 per byte: 8 B per element, 1 round
+        n = 100
+        x = rand_words((n,))
+
+        def fn(ctx):
+            from mpcnn.sharing import BinShare
+
+            sh = BinShare(ctx.role, x if ctx.role is Role.P0 else zeros((n,)))
+            before = ctx.session.measure()
+            y = arith.b2a(ctx, sh)
+            after = ctx.session.measure()
+            return reveal(ctx.session, y), after.bytes_sent - before.bytes_sent, after.rounds - before.rounds
+
+        got, sent, rounds = run_secure(rt, fn)
+        assert got == x
+        assert sent == 8 * n and rounds == 1
+
     def test_masked_opening_uniform(self, rt):
         # z = bit xor r over 10^4 trials is indistinguishable from fair coins
         def fn_probe(ctx):
@@ -257,6 +276,17 @@ class TestConversions:
 
         freq = run_secure(rt, fn_probe)
         assert 0.48 <= freq <= 0.52
+
+
+def _carry_tree_ands() -> int:
+    """Bit-ANDs per element in gtz's carry-out tree: each level pairs adjacent
+    groups of lanes 0..62, with a G-AND for every pair and a P-AND for every
+    pair but the lowest, whose P is never read."""
+    groups, ands = 63, 0
+    while groups > 1:
+        ands += 2 * (groups // 2) - 1
+        groups -= groups // 2
+    return ands
 
 
 class TestGtz:
@@ -275,6 +305,60 @@ class TestGtz:
             return ctx.session.measure().rounds - before
 
         assert run_secure(rt, fn) == 8
+
+    @pytest.mark.parametrize("n", [64 * 2, 100])
+    def test_exact_bytes_per_element(self, rt, n):
+        # derived from the circuit; n = 128 fills the 64-element words of the
+        # bit-sliced tree, n = 100 leaves the last one ragged
+        words = -(-n // 64)
+        ands = _carry_tree_ands()
+        gtz_online = 8 * n + 2 * 8 * ands * words + -(-n // 8)  # mask, AND openings, packed bits
+        gtz_dealer = 16 * n + 3 * 8 * ands * words + 16 * n  # mask pair, bool triples, bit pair
+
+        def fn(ctx, op):
+            x = shared_pair(ctx, rand_fixed((n,)))
+            before = ctx.session.measure().bytes_sent
+            dealt = ctx.session.dealer_transcript.bytes_recv
+            op(ctx, x)
+            return (ctx.session.measure().bytes_sent - before,
+                    ctx.session.dealer_transcript.bytes_recv - dealt)
+
+        assert ands == 118
+        assert run_secure(rt, lambda ctx: fn(ctx, arith.gtz)) == (gtz_online, gtz_dealer)
+        assert run_secure(rt, lambda ctx: fn(ctx, arith.relu)) == (gtz_online + 16 * n, gtz_dealer + 24 * n)
+        if n % 64 == 0:  # per element per party
+            assert gtz_online / n == 37.625 and gtz_dealer / n == 76.25
+
+    @pytest.mark.parametrize("shape", [(1,), (63,), (64,), (65,), (3, 5, 7)])
+    def test_full_ring_vs_oracle(self, rt, shape):
+        # uniform words over the whole ring, with the edge words at both ends;
+        # the element counts straddle the 64-element words of the sliced tree
+        edge_words = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+        cases = []
+        for k in range(0, len(edge_words), int(np.prod(shape))):
+            x = rand_words(shape)
+            flat = x.data.reshape(-1)
+            edges = edge_words[k : k + flat.size]
+            flat[: len(edges)] = edges
+            flat[flat.size - len(edges) :] = edges[::-1]
+            cases.append(x)
+
+        def fn(ctx):
+            return [reveal(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
+
+        for x, got in zip(cases, run_secure(rt, fn)):
+            assert got == gtz_plain(x)
+
+    def test_bit_slice_layout(self):
+        # bit k of word j in row l is bit l of element 64j + k; padding is zero
+        x = rand_words((2, 70)).data
+        got = arith._bit_slice(x)
+        assert got.shape == (2, 64, 2)
+        for b in range(2):
+            for e in range(128):
+                for lane in range(64):
+                    want = (int(x[b, e]) >> lane) & 1 if e < 70 else 0
+                    assert (int(got[b, lane, e // 64]) >> (e % 64)) & 1 == want
 
     def test_oracle_sweep(self, rt):
         ks = RNG.integers(-(1 << 40), 1 << 40, size=20_000)
