@@ -1,13 +1,21 @@
-"""Trusted dealer: pre-generated correlated randomness for the online phase.
+"""Trusted dealer: correlated randomness for the online phase, dealt by seeds.
 
-The dealer derives every element deterministically from its master seed and
-the (session, index) of the request, so serving is idempotent and the halves
-handed to P0 and P1 are consistent without dealer-side state. Each request
-derives only the half it serves: P0's half is the first draws of the
-request's stream, and P1's is the secret correlation minus P0's half. The
-dealer retains nothing after a send. Dealer traffic rides the transport
-layer under tags TRIPLE_REQ / TRIPLE_RSP / BITPAIR_RSP and is accounted
-separately from the party-to-party transcript.
+This is the trusted-third-party provider of CrypTen (Knott et al., NeurIPS
+2021). The dealer gives each party one 32-byte seed per session,
+PRG(master_seed, "seed:{session}:{role}"), and each party expands its share
+of correlation i from PRG(seed, "deal:{i}"). P1 expands its whole half and
+never asks the dealer again. P0 expands all of its half but one part: the
+product share c0 of a triple, or the arithmetic half a0 of a pair. It asks
+for that part, the correction, by index and spec, one round trip per
+request. A correction is masked by P1's expansion (c1 or a1), which P0
+cannot compute without P1's seed.
+
+The dealer keeps no correlation state: it derives each correction from its
+master seed and the (session, index) of the request, so serving is
+idempotent. It remembers only which (session, role, index) it has served,
+to count re-requests. Dealer traffic rides the transport layer under tags
+TRIPLE_REQ / SEED_RSP / TRIPLE_RSP / BITPAIR_RSP and is accounted separately
+from the party-to-party transcript.
 """
 
 from __future__ import annotations
@@ -16,17 +24,17 @@ import json
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ring import ConvGeometry, RingTensor, ShapeMismatch, conv2d_ring, matmul_ring, zeros
-from .sharing import Prg, bytes_to_words, fresh_seed, words_to_bytes
+from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, words_to_bytes
 from .transport import Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout
 
-TAG_REQ = "TRIPLE_REQ"
+TAG_REQ = "TRIPLE_REQ"  # an empty request asks for the session seed
+TAG_SEED_RSP = "SEED_RSP"
 TAG_TRIPLE_RSP = "TRIPLE_RSP"
 TAG_BITPAIR_RSP = "BITPAIR_RSP"
 
 PAIR_KINDS = ("bitpair", "maskpair")  # dealt as BitPairs
+SEED_INDEX = -1  # the seed request's place in the dealer's re-request audit
 
 
 class DealerError(Exception):
@@ -35,6 +43,10 @@ class DealerError(Exception):
 
 class RandomnessExhausted(DealerError):
     """More correlated randomness consumed than dealt."""
+
+
+class RandomnessReused(DealerError):
+    """A correlation index expanded a second time."""
 
 
 @dataclass(frozen=True)
@@ -104,61 +116,48 @@ class BitPairs:
     bin: RingTensor
 
 
-def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec, role: Role):
-    """`role`'s half of the correlation at (session, index), derived
-    deterministically. P0's half is the first draws of the stream, so serving
-    P0 costs only those; P1's half redraws it and subtracts it (XORs, for
-    'bool') from the full correlation, which only P1's derivation computes."""
-    prg = Prg(master_seed, f"deal:{session_id}:{index}".encode())
+def session_seed(master_seed: bytes, session_id: int, role: Role) -> bytes:
+    """`role`'s 32-byte seed for one session."""
+    return Prg(master_seed, f"seed:{session_id}:{role.name}".encode()).draw_bytes(SEED_BYTES)
+
+
+def expand(seed: bytes, index: int, spec: TripleSpec, role: Role) -> tuple:
+    """The parts of correlation `index` that `role` expands from its session
+    seed. P1 gets its whole half: (a1, b1, c1), or (a1, m1) for a pair. P0
+    gets its half but the corrected part: (a0, b0), or (m0,) for a pair.
+    An XOR half is a word for 'maskpair' and a bit for 'bitpair'."""
+    prg = Prg(seed, f"deal:{index}".encode())
     if spec.kind in PAIR_KINDS:
-        a0 = prg.draw_words(spec.shape)
-        m0 = prg.draw_words(spec.shape)
+        draw_xor = prg.draw_words if spec.kind == "maskpair" else prg.draw_bits
         if role is Role.P0:
-            return BitPairs(a0, m0)
-        r = prg.draw_words(spec.shape) if spec.kind == "maskpair" else prg.draw_bits(spec.shape)
-        return BitPairs(r - a0, r ^ m0)
+            return (draw_xor(spec.shape),)
+        return prg.draw_words(spec.shape), draw_xor(spec.shape)
     a_shape, b_shape, c_shape = spec.part_shapes()
-    a0 = prg.draw_words(a_shape)
-    b0 = prg.draw_words(b_shape)
-    c0 = prg.draw_words(c_shape)
-    if role is Role.P0:
-        return Triple(a0, b0, c0)
-    a = prg.draw_words(a_shape)
-    b = prg.draw_words(b_shape)
+    parts = prg.draw_words(a_shape), prg.draw_words(b_shape)
+    return parts if role is Role.P0 else parts + (prg.draw_words(c_shape),)
+
+
+def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec) -> RingTensor:
+    """P0's correction for correlation `index` of a session, derived
+    deterministically from both parties' expansions: c0 = f(a, b) - c1 with
+    a = a0 + a1 and b = b0 + b1 (for 'bool', c0 = (a & b) ^ c1 with XOR
+    halves), or a0 = (m0 ^ m1) - a1 for a pair."""
+    mine = expand(session_seed(master_seed, session_id, Role.P0), index, spec, Role.P0)
+    theirs = expand(session_seed(master_seed, session_id, Role.P1), index, spec, Role.P1)
+    if spec.kind in PAIR_KINDS:
+        (m0,), (a1, m1) = mine, theirs
+        return (m0 ^ m1) - a1
+    (a0, b0), (a1, b1, c1) = mine, theirs
     if spec.kind == "bool":
-        return Triple(a ^ a0, b ^ b0, (a & b) ^ c0)
+        return ((a0 ^ a1) & (b0 ^ b1)) ^ c1
+    a, b = a0 + a1, b0 + b1
     if spec.kind == "arith":
         c = a * b
     elif spec.kind == "conv":
         c = conv2d_ring(a, b, spec.geom)
     else:
         c = matmul_ring(a, b)
-    return Triple(a - a0, b - b0, c - c0)
-
-
-def _pack_triple(t: Triple) -> bytes:
-    return words_to_bytes(t.a) + words_to_bytes(t.b) + words_to_bytes(t.c)
-
-
-def _unpack_triple(payload: bytes, spec: TripleSpec) -> Triple:
-    a_shape, b_shape, c_shape = spec.part_shapes()
-    na, nb = int(np.prod(a_shape)), int(np.prod(b_shape))
-    a = bytes_to_words(payload[: 8 * na], a_shape)
-    b = bytes_to_words(payload[8 * na : 8 * (na + nb)], b_shape)
-    c = bytes_to_words(payload[8 * (na + nb) :], c_shape)
-    return Triple(a, b, c)
-
-
-def _pack_bitpairs(p: BitPairs) -> bytes:
-    return words_to_bytes(p.arith) + words_to_bytes(p.bin)
-
-
-def _unpack_bitpairs(payload: bytes, spec: TripleSpec) -> BitPairs:
-    n = int(np.prod(spec.shape))
-    return BitPairs(
-        bytes_to_words(payload[: 8 * n], spec.shape),
-        bytes_to_words(payload[8 * n :], spec.shape),
-    )
+    return c - c1
 
 
 class DealerService:
@@ -167,9 +166,10 @@ class DealerService:
     def __init__(self, fabric: Fabric, master_seed: bytes | None = None):
         self.fabric = fabric
         self.master_seed = master_seed or fresh_seed()
-        self._send_seq: dict = {}
-        self._seq_lock = threading.Lock()
-        self._served: dict = {}  # (role, sid, index) -> count, for re-request audit
+        self._lock = threading.Lock()
+        self._send_seq: dict = {}  # (role, sid) -> next response seq
+        self._served: dict = {}  # sid -> {(role, index)} served, for the re-request audit
+        self._rerequests = 0
         self._stop = threading.Event()
         self._threads = []
 
@@ -183,12 +183,16 @@ class DealerService:
     def stop(self):
         self._stop.set()
 
-    def _next_seq(self, role: Role, sid: int) -> int:
-        with self._seq_lock:
-            key = (role, sid)
-            s = self._send_seq.get(key, 0)
-            self._send_seq[key] = s + 1
-            return s
+    def _note_served(self, role: Role, sid: int, index: int) -> int:
+        """Records the request and returns the response's seq."""
+        with self._lock:
+            served = self._served.setdefault(sid, set())
+            if (role, index) in served:
+                self._rerequests += 1
+            served.add((role, index))
+            seq = self._send_seq.get((role, sid), 0)
+            self._send_seq[(role, sid)] = seq + 1
+            return seq
 
     def _serve_party(self, role: Role):
         while not self._stop.is_set():
@@ -198,28 +202,45 @@ class DealerService:
                 continue
             except PeerDisconnected:
                 return
-            index, spec = TripleSpec.from_wire(msg.payload)
-            key = (role, msg.session_id, index)
-            self._served[key] = self._served.get(key, 0) + 1
-            half = derive_correlation(self.master_seed, msg.session_id, index, spec, role)
-            if spec.kind in PAIR_KINDS:
-                tag, payload = TAG_BITPAIR_RSP, _pack_bitpairs(half)
+            sid = msg.session_id
+            if not msg.payload:
+                index, tag, payload = SEED_INDEX, TAG_SEED_RSP, session_seed(self.master_seed, sid, role)
+            elif role is Role.P0:
+                index, spec = TripleSpec.from_wire(msg.payload)
+                tag = TAG_BITPAIR_RSP if spec.kind in PAIR_KINDS else TAG_TRIPLE_RSP
+                payload = words_to_bytes(derive_correlation(self.master_seed, sid, index, spec))
             else:
-                tag, payload = TAG_TRIPLE_RSP, _pack_triple(half)
-            self.fabric.send(role, Message(msg.session_id, self._next_seq(role, msg.session_id), tag, payload))
+                continue  # P0's corrections would unmask P1's half; P1 never asks for them
+            self.fabric.send(role, Message(sid, self._note_served(role, sid, index), tag, payload))
 
     def rerequest_count(self) -> int:
-        return sum(v - 1 for v in self._served.values() if v > 1)
+        """Re-requests seen since the service started; never decreases."""
+        return self._rerequests
+
+    def release(self, session_id: int):
+        """Forget a finished session; its re-requests stay counted."""
+        with self._lock:
+            self._served.pop(session_id, None)
+            for role in (Role.P0, Role.P1):
+                self._send_seq.pop((role, session_id), None)
 
 
 class TripleSource:
     """Party-side view of the dealer for one session.
 
+    Making the source sends the request for this party's session seed;
+    `seed()` reads the answer, so other set-up can run in between. P1
+    expands every correlation from its seed and sends nothing more. P0
+    expands all but one part of each and receives that part, the
+    correction, in one dealer round trip per request. The dealer counts
+    re-requests of P0's indices, but nobody sees P1's, so P1's source
+    refuses to expand an index at or below one it has already used.
+
     inline mode fetches on demand; pre-deal mode fetches the whole plan before
     the online phase and afterwards audits exact consumption.
     """
 
-    def __init__(self, session: Session):
+    def __init__(self, session: Session | None):
         self.session = session
         self.next_index = 0
         self.mode = "inline"
@@ -227,6 +248,15 @@ class TripleSource:
         self._plan: list = []
         self.rerequests = 0
         self.requests_made: list = []
+        self._seed = None
+        self._expanded = -1  # highest index P1 has expanded
+        if session is not None:
+            session.send_to_dealer(TAG_REQ, b"")
+
+    def seed(self) -> bytes:
+        if self._seed is None:
+            self._seed = self.session.recv_from_dealer(TAG_SEED_RSP)
+        return self._seed
 
     # -- wire --
 
@@ -234,10 +264,20 @@ class TripleSource:
         index = self.next_index
         self.next_index += 1
         self.requests_made.append(spec)
+        role = self.session.role
+        pair = spec.kind in PAIR_KINDS
+        if role is Role.P1:
+            if index <= self._expanded:
+                raise RandomnessReused(f"index {index} after {self._expanded} was already expanded")
+            self._expanded = index
+            parts = expand(self.seed(), index, spec, role)
+            return BitPairs(*parts) if pair else Triple(*parts)
         self.session.send_to_dealer(TAG_REQ, spec.to_wire(index))
-        if spec.kind in PAIR_KINDS:
-            return _unpack_bitpairs(self.session.recv_from_dealer(TAG_BITPAIR_RSP), spec)
-        return _unpack_triple(self.session.recv_from_dealer(TAG_TRIPLE_RSP), spec)
+        parts = expand(self.seed(), index, spec, role)  # while the dealer derives
+        if pair:
+            return BitPairs(bytes_to_words(self.session.recv_from_dealer(TAG_BITPAIR_RSP), spec.shape), *parts)
+        c_shape = spec.part_shapes()[2]
+        return Triple(*parts, bytes_to_words(self.session.recv_from_dealer(TAG_TRIPLE_RSP), c_shape))
 
     # -- modes --
 

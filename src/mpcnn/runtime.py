@@ -1,8 +1,8 @@
 """Session establishment and local two-party execution helpers.
 
-A protocol context is established by exchanging PRZS seeds and binding a
-dealer source; the seed handshake happens before the transcript starts
-counting, so a fresh session measures zero. The in-process runner drives both
+A protocol context is established by fetching the party's dealer seed and
+exchanging PRZS seeds; both happen before the transcript starts counting, so
+a fresh session measures zero. The in-process runner drives both
 parties (and a dealer) on threads of one process, which is also how the
 benchmark harness hosts its agents.
 """
@@ -20,12 +20,16 @@ from .transport import Fabric, InProcFabric, InProcHub, Role, Session
 
 
 def establish(session: Session, cfg: FixedPointConfig | None = None) -> ProtocolCtx:
-    """PRZS seed handshake plus dealer binding; counters start afterwards."""
+    """Dealer seed fetch plus PRZS seed handshake; counters start afterwards.
+    The seed request goes out first, so the dealer answers it while the
+    parties swap PRZS seeds."""
+    triples = TripleSource(session)
     seeds = przs_setup(session)
+    triples.seed()
     session.transcript.reset()
     return ProtocolCtx(
         session=session,
-        triples=TripleSource(session),
+        triples=triples,
         przs=seeds.stream(session.role),
         cfg=cfg or FixedPointConfig(),
     )
@@ -83,7 +87,9 @@ class LocalRuntime:
         return InProcFabric(self.hub, role)
 
     def run_session(self, fn0, fn1, cfg: FixedPointConfig | None = None, session_id=None):
-        """fn(ctx) for each party; returns {Role.P0: ..., Role.P1: ...}."""
+        """fn(ctx) for each party; returns {Role.P0: ..., Role.P1: ...}. The
+        session's hub queues and dealer entries are freed when both parties
+        are done."""
         sid = session_id if session_id is not None else self.new_session_id()
 
         def wrap(fn):
@@ -92,7 +98,11 @@ class LocalRuntime:
 
             return run
 
-        return run_pair_raw(self.fabric, {Role.P0: wrap(fn0), Role.P1: wrap(fn1)}, sid)
+        try:
+            return run_pair_raw(self.fabric, {Role.P0: wrap(fn0), Role.P1: wrap(fn1)}, sid)
+        finally:
+            self.hub.release(sid)
+            self.dealer.release(sid)
 
     def close(self):
         self.dealer.stop()

@@ -194,6 +194,12 @@ class InProcHub:
                     q.put(None)
             return q
 
+    def release(self, session_id: int):
+        """Drop a finished session's queues."""
+        with self._lock:
+            for key in [k for k in self._queues if k[0] == session_id]:
+                del self._queues[key]
+
     def close(self):
         with self._lock:
             self._closed = True
@@ -242,6 +248,9 @@ class _TcpConn:
     def __init__(self, sock: socket.socket, service: bool = False):
         self.sock = sock
         self.sock.settimeout(timeout_seconds())
+        # frames are written whole; Nagle would hold each one's tail segment
+        # until the peer ACKs the previous one
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.service = service  # dealer end: one inbox across sessions
         self._outbox: queue.Queue = queue.Queue()
         self._inboxes: dict = {}

@@ -21,7 +21,7 @@ from mpcnn.ring import (
 )
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import reveal, reveal_bin, share_input
-from mpcnn.transport import Role
+from mpcnn.transport import Role, TagStats
 
 CFG = FixedPointConfig(16)
 RNG = np.random.default_rng(1234)
@@ -213,13 +213,17 @@ class TestConversions:
 
         def fn(ctx):
             xs = shared_pair(ctx, x)
+            dealt = ctx.session.dealer_transcript.bytes_recv
             arith.a2b(ctx, xs)
             d = ctx.session.dealer_transcript
-            return d.bytes_recv, d.tags[TAG_BITPAIR_RSP].bytes_recv
+            return d.bytes_recv - dealt, d.tags.get(TAG_BITPAIR_RSP, TagStats()).bytes_recv
 
-        total, mask = run_secure(rt, fn)
-        assert mask == 16 * n  # one (arith, xor) word pair per element
-        assert total == mask + 6 * 3 * 8 * 2 * n  # plus 6 AND levels on (G, P) lane pairs
+        vals = rt.run_session(fn, fn, cfg=CFG)
+        total, mask = vals[Role.P0]
+        assert mask == 8 * n  # the arith half of one word pair per element
+        assert total == mask + 6 * 8 * 2 * n  # plus the c of 6 AND levels on (G, P) lane pairs
+        assert total / n == 104
+        assert vals[Role.P1] == (0, 0)  # P1 expands its half from its seed
 
     def test_b2a_zero_pattern(self, rt):
         # identical words at both parties xor to the all-zero secret
@@ -313,7 +317,9 @@ class TestGtz:
         words = -(-n // 64)
         ands = _carry_tree_ands()
         gtz_online = 8 * n + 2 * 8 * ands * words + -(-n // 8)  # mask, AND openings, packed bits
-        gtz_dealer = 16 * n + 3 * 8 * ands * words + 16 * n  # mask pair, bool triples, bit pair
+        # P0 receives one correction word per mask pair, bool triple and bit
+        # pair; P1 expands its halves from its seed and receives nothing
+        gtz_dealer = 8 * n + 8 * ands * words + 8 * n
 
         def fn(ctx, op):
             x = shared_pair(ctx, rand_fixed((n,)))
@@ -323,11 +329,17 @@ class TestGtz:
             return (ctx.session.measure().bytes_sent - before,
                     ctx.session.dealer_transcript.bytes_recv - dealt)
 
+        def both(op):
+            vals = rt.run_session(lambda ctx: fn(ctx, op), lambda ctx: fn(ctx, op), cfg=CFG)
+            return vals[Role.P0], vals[Role.P1]
+
         assert ands == 118
-        assert run_secure(rt, lambda ctx: fn(ctx, arith.gtz)) == (gtz_online, gtz_dealer)
-        assert run_secure(rt, lambda ctx: fn(ctx, arith.relu)) == (gtz_online + 16 * n, gtz_dealer + 24 * n)
+        assert both(arith.gtz) == ((gtz_online, gtz_dealer), (gtz_online, 0))
+        relu_online, relu_dealer = gtz_online + 16 * n, gtz_dealer + 8 * n
+        assert both(arith.relu) == ((relu_online, relu_dealer), (relu_online, 0))
         if n % 64 == 0:  # per element per party
-            assert gtz_online / n == 37.625 and gtz_dealer / n == 76.25
+            assert gtz_online / n == 37.625 and gtz_dealer / n == 30.75
+            assert relu_online / n == 53.625 and relu_dealer / n == 38.75
 
     @pytest.mark.parametrize("shape", [(1,), (63,), (64,), (65,), (3, 5, 7)])
     def test_full_ring_vs_oracle(self, rt, shape):

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from mpcnn.dealer import (
+    TAG_REQ,
+    TAG_SEED_RSP,
+    BitPairs,
     DealerError,
-    DealerService,
     PlanningSource,
     RandomnessExhausted,
+    RandomnessReused,
+    Triple,
     TripleSpec,
     TripleSource,
     derive_correlation,
+    expand,
+    session_seed,
 )
 from mpcnn.ring import ConvGeometry, ShapeMismatch, conv2d_ring, matmul_ring, zeros
 from mpcnn.sharing import fresh_seed
-from mpcnn.transport import Role
+from mpcnn.transport import Role, SessionTimeout
 
 from conftest import run_with_dealer
 
@@ -121,32 +127,101 @@ def reconstruct(spec, h0, h1):
         assert c == matmul_ring(a, b)
 
 
+def halves(master, sid, index, spec):
+    """Both parties' halves of one correlation, as TripleSource assembles
+    them: P1's is its whole expansion, P0's is its expansion plus the
+    dealer's correction."""
+    p0 = expand(session_seed(master, sid, Role.P0), index, spec, Role.P0)
+    p1 = expand(session_seed(master, sid, Role.P1), index, spec, Role.P1)
+    corr = derive_correlation(master, sid, index, spec)
+    if spec.kind in ("bitpair", "maskpair"):
+        return BitPairs(corr, *p0), BitPairs(*p1)
+    return Triple(*p0, corr), Triple(*p1)
+
+
 class TestDerivation:
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_each_role_half_reconstructs(self, kind):
-        seed, spec = fresh_seed(), SPECS[kind]
-        h0 = derive_correlation(seed, 9, 3, spec, Role.P0)
-        h1 = derive_correlation(seed, 9, 3, spec, Role.P1)
-        reconstruct(spec, h0, h1)
+        spec = SPECS[kind]
+        reconstruct(spec, *halves(fresh_seed(), 9, 3, spec))
 
     def test_idempotent_per_session_index(self):
         seed = fresh_seed()
         spec = TripleSpec("arith", (16,))
+        assert derive_correlation(seed, 9, 3, spec) == derive_correlation(seed, 9, 3, spec)
+        assert session_seed(seed, 9, Role.P1) == session_seed(seed, 9, Role.P1)
         for role in (Role.P0, Role.P1):
-            x = derive_correlation(seed, 9, 3, spec, role)
-            y = derive_correlation(seed, 9, 3, spec, role)
-            assert x.a == y.a and x.b == y.b and x.c == y.c
+            s = session_seed(seed, 9, role)
+            x, y = expand(s, 3, spec, role), expand(s, 3, spec, role)
+            assert all(u == v for u, v in zip(x, y))
 
     def test_distinct_indices_differ(self):
         seed = fresh_seed()
         spec = TripleSpec("arith", (16,))
-        x = derive_correlation(seed, 9, 3, spec, Role.P0)
-        y = derive_correlation(seed, 9, 4, spec, Role.P0)
-        assert x.a != y.a
+        assert derive_correlation(seed, 9, 3, spec) != derive_correlation(seed, 9, 4, spec)
+        for role in (Role.P0, Role.P1):
+            s = session_seed(seed, 9, role)
+            assert expand(s, 3, spec, role)[0] != expand(s, 4, spec, role)[0]
+
+    def test_distinct_sessions_and_roles_differ(self):
+        seed = fresh_seed()
+        spec = TripleSpec("arith", (16,))
+        seeds = {session_seed(seed, sid, role) for sid in (9, 10) for role in (Role.P0, Role.P1)}
+        assert len(seeds) == 4 and all(len(s) == 32 for s in seeds)
+        assert derive_correlation(seed, 9, 3, spec) != derive_correlation(seed, 10, 3, spec)
+        a0 = expand(session_seed(seed, 9, Role.P0), 3, spec, Role.P0)[0]
+        a1 = expand(session_seed(seed, 9, Role.P1), 3, spec, Role.P1)[0]
+        assert a0 != a1
 
     def test_unknown_kind_is_error(self):
         with pytest.raises(DealerError):
-            derive_correlation(fresh_seed(), 9, 3, TripleSpec("cube", (4,)), Role.P1)
+            derive_correlation(fresh_seed(), 9, 3, TripleSpec("cube", (4,)))
+
+
+class TestSeeds:
+    def test_one_seed_round_trip_per_party(self):
+        # P1 never talks to the dealer again after its seed
+        def fn(sess, svc):
+            src = TripleSource(sess)
+            src.arith((8,))
+            src.bool_((8,))
+            src.maskpairs((8,))
+            d = sess.dealer_transcript
+            return src.seed(), d.tags[TAG_REQ].phases, d.tags[TAG_SEED_RSP].bytes_recv, d.bytes_recv
+
+        vals = run_with_dealer(fn, fn)
+        (seed0, req0, seed_bytes0, recv0), (seed1, req1, seed_bytes1, recv1) = vals[Role.P0], vals[Role.P1]
+        assert seed0 != seed1
+        assert seed_bytes0 == seed_bytes1 == 32
+        assert req1 == 1 and recv1 == 32
+        assert req0 == 4 and recv0 == 32 + 3 * 8 * 8  # seed, then one 8-word correction per request
+
+    def test_p1_refuses_an_index_twice(self):
+        def fn(sess, svc):
+            src = TripleSource(sess)
+            src.arith((2,))
+            if sess.role is Role.P1:
+                src.next_index -= 1
+                with pytest.raises(RandomnessReused):
+                    src.arith((2,))
+            return svc.rerequest_count()
+
+        assert run_with_dealer(fn, fn)[Role.P1] == 0
+
+    def test_dealer_sends_p1_no_correction(self, monkeypatch):
+        # a correction would give P1 the secret behind P0's half
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "300")
+
+        def fn(sess, svc):
+            src = TripleSource(sess)
+            src.seed()
+            if sess.role is Role.P1:
+                sess.send_to_dealer(TAG_REQ, TripleSpec("arith", (2,)).to_wire(0))
+                with pytest.raises(SessionTimeout):
+                    sess.recv_from_dealer("TRIPLE_RSP")
+            return True
+
+        assert all(run_with_dealer(fn, fn).values())
 
 
 class TestBudget:
@@ -206,7 +281,8 @@ class TestAccountingSeparation:
         vals = run_with_dealer(fn, fn)
         for party_t, dealer_t in vals.values():
             assert party_t.bytes_sent == 0 and party_t.rounds == 0
-            assert dealer_t.bytes_recv == 100 * 8 * 3  # a, b, c halves
+        assert vals[Role.P0][1].bytes_recv == 32 + 100 * 8  # seed, c correction
+        assert vals[Role.P1][1].bytes_recv == 32  # seed only
 
 
 class TestPlanning:

@@ -1,5 +1,6 @@
 """Channel semantics: byte counting, round counting, backend equivalence."""
 
+import socket
 import threading
 
 import numpy as np
@@ -203,3 +204,14 @@ class TestBackendEquivalence:
             tcp = run_tcp_pair(lambda s: run_script(s, steps), lambda s: run_script(s, steps))
             assert inproc[Role.P0] == tcp[Role.P0]
             assert inproc[Role.P1] == tcp[Role.P1]
+
+
+class TestTcp:
+    def test_no_delay_on_both_ends(self):
+        # Nagle would hold each frame's tail segment for the peer's ACK
+        def fn(sess):
+            sock = sess.fabric._conns[sess.role.peer].sock
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        vals = run_tcp_pair(fn, fn)
+        assert vals[Role.P0] and vals[Role.P1]
