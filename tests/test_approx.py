@@ -1,6 +1,7 @@
 """Approximation contracts: every (domain, frac_bits, tolerance) row of the
 table in `mpcnn.approx`, swept on the plain oracle over the whole domain,
-plus a secure sample."""
+plus a secure sample, the exact outer pieces of sigmoid and silu, and their
+pinned rounds and bytes."""
 
 import numpy as np
 import pytest
@@ -58,14 +59,80 @@ def rt():
         yield runtime
 
 
+def share(ctx, xw):
+    return share_input(ctx.przs, xw if ctx.role is Role.P0 else None, Role.P0, xw.shape)
+
+
+T = 8.0  # where sigmoid and silu switch pieces
+EDGES = [-16.0, -T - 2.0**-16, -T, -T + 2.0**-16, -1.0, 0.0, 1.0, T - 2.0**-16, T, T + 2.0**-16, 16.0]
+
+
 def test_secure_silu_sample(rt):
-    # the secure path (gtz and mux on shares) meets the same contract
-    x = np.concatenate([[-16.0, -1.0, 0.0, 1.0, 16.0], np.random.default_rng(7).uniform(-16, 16, 59)])
+    # the secure path (gtz and the select on shares) meets the same contract,
+    # on both sides of each switch point too
+    x = np.concatenate([EDGES, np.random.default_rng(7).uniform(-16, 16, 59)])
     xw = encode(x, CFG)
 
     def fn(ctx):
-        xs = share_input(ctx.przs, xw if ctx.role is Role.P0 else None, Role.P0, xw.shape)
-        return reveal(ctx.session, approx.sec_silu(SecureEngine(ctx), xs))
+        return reveal(ctx.session, approx.sec_silu(SecureEngine(ctx), share(ctx, xw)))
 
     got = decode(rt.run_session(fn, fn, cfg=CFG)[Role.P0], CFG)
     assert np.abs(got - x * _sigmoid(x)).max() <= 2e-2
+
+
+def test_outer_pieces_are_exact(rt):
+    # for |x| > T the Chebyshev terms reach ~7e8 and their local truncations
+    # wrap, leaving garbage in about a third of the secure q values on these
+    # inputs; the exact select must still give relu(x), or the encoded 0 or
+    # 1, bit for bit
+    rng = np.random.default_rng(11)
+    one = encode(1.0, CFG).data
+    for _ in range(20):
+        mag = np.concatenate([[T + 2.0**-16, 16.0], rng.uniform(T + 2.0**-16, 16.0, 30)])
+        x = np.concatenate([mag, -mag])
+        xw = encode(x, CFG)
+
+        def fn(ctx):
+            e = SecureEngine(ctx)
+            xs = share(ctx, xw)
+            return [reveal(ctx.session, f(e, xs)) for f in (approx.sec_silu, approx.sec_sigmoid)]
+
+        silu, sigmoid = rt.run_session(fn, fn, cfg=CFG)[Role.P0]
+        pos = x > 0
+        assert np.array_equal(silu.data, np.where(pos, xw.data, 0))
+        assert np.array_equal(sigmoid.data, np.where(pos, one, 0))
+
+
+def _costs(rt, fn, n):
+    """(rounds, online bytes sent, dealer bytes received) of fn on n
+    elements, for P0 and for P1."""
+    xw = encode(np.random.default_rng(n).uniform(-16, 16, n), CFG)
+
+    def party(ctx):
+        xs = share(ctx, xw)
+        before, dealt = ctx.session.measure(), ctx.session.dealer_transcript.bytes_recv
+        fn(SecureEngine(ctx), xs)
+        after = ctx.session.measure()
+        return (after.rounds - before.rounds, after.bytes_sent - before.bytes_sent,
+                ctx.session.dealer_transcript.bytes_recv - dealt)
+
+    vals = rt.run_session(party, party, cfg=CFG)
+    return vals[Role.P0], vals[Role.P1]
+
+
+@pytest.mark.parametrize("n", [64 * 2, 100])
+def test_exact_cost(rt, n):
+    # derived from the circuit: one gtz on the 2n stacked [x + T, x - T]
+    # (mask word, 118 bit-ANDs per element bit-sliced 64 to a word, packed
+    # b2a bits), then ring products on n (u), n (T_2), 2n (T_3, T_4),
+    # 4n (T_5..T_8) and 2n (the select) elements, and for sigmoid one more
+    # on n (y * r). Each product element opens two words and costs P0 one
+    # dealt correction word; P1 expands its halves from its seed.
+    m, words = 2 * n, -(-2 * n // 64)
+    gtz_online = 8 * m + 2 * 8 * 118 * words + -(-m // 8)
+    gtz_dealer = 8 * m + 8 * 118 * words + 8 * m
+    for fn, rounds, products in ((approx.sec_silu, 13, 10 * n), (approx.sec_sigmoid, 14, 11 * n)):
+        online, dealer = gtz_online + 16 * products, gtz_dealer + 8 * products
+        assert _costs(rt, fn, n) == ((rounds, online, dealer), (rounds, online, 0))
+        if n % 64 == 0:  # per element per party
+            assert (online / n, dealer / n) == {13: (235.25, 141.5), 14: (251.25, 149.5)}[rounds]

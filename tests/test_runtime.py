@@ -1,4 +1,5 @@
-"""LocalRuntime: per-session state is freed, and the benchmark's self-test."""
+"""LocalRuntime: per-session state is freed, the benchmark's self-test, and
+one benchmark detector inference end to end."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import reveal, share_input
 from mpcnn.transport import InProcFabric, Role
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "securebench")
 
 
 def one_mul(ctx):
@@ -48,6 +49,27 @@ class TestSessionRelease:
 
 def test_benchmark_selftest_passes():
     # every benchmark check, the dealer re-request check included, still trips
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "securebench", "selftest.py")],
+    proc = subprocess.run([sys.executable, os.path.join(BENCH, "selftest.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_detector_inference_end_to_end():
+    # the benchmark's own preparation and checks, imported read-only: the
+    # output lies within the float64 reference's a-priori bound, and the two
+    # SiLU layers take 13 rounds each (5 convs, 2 x 13 SiLU, 2 x 9 max-pool,
+    # 1 reveal)
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import infer
+
+    prep = infer.prepare("detector", seed=5)
+    ref, bound, _ = prep.refs[0]
+    with LocalRuntime() as rt:
+        res = rt.run_session(infer.party_fn(prep.model, x=prep.inputs[0]),
+                             infer.party_fn(prep.model, weights=prep.weights))
+        (out, led0), (_, led1) = res[Role.P0], res[Role.P1]
+        problems, _ = infer.check("detector", out, ref, bound, led0, led1, None, rt.dealer.rerequest_count())
+    assert led0["rounds"] == 50
+    assert problems == []
+    assert np.all(np.abs(out - ref) <= bound)
