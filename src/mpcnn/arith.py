@@ -1,9 +1,11 @@
-"""Interactive protocols over shares: Beaver multiplication, convolution,
-share conversions, comparison, and the non-interactive tensor ops.
+"""Interactive protocols over shares: Beaver multiplication, the model
+holder's linear layers, share conversions and comparison.
 
 Round structure (one round = one parallel phase, independent of tensor size):
 
-  beaver_mul / conv2d / matmul   1   (e and d open together)
+  beaver_mul                     1   (e and d open together)
+  conv2d / matmul                1   (P0's masked input and P1's masked
+                                      weight cross in one swap)
   and_gate                       1
   b2a                            1   (all masked bits open together, packed
                                       8 per byte)
@@ -13,6 +15,11 @@ Round structure (one round = one parallel phase, independent of tensor size):
                                       of the carry-out tree + 1-bit b2a)
   relu                           9   (gtz + one multiplication)
   mux                            1
+
+conv2d and matmul are the client-server linear layer of Delphi (Mishra et
+al., USENIX Security 2020), with the dealer in place of homomorphic
+encryption: the weight is P1's own input, used in the clear at P1, so only
+P0's input share is masked. Each party runs one ring product per layer.
 
 The a2b conversion masks the arithmetic value with one dealt word pair (an
 additive and a XOR sharing of the same uniform word), opens the difference
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dealer import TripleSource
+from .dealer import HeldTriple, TripleSource
 from .ring import (
     ConvGeometry,
     FixedPointConfig,
@@ -40,7 +47,6 @@ from .ring import (
     WORD_BITS,
     conv2d_ring,
     matmul_ring,
-    zeros,
 )
 from .sharing import ArithShare, BinShare, PrzsStream, bytes_to_words, words_to_bytes
 from .transport import Role, Session
@@ -84,7 +90,21 @@ def open_values(ctx: ProtocolCtx, tag: str, tensors: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# multiplication family: z = c + e*b + a*d (+ e*d at P0), e = x-a, d = y-b
+# multiplication family
+#
+# beaver_mul, both operands shared: z = c + e*b + a*d (+ e*d at P0), with
+# e = x - a and d = y - b opened in both directions.
+#
+# conv2d / matmul, weight W held by P1 (f is the ring conv or matmul): P0
+# sends m = x0 - a0 and P1 sends d = W - b in one swap; P0 outputs
+# f(a0, d) + c0 and P1 outputs f(m + x1, W) + c1, which sum to f(x, W)
+# because c0 + c1 = f(a0, b). m is masked by a0, which only P0 and the
+# dealer know, and d by b, which only P1 and the dealer know.
+
+
+class WeightNotHeld(ValueError):
+    """A linear layer's weight is not P1's own input (made by `share_input`
+    with holder P1)."""
 
 
 def beaver_mul(ctx: ProtocolCtx, x: ArithShare, y: ArithShare, tag: str = "mul.open") -> ArithShare:
@@ -99,31 +119,41 @@ def beaver_mul(ctx: ProtocolCtx, x: ArithShare, y: ArithShare, tag: str = "mul.o
     return ctx.arith(z)
 
 
+def _check_held(ctx: ProtocolCtx, w: ArithShare, tag: str):
+    if w.held_by is not Role.P1 or (ctx.role is Role.P1 and w.clear is None):
+        raise WeightNotHeld(f"{tag}: the weight must be P1's input, shared with share_input")
+
+
+def _held_linear(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, t: HeldTriple, f, tag: str) -> ArithShare:
+    """f(x, W) for shared x and P1's weight W, from one held correlation t
+    (a0 and c0 at P0, b and c1 at P1); no truncation. One round."""
+    if ctx.role is Role.P0:
+        got = ctx.session.exchange(tag, words_to_bytes(x.t - t.mask), 8 * w.t.size)
+        return ctx.arith(f(t.mask, bytes_to_words(got, w.shape)) + t.c)
+    got = ctx.session.exchange(tag, words_to_bytes(w.clear - t.mask), 8 * x.t.size)
+    return ctx.arith(f(bytes_to_words(got, x.shape) + x.t, w.clear) + t.c)
+
+
 def conv2d(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, geom: ConvGeometry,
            tag: str = "conv.open") -> ArithShare:
-    """Shared 2D convolution via a geometry-matched triple (no truncation)."""
+    """2D convolution of a shared input by P1's kernel (no truncation)."""
+    _check_held(ctx, w, tag)
+    if w.shape != geom.weight_shape():
+        raise ShapeMismatch(f"kernel {w.shape} vs geometry {geom.weight_shape()}")
     t = ctx.triples.conv(x.shape, geom)
-    if t.b.shape != w.shape:
-        raise ShapeMismatch(f"kernel {w.shape} vs dealt {t.b.shape}")
-    e, d = open_values(ctx, tag, [x - ctx.arith(t.a), w - ctx.arith(t.b)])
-    z = t.c + conv2d_ring(e, t.b, geom) + conv2d_ring(t.a, d, geom)
-    if ctx.role is Role.P0:
-        z = z + conv2d_ring(e, d, geom)
-    return ctx.arith(z)
+    return _held_linear(ctx, x, w, t, lambda a, b: conv2d_ring(a, b, geom), tag)
 
 
 def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, tag: str = "matmul.open") -> ArithShare:
-    """Shared matrix product via a matmul triple (no truncation)."""
+    """Matrix product of a shared (m, k) input by P1's (k, n) weight (no
+    truncation)."""
+    _check_held(ctx, w, tag)
     m, k = x.shape
     k2, n = w.shape
     if k != k2:
         raise ShapeMismatch(f"matmul {x.shape} @ {w.shape}")
     t = ctx.triples.matmul(m, k, n)
-    e, d = open_values(ctx, tag, [x - ctx.arith(t.a), w - ctx.arith(t.b)])
-    z = t.c + matmul_ring(e, t.b) + matmul_ring(t.a, d)
-    if ctx.role is Role.P0:
-        z = z + matmul_ring(e, d)
-    return ctx.arith(z)
+    return _held_linear(ctx, x, w, t, matmul_ring, tag)
 
 
 def trunc_share(ctx: ProtocolCtx, x: ArithShare, bits: int | None = None) -> ArithShare:
@@ -329,28 +359,6 @@ def msb_onehot(ctx: ProtocolCtx, x: ArithShare) -> ArithShare:
     bit_axis = np.arange(WORD_BITS, dtype=np.uint64)
     bits = BinShare(onehot.owner, RingTensor((onehot.t.data[..., None] >> bit_axis) & np.uint64(1)))
     return _bits_to_arith(ctx, bits, "msb.b2a")
-
-
-# ---------------------------------------------------------------------------
-# non-interactive tensor ops
-
-
-def concat(shares: list, axis: int) -> ArithShare:
-    owner = shares[0].owner
-    return ArithShare(owner, RingTensor(np.concatenate([s.t.data for s in shares], axis=axis)))
-
-
-def split(share: ArithShare, sizes, axis: int) -> list:
-    if int(np.sum(sizes)) != share.shape[axis]:
-        raise ShapeMismatch(f"split {sizes} does not cover axis {axis} of {share.shape}")
-    bounds = np.cumsum(sizes)[:-1]
-    return [ArithShare(share.owner, RingTensor(p)) for p in np.split(share.t.data, bounds, axis=axis)]
-
-
-def upsample_nearest2x(share: ArithShare) -> ArithShare:
-    if share.t.data.ndim != 3:
-        raise ShapeMismatch(f"expected rank-3 C,H,W tensor, got {share.shape}")
-    return ArithShare(share.owner, RingTensor(np.repeat(np.repeat(share.t.data, 2, axis=1), 2, axis=2)))
 
 
 def const_floor(ctx: ProtocolCtx, x: ArithShare, d: int) -> ArithShare:

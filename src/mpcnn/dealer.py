@@ -10,6 +10,12 @@ for that part, the correction, by index and spec, one round trip per
 request. A correction is masked by P1's expansion (c1 or a1), which P0
 cannot compute without P1's seed.
 
+The linear-layer kinds ('conv', 'matmul') are held correlations: P1 holds
+the weight in the clear, so only P0's input is masked there. P0 expands the
+input-shaped mask a0 alone and P1 the weight-shaped mask b and the
+output-shaped c1; P0's correction is c0 = f(a0, b) - c1. Neither party gets
+an a1 or a b0, and no weight-shaped tensor is ever dealt to P0.
+
 The dealer keeps no correlation state: it derives each correction from its
 master seed and the (session, index) of the request, so serving is
 idempotent. It remembers only which (session, role, index) it has served,
@@ -34,6 +40,7 @@ TAG_TRIPLE_RSP = "TRIPLE_RSP"
 TAG_BITPAIR_RSP = "BITPAIR_RSP"
 
 PAIR_KINDS = ("bitpair", "maskpair")  # dealt as BitPairs
+HELD_KINDS = ("conv", "matmul")  # dealt as HeldTriples
 SEED_INDEX = -1  # the seed request's place in the dealer's re-request audit
 
 
@@ -54,8 +61,9 @@ class TripleSpec:
     """What a single dealing request asks for.
 
     kind: 'arith' | 'bool' (elementwise, shape applies to a, b, c),
-          'conv'  (a: input shape, b: kernel shape, c = ring conv),
-          'matmul' (a: (m,k), b: (k,n), c = a @ b),
+          'conv'  (held: a0 input shape at P0, b kernel shape at P1,
+                   c0 + c1 = ring conv of a0 by b),
+          'matmul' (held: a0 (m,k) at P0, b (k,n) at P1, c0 + c1 = a0 @ b),
           'bitpair' (one uniform bit per element of shape),
           'maskpair' (one uniform 64-bit word per element of shape: the
                       a2b mask).
@@ -108,6 +116,15 @@ class Triple:
 
 
 @dataclass
+class HeldTriple:
+    """One party's half of a held correlation: `mask` is a0 (input-shaped)
+    at P0 and b (weight-shaped) at P1, and c0 + c1 = f(a0, b)."""
+
+    mask: RingTensor
+    c: RingTensor
+
+
+@dataclass
 class BitPairs:
     """One party's halves of a random r (bits or words): additive share and
     XOR share agree on r."""
@@ -123,9 +140,10 @@ def session_seed(master_seed: bytes, session_id: int, role: Role) -> bytes:
 
 def expand(seed: bytes, index: int, spec: TripleSpec, role: Role) -> tuple:
     """The parts of correlation `index` that `role` expands from its session
-    seed. P1 gets its whole half: (a1, b1, c1), or (a1, m1) for a pair. P0
-    gets its half but the corrected part: (a0, b0), or (m0,) for a pair.
-    An XOR half is a word for 'maskpair' and a bit for 'bitpair'."""
+    seed. P1 gets its whole half: (a1, b1, c1), (a1, m1) for a pair, or
+    (b, c1) for a held kind. P0 gets its half but the corrected part:
+    (a0, b0), (m0,) for a pair, or (a0,) for a held kind. An XOR half is a
+    word for 'maskpair' and a bit for 'bitpair'."""
     prg = Prg(seed, f"deal:{index}".encode())
     if spec.kind in PAIR_KINDS:
         draw_xor = prg.draw_words if spec.kind == "maskpair" else prg.draw_bits
@@ -133,31 +151,33 @@ def expand(seed: bytes, index: int, spec: TripleSpec, role: Role) -> tuple:
             return (draw_xor(spec.shape),)
         return prg.draw_words(spec.shape), draw_xor(spec.shape)
     a_shape, b_shape, c_shape = spec.part_shapes()
+    if spec.kind in HELD_KINDS:
+        if role is Role.P0:
+            return (prg.draw_words(a_shape),)
+        return prg.draw_words(b_shape), prg.draw_words(c_shape)
     parts = prg.draw_words(a_shape), prg.draw_words(b_shape)
     return parts if role is Role.P0 else parts + (prg.draw_words(c_shape),)
 
 
 def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec) -> RingTensor:
     """P0's correction for correlation `index` of a session, derived
-    deterministically from both parties' expansions: c0 = f(a, b) - c1 with
-    a = a0 + a1 and b = b0 + b1 (for 'bool', c0 = (a & b) ^ c1 with XOR
-    halves), or a0 = (m0 ^ m1) - a1 for a pair."""
+    deterministically from both parties' expansions: c0 = a * b - c1 with
+    a = a0 + a1 and b = b0 + b1 for 'arith', c0 = (a & b) ^ c1 with XOR
+    halves for 'bool', c0 = f(a0, b) - c1 for a held kind, or
+    a0 = (m0 ^ m1) - a1 for a pair."""
     mine = expand(session_seed(master_seed, session_id, Role.P0), index, spec, Role.P0)
     theirs = expand(session_seed(master_seed, session_id, Role.P1), index, spec, Role.P1)
     if spec.kind in PAIR_KINDS:
         (m0,), (a1, m1) = mine, theirs
         return (m0 ^ m1) - a1
+    if spec.kind in HELD_KINDS:
+        (a0,), (b, c1) = mine, theirs
+        c = conv2d_ring(a0, b, spec.geom) if spec.kind == "conv" else matmul_ring(a0, b)
+        return c - c1
     (a0, b0), (a1, b1, c1) = mine, theirs
     if spec.kind == "bool":
         return ((a0 ^ a1) & (b0 ^ b1)) ^ c1
-    a, b = a0 + a1, b0 + b1
-    if spec.kind == "arith":
-        c = a * b
-    elif spec.kind == "conv":
-        c = conv2d_ring(a, b, spec.geom)
-    else:
-        c = matmul_ring(a, b)
-    return c - c1
+    return (a0 + a1) * (b0 + b1) - c1
 
 
 class DealerService:
@@ -232,9 +252,11 @@ class TripleSource:
     `seed()` reads the answer, so other set-up can run in between. P1
     expands every correlation from its seed and sends nothing more. P0
     expands all but one part of each and receives that part, the
-    correction, in one dealer round trip per request. The dealer counts
-    re-requests of P0's indices, but nobody sees P1's, so P1's source
-    refuses to expand an index at or below one it has already used.
+    correction, in one dealer round trip per request. A pair comes back as
+    `BitPairs`, a held kind as `HeldTriple` and any other as `Triple`. The
+    dealer counts re-requests of P0's indices, but nobody sees P1's, so
+    P1's source refuses to expand an index at or below one it has already
+    used.
 
     inline mode fetches on demand; pre-deal mode fetches the whole plan before
     the online phase and afterwards audits exact consumption.
@@ -266,18 +288,18 @@ class TripleSource:
         self.requests_made.append(spec)
         role = self.session.role
         pair = spec.kind in PAIR_KINDS
+        half = BitPairs if pair else HeldTriple if spec.kind in HELD_KINDS else Triple
         if role is Role.P1:
             if index <= self._expanded:
                 raise RandomnessReused(f"index {index} after {self._expanded} was already expanded")
             self._expanded = index
-            parts = expand(self.seed(), index, spec, role)
-            return BitPairs(*parts) if pair else Triple(*parts)
+            return half(*expand(self.seed(), index, spec, role))
         self.session.send_to_dealer(TAG_REQ, spec.to_wire(index))
         parts = expand(self.seed(), index, spec, role)  # while the dealer derives
         if pair:
             return BitPairs(bytes_to_words(self.session.recv_from_dealer(TAG_BITPAIR_RSP), spec.shape), *parts)
         c_shape = spec.part_shapes()[2]
-        return Triple(*parts, bytes_to_words(self.session.recv_from_dealer(TAG_TRIPLE_RSP), c_shape))
+        return half(*parts, bytes_to_words(self.session.recv_from_dealer(TAG_TRIPLE_RSP), c_shape))
 
     # -- modes --
 
@@ -307,10 +329,10 @@ class TripleSource:
     def bool_(self, shape) -> Triple:
         return self.take(TripleSpec("bool", tuple(shape)))
 
-    def conv(self, x_shape, geom: ConvGeometry) -> Triple:
+    def conv(self, x_shape, geom: ConvGeometry) -> HeldTriple:
         return self.take(TripleSpec("conv", tuple(x_shape), geom=geom))
 
-    def matmul(self, m: int, k: int, n: int) -> Triple:
+    def matmul(self, m: int, k: int, n: int) -> HeldTriple:
         return self.take(TripleSpec("matmul", (m, k), mat=(m, k, n)))
 
     def bitpairs(self, shape) -> BitPairs:
@@ -332,7 +354,8 @@ class TripleSource:
 class PlanningSource(TripleSource):
     """Dry-run collector: records the request sequence, returns zero-valued
     correlations (a=b=c=0 is a valid triple, r=0 a valid pair), touches no
-    channel."""
+    channel. The plan is P0's, so a held correlation comes back in P0's
+    form, with the input-shaped mask."""
 
     def __init__(self):
         super().__init__(session=None)
@@ -344,4 +367,6 @@ class PlanningSource(TripleSource):
         a_shape, b_shape, c_shape = spec.part_shapes()
         if spec.kind in PAIR_KINDS:
             return BitPairs(zeros(a_shape), zeros(b_shape))
+        if spec.kind in HELD_KINDS:
+            return HeldTriple(zeros(a_shape), zeros(c_shape))
         return Triple(zeros(a_shape), zeros(b_shape), zeros(c_shape))

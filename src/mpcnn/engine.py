@@ -17,6 +17,7 @@ from .ring import (
     ConvGeometry,
     FixedPointConfig,
     RingTensor,
+    ShapeMismatch,
     WORD_BITS,
     conv2d_ring,
     encode,
@@ -193,6 +194,8 @@ def e_concat(e, values, axis):
 
 
 def e_split(e, v, sizes, axis):
+    if int(np.sum(sizes)) != v.shape[axis]:
+        raise ShapeMismatch(f"split {sizes} does not cover axis {axis} of {v.shape}")
     bounds = np.cumsum(sizes)[:-1]
     return [e.wrap_like(v, p) for p in np.split(e.raw(v).data, bounds, axis=axis)]
 

@@ -5,7 +5,9 @@ Share material comes from a ChaCha20 keystream used as a counter-mode PRG
 parties hold the same pair of session seeds arranged with opposite signs, so
 their zero-share streams cancel: P0 draws PRG(s0) - PRG(s1) while P1 draws
 PRG(s1) - PRG(s0). Sharing an input is then non-interactive: the holder adds
-the value onto its zero share.
+the value onto its zero share, and its share also keeps the value itself, so
+that protocols which take one party's input in the clear (the model holder's
+weights in `arith.conv2d` / `arith.matmul`) can use it.
 """
 
 from __future__ import annotations
@@ -97,10 +99,17 @@ def przs_setup(session: Session) -> PrzsSeedPair:
 
 @dataclass
 class ArithShare:
-    """One party's additive share: sum of both tensors is the secret (mod 2^64)."""
+    """One party's additive share: sum of both tensors is the secret (mod 2^64).
+
+    A share made by `share_input` also records the party that supplied the
+    secret (`held_by`), and at that party `clear` is the secret itself. Every
+    other op returns a share with neither, because its result is no longer
+    one party's input."""
 
     owner: Role
     t: RingTensor
+    held_by: Role | None = None
+    clear: RingTensor | None = None
 
     @property
     def shape(self):
@@ -160,13 +169,15 @@ class BinShare:
 
 
 def share_input(przs: PrzsStream, x: RingTensor | None, holder: Role, shape) -> ArithShare:
-    """Non-interactive input sharing; only the holder passes x."""
+    """Non-interactive input sharing; only the holder passes x. Both parties'
+    shares are marked as held by `holder`, and the holder's share keeps x
+    (the caller's tensor, not a copy) as its `clear` value."""
     z = przs.draw(shape)
     if przs.role is holder:
         if x is None or x.shape != tuple(shape):
             raise ShapeMismatch(f"holder must supply tensor of shape {shape}")
-        return ArithShare(przs.role, z + x)
-    return ArithShare(przs.role, z)
+        return ArithShare(przs.role, z + x, holder, x)
+    return ArithShare(przs.role, z, holder)
 
 
 def share_public(value: RingTensor, role: Role) -> ArithShare:
@@ -196,14 +207,6 @@ def reveal_bin(session: Session, share: BinShare, tag: str = "reveal.bin") -> Ri
 
 
 # -- local (non-interactive) share algebra --
-
-
-def add_shares(a: ArithShare, b: ArithShare) -> ArithShare:
-    return a + b
-
-
-def sub_shares(a: ArithShare, b: ArithShare) -> ArithShare:
-    return a - b
 
 
 def add_public(a: ArithShare, c: RingTensor) -> ArithShare:

@@ -487,16 +487,20 @@ class Session:
 
     # -- party-to-party, transcript-counted --
 
-    def exchange(self, tag: str, payload: bytes) -> bytes:
-        """Symmetric one-round exchange; both parties send equal-length payloads.
-        Empty payloads produce no traffic and no round."""
-        if len(payload) == 0:
+    def exchange(self, tag: str, payload: bytes, peer_len: int | None = None) -> bytes:
+        """One-round swap: both parties send at once, then each receives the
+        other's payload. The peer's payload must be `peer_len` bytes long,
+        by default as long as this party's own (a symmetric opening); the two
+        sides of an asymmetric swap each pass the length they expect from the
+        other. A swap of two empty payloads produces no traffic and no round."""
+        expect = len(payload) if peer_len is None else peer_len
+        if len(payload) == 0 and expect == 0:
             return b""
         peer = self.role.peer
         self._raw_send(peer, tag, payload)
         got = self._raw_recv(peer, tag)
-        if len(got) != len(payload):
-            raise ProtocolError(f"exchange length mismatch: sent {len(payload)}, got {len(got)}")
+        if len(got) != expect:
+            raise ProtocolError(f"exchange length mismatch: expected {expect}, got {len(got)}")
         self.transcript.note_send(tag, len(payload))
         self.transcript.note_recv(tag, len(got))
         self.transcript.note_round(tag)

@@ -1,11 +1,21 @@
 """Interactive share protocols: multiplication, conversions, comparison."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from mpcnn import arith
-from mpcnn.dealer import TAG_BITPAIR_RSP
-from mpcnn.engine import PlainEngine, SecureEngine, maxpool2d, tournament_max
+from mpcnn.dealer import TAG_BITPAIR_RSP, DealerService
+from mpcnn.engine import (
+    PlainEngine,
+    SecureEngine,
+    e_concat,
+    e_split,
+    e_upsample2x,
+    maxpool2d,
+    tournament_max,
+)
 from mpcnn.ring import (
     ConvGeometry,
     FixedPointConfig,
@@ -19,9 +29,11 @@ from mpcnn.ring import (
     pool_windows,
     zeros,
 )
-from mpcnn.runtime import LocalRuntime
+from mpcnn.runtime import LocalRuntime, establish, run_pair_raw
 from mpcnn.sharing import reveal, reveal_bin, share_input
-from mpcnn.transport import Role, TagStats
+from mpcnn.transport import Role, TagStats, TcpFabric
+
+from conftest import free_port
 
 CFG = FixedPointConfig(16)
 RNG = np.random.default_rng(1234)
@@ -37,6 +49,35 @@ def shared_pair(ctx, x: RingTensor, holder=Role.P0):
     return share_input(ctx.przs, x if ctx.role is holder else None, holder, x.shape)
 
 
+def run_tcp_with_dealer(fn):
+    """fn(ctx) on both parties, with P0, P1 and a DealerService each on its
+    own TcpFabric over loopback; returns {role: result}."""
+    host, peer, dealer_port = "127.0.0.1", free_port(), free_port()
+    dealer = {}
+
+    def serve():  # the dealer's fabric blocks until both parties connect
+        dealer["fab"] = TcpFabric(Role.DEALER, listen_addr=(host, dealer_port))
+        dealer["svc"] = DealerService(dealer["fab"]).start()
+
+    def make_fabric(role):
+        if role is Role.P0:
+            return TcpFabric(Role.P0, listen_addr=(host, peer), dealer_addr=(host, dealer_port))
+        return TcpFabric(Role.P1, peer_addr=(host, peer), dealer_addr=(host, dealer_port))
+
+    def run(sess):
+        return fn(establish(sess, CFG))
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        return run_pair_raw(make_fabric, {Role.P0: run, Role.P1: run})
+    finally:
+        server.join(timeout=30)
+        if "svc" in dealer:
+            dealer["svc"].stop()
+            dealer["fab"].close()
+
+
 def run_secure(rt, fn):
     """fn(ctx) on both parties; returns P0's result."""
     vals = rt.run_session(fn, fn, cfg=CFG)
@@ -49,6 +90,34 @@ def rand_words(shape):
 
 def rand_fixed(shape, lo=-64.0, hi=64.0):
     return encode(RNG.uniform(lo, hi, size=shape), CFG)
+
+
+def held_linear_both(rt, op, x, w):
+    """op(ctx, x shared by P0, w shared by P1) on both parties; returns
+    (reconstructed output, {role: (bytes sent, bytes received, rounds)})."""
+
+    def fn(ctx):
+        xs = shared_pair(ctx, x)
+        ws = shared_pair(ctx, w, holder=Role.P1)
+        before = ctx.session.measure()
+        z = op(ctx, xs, ws)
+        after = ctx.session.measure()
+        cost = (after.bytes_sent - before.bytes_sent, after.bytes_recv - before.bytes_recv,
+                after.rounds - before.rounds)
+        return reveal(ctx.session, z), cost
+
+    vals = rt.run_session(fn, fn, cfg=CFG)
+    return vals[Role.P0][0], {role: v[1] for role, v in vals.items()}
+
+
+UNHELD = {
+    # a weight P0 shared as its own input, and a weight that is a product
+    # output rather than anyone's input
+    "p0-input": lambda ctx, w: shared_pair(ctx, w, holder=Role.P0),
+    "product": lambda ctx, w: arith.beaver_mul(
+        ctx, shared_pair(ctx, w, holder=Role.P1),
+        shared_pair(ctx, from_words(np.ones(w.shape, dtype=np.uint64)), holder=Role.P1)),
+}
 
 
 class TestBeaverMul:
@@ -121,22 +190,26 @@ class TestConv2d:
         assert run_secure(rt, fn) == x
 
     def test_random_exact_vs_oracle(self, rt):
+        # P0 sends the input-shaped m = x0 - a0 and P1 the kernel-shaped
+        # d = W - b, crossing in one round
         geom = ConvGeometry(3, 4, 3, 3, stride=1, padding=1)
         x = rand_words((3, 8, 8))
         w = rand_words(geom.weight_shape())
+        got, cost = held_linear_both(rt, lambda ctx, xs, ws: arith.conv2d(ctx, xs, ws, geom), x, w)
+        assert got == conv2d_ring(x, w, geom)
+        assert cost[Role.P0] == (3 * 8 * 8 * 8, 4 * 3 * 3 * 3 * 8, 1)
+        assert cost[Role.P1] == (4 * 3 * 3 * 3 * 8, 3 * 8 * 8 * 8, 1)
+
+    @pytest.mark.parametrize("kind", sorted(UNHELD))
+    def test_unheld_weight_raises(self, rt, kind):
+        geom = ConvGeometry(2, 3, 3, 3, padding=1)
 
         def fn(ctx):
-            xs = shared_pair(ctx, x)
-            ws = shared_pair(ctx, w, holder=Role.P1)
-            before = ctx.session.measure()
-            z = arith.conv2d(ctx, xs, ws, geom)
-            after = ctx.session.measure()
-            return reveal(ctx.session, z), after.rounds - before.rounds, after.bytes_sent - before.bytes_sent
+            x = shared_pair(ctx, rand_words((2, 5, 5)))
+            arith.conv2d(ctx, x, UNHELD[kind](ctx, rand_words(geom.weight_shape())), geom)
 
-        got, rounds, sent = run_secure(rt, fn)
-        assert got == conv2d_ring(x, w, geom)
-        assert rounds == 1
-        assert sent == (3 * 8 * 8 + 4 * 3 * 3 * 3) * 8  # input-shaped e + kernel-shaped d
+        with pytest.raises(arith.WeightNotHeld):
+            rt.run_session(fn, fn, cfg=CFG)
 
 
 class TestMatmul:
@@ -169,6 +242,47 @@ class TestMatmul:
             return reveal(ctx.session, arith.matmul(ctx, xs, ws))
 
         assert run_secure(rt, fn) == matmul_ring(a, b)
+
+    def test_random_exact_one_way_bytes(self, rt):
+        # P0 sends the (m, k) input mask, P1 the (k, n) weight mask, one round
+        a = rand_words((5, 7))
+        b = rand_words((7, 3))
+        got, cost = held_linear_both(rt, arith.matmul, a, b)
+        assert got == matmul_ring(a, b)
+        assert cost[Role.P0] == (5 * 7 * 8, 7 * 3 * 8, 1)
+        assert cost[Role.P1] == (7 * 3 * 8, 5 * 7 * 8, 1)
+
+    @pytest.mark.parametrize("kind", sorted(UNHELD))
+    def test_unheld_weight_raises(self, rt, kind):
+        def fn(ctx):
+            x = shared_pair(ctx, rand_words((1, 4)))
+            arith.matmul(ctx, x, UNHELD[kind](ctx, rand_words((4, 2))))
+
+        with pytest.raises(arith.WeightNotHeld):
+            rt.run_session(fn, fn, cfg=CFG)
+
+
+class TestHeldOverTcp:
+    def test_conv_and_matmul_match_inproc(self):
+        # P0, P1 and the dealer each on their own TcpFabric: the same outputs
+        # bit for bit, and the same party and dealer transcripts, as in-process
+        geom = ConvGeometry(3, 4, 3, 3, stride=2, padding=1)
+        x, w = rand_words((3, 9, 9)), rand_words(geom.weight_shape())
+        a, b = rand_words((1, 16)), rand_words((16, 5))
+
+        def fn(ctx):
+            conv = arith.conv2d(ctx, shared_pair(ctx, x), shared_pair(ctx, w, holder=Role.P1), geom)
+            mm = arith.matmul(ctx, shared_pair(ctx, a), shared_pair(ctx, b, holder=Role.P1))
+            out = reveal(ctx.session, conv), reveal(ctx.session, mm)
+            return out, ctx.session.measure().counters(), ctx.session.dealer_transcript.counters()
+
+        tcp = run_tcp_with_dealer(fn)
+        with LocalRuntime() as runtime:
+            inproc = runtime.run_session(fn, fn, cfg=CFG)
+        for role in (Role.P0, Role.P1):
+            (conv, mm), party, dealt = tcp[role]
+            assert conv == conv2d_ring(x, w, geom) and mm == matmul_ring(a, b)
+            assert (party, dealt) == inproc[role][1:]
 
 
 class TestConversions:
@@ -489,11 +603,12 @@ class TestTensorOps:
         x = rand_fixed((4, 6, 6))
 
         def fn(ctx):
+            e = SecureEngine(ctx)
             xs = shared_pair(ctx, x)
             before = ctx.session.measure()
-            parts = arith.split(xs, [2, 2], axis=0)
-            back = arith.concat(parts, axis=0)
-            up = arith.upsample_nearest2x(back)
+            parts = e_split(e, xs, [2, 2], axis=0)
+            back = e_concat(e, parts, axis=0)
+            up = e_upsample2x(e, back)
             after = ctx.session.measure()
             assert after.bytes_sent == before.bytes_sent and after.rounds == before.rounds
             return reveal(ctx.session, up)

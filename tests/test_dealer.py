@@ -8,6 +8,7 @@ from mpcnn.dealer import (
     TAG_SEED_RSP,
     BitPairs,
     DealerError,
+    HeldTriple,
     PlanningSource,
     RandomnessExhausted,
     RandomnessReused,
@@ -51,18 +52,21 @@ class TestTripleCorrectness:
         assert c == (a & b)
 
     def test_conv_triple_matches_ring_conv(self):
-        # CompactCNN geometry: 1x64 kernels over a 1x384 signal
+        # CompactCNN geometry: 1x64 kernels over a 1x384 signal; a held
+        # correlation: P0 holds the input mask a0, P1 the kernel mask b
         geom = ConvGeometry(1, 32, 1, 64)
         vals = fetch_both(lambda src: src.conv((1, 1, 384), geom))
         t0, t1 = vals[Role.P0], vals[Role.P1]
-        a, b, c = t0.a + t1.a, t0.b + t1.b, t0.c + t1.c
+        assert t0.mask.shape == (1, 1, 384) and t1.mask.shape == (32, 1, 1, 64)
+        c = t0.c + t1.c
         assert c.shape == (32, 1, 321)
-        assert c == conv2d_ring(a, b, geom)
+        assert c == conv2d_ring(t0.mask, t1.mask, geom)
 
     def test_matmul_triple(self):
         vals = fetch_both(lambda src: src.matmul(5, 7, 3))
         t0, t1 = vals[Role.P0], vals[Role.P1]
-        assert (t0.c + t1.c) == matmul_ring(t0.a + t1.a, t0.b + t1.b)
+        assert t0.mask.shape == (5, 7) and t1.mask.shape == (7, 3)
+        assert (t0.c + t1.c) == matmul_ring(t0.mask, t1.mask)
 
 
 class TestBitPairs:
@@ -118,13 +122,14 @@ def reconstruct(spec, h0, h1):
         a, b, c = h0.a ^ h1.a, h0.b ^ h1.b, h0.c ^ h1.c
         assert c == (a & b)
         return
+    if spec.kind == "conv":
+        assert h0.c + h1.c == conv2d_ring(h0.mask, h1.mask, spec.geom)
+        return
+    if spec.kind == "matmul":
+        assert h0.c + h1.c == matmul_ring(h0.mask, h1.mask)
+        return
     a, b, c = h0.a + h1.a, h0.b + h1.b, h0.c + h1.c
-    if spec.kind == "arith":
-        assert c == a * b
-    elif spec.kind == "conv":
-        assert c == conv2d_ring(a, b, spec.geom)
-    else:
-        assert c == matmul_ring(a, b)
+    assert c == a * b
 
 
 def halves(master, sid, index, spec):
@@ -136,7 +141,8 @@ def halves(master, sid, index, spec):
     corr = derive_correlation(master, sid, index, spec)
     if spec.kind in ("bitpair", "maskpair"):
         return BitPairs(corr, *p0), BitPairs(*p1)
-    return Triple(*p0, corr), Triple(*p1)
+    half = HeldTriple if spec.kind in ("conv", "matmul") else Triple
+    return half(*p0, corr), half(*p1)
 
 
 class TestDerivation:
@@ -144,6 +150,17 @@ class TestDerivation:
     def test_each_role_half_reconstructs(self, kind):
         spec = SPECS[kind]
         reconstruct(spec, *halves(fresh_seed(), 9, 3, spec))
+
+    @pytest.mark.parametrize("kind", ["conv", "matmul"])
+    def test_p0_expands_only_the_input_mask(self, kind):
+        # no weight-shaped tensor is ever dealt to P0; P1 gets the weight
+        # mask and its output share, and no input-shaped part
+        spec = SPECS[kind]
+        a_shape, b_shape, c_shape = spec.part_shapes()
+        master = fresh_seed()
+        s0, s1 = session_seed(master, 9, Role.P0), session_seed(master, 9, Role.P1)
+        assert [p.shape for p in expand(s0, 3, spec, Role.P0)] == [a_shape]
+        assert [p.shape for p in expand(s1, 3, spec, Role.P1)] == [b_shape, c_shape]
 
     def test_idempotent_per_session_index(self):
         seed = fresh_seed()
@@ -290,8 +307,11 @@ class TestPlanning:
         src = PlanningSource()
         t = src.arith((4,))
         p = src.bitpairs((8,))
+        h = src.matmul(1, 4, 2)  # a held correlation, in P0's form
         assert np.all(t.a.data == 0) and np.all(p.bin.data == 0)
-        assert src.requests_made == [TripleSpec("arith", (4,)), TripleSpec("bitpair", (8,))]
+        assert h.mask == zeros((1, 4)) and h.c == zeros((1, 2))
+        assert src.requests_made == [TripleSpec("arith", (4,)), TripleSpec("bitpair", (8,)),
+                                     TripleSpec("matmul", (1, 4), mat=(1, 4, 2))]
 
     def test_planner_fabricates_zero_mask_pairs(self):
         src = PlanningSource()

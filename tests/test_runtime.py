@@ -54,22 +54,41 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_detector_inference_end_to_end():
-    # the benchmark's own preparation and checks, imported read-only: the
-    # output lies within the float64 reference's a-priori bound, and the two
-    # SiLU layers take 13 rounds each (5 convs, 2 x 13 SiLU, 2 x 9 max-pool,
-    # 1 reveal)
+def one_benchmark_inference(model_name):
+    """One inference of a benchmark network through LocalRuntime, with the
+    benchmark's own preparation and checks, imported read-only. Returns
+    (output, reference, bound, P0's ledger, check problems)."""
     if BENCH not in sys.path:
         sys.path.insert(0, BENCH)
     import infer
 
-    prep = infer.prepare("detector", seed=5)
+    prep = infer.prepare(model_name, seed=5)
     ref, bound, _ = prep.refs[0]
     with LocalRuntime() as rt:
         res = rt.run_session(infer.party_fn(prep.model, x=prep.inputs[0]),
                              infer.party_fn(prep.model, weights=prep.weights))
         (out, led0), (_, led1) = res[Role.P0], res[Role.P1]
-        problems, _ = infer.check("detector", out, ref, bound, led0, led1, None, rt.dealer.rerequest_count())
+        problems, _ = infer.check(model_name, out, ref, bound, led0, led1, None, rt.dealer.rerequest_count())
+    return out, ref, bound, led0, problems
+
+
+def test_detector_inference_end_to_end():
+    # the output lies within the float64 reference's a-priori bound; the two
+    # SiLU layers take 13 rounds each (5 convs, 2 x 13 SiLU, 2 x 9 max-pool,
+    # 1 reveal); the five convs move their input-shaped masks (223,232 B)
+    # from P0 and their weight-shaped masks (2,186,592 B) from P1
+    out, ref, bound, led0, problems = one_benchmark_inference("detector")
     assert led0["rounds"] == 50
+    assert led0["sent"] + led0["recv"] == 3_459_872
+    assert problems == []
+    assert np.all(np.abs(out - ref) <= bound)
+
+
+def test_compactcnn_inference_end_to_end():
+    # conv 1, ReLU 9, linear 1, reveal 1; the conv and the linear layer move
+    # (384 + 32) words one way and (2048 + 64) the other
+    out, ref, bound, led0, problems = one_benchmark_inference("compactcnn")
+    assert led0["rounds"] == 12
+    assert led0["sent"] + led0["recv"] == 1_123_800
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)

@@ -94,6 +94,11 @@ class TestShareInput:
         sh1 = share_input(sp.stream(Role.P1), w, Role.P1, (32, 1, 1, 64))
         sh0 = share_input(sp.stream(Role.P0), None, Role.P1, (32, 1, 1, 64))
         assert sh0.t + sh1.t == w
+        # both shares are marked as P1's input; P1's keeps w itself, not a copy
+        assert sh0.held_by is Role.P1 and sh1.held_by is Role.P1
+        assert sh1.clear is w and sh0.clear is None
+        # anything computed from them is no longer anyone's input
+        assert (sh1 + sh1).held_by is None and sh1.reshape(-1).clear is None
 
     def test_nonholder_share_pseudorandom(self):
         sp = seeds()

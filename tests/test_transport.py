@@ -93,6 +93,32 @@ class TestExchange:
         with pytest.raises(ProtocolError):
             run_pair(lambda s: s.exchange("t", b"abc"), lambda s: s.exchange("t", b"defg"))
 
+    @pytest.mark.parametrize("run", [run_pair, run_tcp_pair], ids=["inproc", "tcp"])
+    def test_asymmetric_swap_is_one_round(self, run):
+        # P0 sends 8 bytes and P1 24; each side checks the length it expects
+        # from the other
+        def fn(sess):
+            mine, theirs = (b"a" * 8, 24) if sess.role is Role.P0 else (b"b" * 24, 8)
+            return sess.exchange("t", mine, peer_len=theirs), sess.measure().counters()
+
+        vals = run(fn, fn)
+        assert vals[Role.P0] == (b"b" * 24, (8, 24, 1, (("t", 8, 24, 1),)))
+        assert vals[Role.P1] == (b"a" * 8, (24, 8, 1, (("t", 24, 8, 1),)))
+
+    @pytest.mark.parametrize("sent", [16, 32])
+    def test_asymmetric_wrong_peer_length_raises(self, monkeypatch, sent):
+        # over TCP, P0 expects 24 bytes and gets `sent`: it raises at once,
+        # neither waiting for the missing bytes nor splitting the extra ones
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "5000")
+
+        def fn(sess):
+            if sess.role is Role.P0:
+                return sess.exchange("t", bytes(8), peer_len=24)
+            return sess.exchange("t", bytes(sent), peer_len=8)
+
+        with pytest.raises(ProtocolError, match=f"expected 24, got {sent}"):
+            run_tcp_pair(fn, fn)
+
     def test_concurrent_sessions_isolated(self):
         # ten sessions exchange different sizes; each transcript sees only its own
         hub = InProcHub()
