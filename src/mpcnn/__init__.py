@@ -1,9 +1,12 @@
 """mpcnn: two-party secure CNN inference over additive secret shares.
 
 A data holder (P0) and a model holder (P1) evaluate fixed-point neural
-networks over shares in Z_2^64, assisted by a trusted dealer that issues
-Beaver triples, boolean triples and bit pairs. Every protocol run produces
-an exact transcript of payload bytes and communication rounds.
+networks over shares in Z_2^64, assisted by a trusted dealer. The dealer
+gives each party one seed per session, from which it expands its halves of
+every correlation: Beaver and boolean triples, the held conv and matmul
+correlations of the model holder's linear layers, and mask and bit pairs.
+Only P0 asks for more, one correction per request. Every protocol run
+produces an exact transcript of payload bytes and communication rounds.
 """
 
 __version__ = "0.1.0"

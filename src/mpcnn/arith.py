@@ -7,8 +7,6 @@ Round structure (one round = one parallel phase, independent of tensor size):
   conv2d / matmul                1   (P0's masked input and P1's masked
                                       weight cross in one swap)
   and_gate                       1
-  b2a                            1   (all masked bits open together, packed
-                                      8 per byte)
   a2b                            7   (1 masked-word opening + 6 AND phases
                                       of the carry-lookahead prefix tree)
   gtz                            8   (1 masked-word opening + 6 AND phases
@@ -29,7 +27,8 @@ gates are interactive, giving exactly log2(64) = 6 AND phases. gtz opens the
 same masked difference but needs only the sum's top bit, so it computes only
 the carry into bit 63: a bit-sliced prefix tree over lanes 0..62 whose
 groups halve at each of its 6 levels (118 bit-ANDs per element, against
-a2b's 768).
+a2b's 768). No model calls a2b: it stays for its tests and for the
+benchmark's tracer, which wraps it by name.
 """
 
 from __future__ import annotations
@@ -238,8 +237,6 @@ def _bits_to_arith(ctx: ProtocolCtx, bits: BinShare, tag: str) -> ArithShare:
     mine = ((bits.t.data ^ pairs.bin.data) & np.uint64(1)).astype(np.uint8).reshape(-1)
     payload = np.packbits(mine, bitorder="little").tobytes()
     got = ctx.session.exchange(tag, payload)
-    if len(got) != len(payload):
-        raise ShapeMismatch(f"{tag}: peer opened {len(got)} bytes, expected {len(payload)}")
     theirs = np.unpackbits(np.frombuffer(got, dtype=np.uint8), count=mine.size, bitorder="little")
     zb = (mine ^ theirs).astype(np.uint64).reshape(bits.shape)  # 0/1 words
     with np.errstate(over="ignore"):
@@ -247,17 +244,6 @@ def _bits_to_arith(ctx: ProtocolCtx, bits: BinShare, tag: str) -> ArithShare:
     if ctx.role is Role.P0:
         share = share + zb
     return ctx.arith(RingTensor(share))
-
-
-def b2a(ctx: ProtocolCtx, x: BinShare, tag_prefix: str = "b2a") -> ArithShare:
-    """XOR share -> arithmetic share: sum of 2^b times the b-th bit, all 64
-    masked bits opened together in one round."""
-    bit_axis = np.arange(WORD_BITS, dtype=np.uint64)
-    bits = BinShare(x.owner, RingTensor((x.t.data[..., None] >> bit_axis) & np.uint64(1)))
-    arith_bits = _bits_to_arith(ctx, bits, f"{tag_prefix}.open")
-    with np.errstate(over="ignore"):
-        word = np.add.reduce(arith_bits.t.data << bit_axis, axis=-1, dtype=np.uint64)
-    return ctx.arith(RingTensor(word))
 
 
 # ---------------------------------------------------------------------------
@@ -336,41 +322,3 @@ def mux(ctx: ProtocolCtx, cond: ArithShare, x: ArithShare, y: ArithShare) -> Ari
 def relu(ctx: ProtocolCtx, x: ArithShare) -> ArithShare:
     """max(x, 0) as x * (x > 0); exact (the bit is unscaled, no truncation)."""
     return beaver_mul(ctx, x, gtz(ctx, x), tag="relu.open")
-
-
-def extract_bits(ctx: ProtocolCtx, x: ArithShare, positions) -> ArithShare:
-    """Unscaled 0/1 arithmetic shares of selected bit positions (last axis):
-    one a2b plus one batched single-bit B2A."""
-    v = a2b(ctx, x, tag_prefix="bits.a2b")
-    pos = np.asarray(positions, dtype=np.uint64)
-    bits = BinShare(v.owner, RingTensor((v.t.data[..., None] >> pos) & np.uint64(1)))
-    return _bits_to_arith(ctx, bits, "bits.b2a")
-
-
-def msb_onehot(ctx: ProtocolCtx, x: ArithShare) -> ArithShare:
-    """Indicator vector (last axis, 64 wide) of the highest set bit of each
-    word: a2b, a downward prefix-OR tree, then per-bit B2A. Drives the
-    magnitude-normalized initial guesses of the Newton iterations."""
-    v = a2b(ctx, x, tag_prefix="msb.a2b")
-    for k in range(6):
-        shifted = v.shift_right(1 << k)
-        v = v ^ shifted ^ and_gate(ctx, v, shifted, tag="msb.or")
-    onehot = v ^ v.shift_right(1)
-    bit_axis = np.arange(WORD_BITS, dtype=np.uint64)
-    bits = BinShare(onehot.owner, RingTensor((onehot.t.data[..., None] >> bit_axis) & np.uint64(1)))
-    return _bits_to_arith(ctx, bits, "msb.b2a")
-
-
-def const_floor(ctx: ProtocolCtx, x: ArithShare, d: int) -> ArithShare:
-    """floor(value / d) * scale for public power-of-two d, exact: clears the
-    fraction through the binary domain where the arithmetic shift is local
-    over XOR shares (sign bits of the shares xor to the secret's sign)."""
-    if d <= 0 or d & (d - 1):
-        raise ValueError(f"divisor must be a positive power of two, got {d}")
-    if d == 1:
-        return x
-    k = d.bit_length() - 1
-    bx = a2b(ctx, x, tag_prefix="floor.a2b")
-    q = BinShare(bx.owner, bx.t.shift_right_arith(k + ctx.cfg.frac_bits))
-    q_arith = b2a(ctx, q, tag_prefix="floor.b2a")
-    return ArithShare(x.owner, q_arith.t.shift_left(ctx.cfg.frac_bits))

@@ -30,7 +30,7 @@ import json
 import threading
 from dataclasses import dataclass
 
-from .ring import ConvGeometry, RingTensor, ShapeMismatch, conv2d_ring, matmul_ring, zeros
+from .ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
 from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, words_to_bytes
 from .transport import Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout
 
@@ -46,10 +46,6 @@ SEED_INDEX = -1  # the seed request's place in the dealer's re-request audit
 
 class DealerError(Exception):
     pass
-
-
-class RandomnessExhausted(DealerError):
-    """More correlated randomness consumed than dealt."""
 
 
 class RandomnessReused(DealerError):
@@ -226,9 +222,13 @@ class DealerService:
             if not msg.payload:
                 index, tag, payload = SEED_INDEX, TAG_SEED_RSP, session_seed(self.master_seed, sid, role)
             elif role is Role.P0:
-                index, spec = TripleSpec.from_wire(msg.payload)
+                try:
+                    index, spec = TripleSpec.from_wire(msg.payload)
+                    corr = derive_correlation(self.master_seed, sid, index, spec)
+                except (ValueError, KeyError, TypeError, DealerError):
+                    continue  # a malformed request goes unanswered; other sessions are still served
                 tag = TAG_BITPAIR_RSP if spec.kind in PAIR_KINDS else TAG_TRIPLE_RSP
-                payload = words_to_bytes(derive_correlation(self.master_seed, sid, index, spec))
+                payload = words_to_bytes(corr)
             else:
                 continue  # P0's corrections would unmask P1's half; P1 never asks for them
             self.fabric.send(role, Message(sid, self._note_served(role, sid, index), tag, payload))
@@ -257,35 +257,23 @@ class TripleSource:
     dealer counts re-requests of P0's indices, but nobody sees P1's, so
     P1's source refuses to expand an index at or below one it has already
     used.
-
-    inline mode fetches on demand; pre-deal mode fetches the whole plan before
-    the online phase and afterwards audits exact consumption.
     """
 
-    def __init__(self, session: Session | None):
+    def __init__(self, session: Session):
         self.session = session
         self.next_index = 0
-        self.mode = "inline"
-        self._queue: list = []
-        self._plan: list = []
-        self.rerequests = 0
-        self.requests_made: list = []
         self._seed = None
         self._expanded = -1  # highest index P1 has expanded
-        if session is not None:
-            session.send_to_dealer(TAG_REQ, b"")
+        session.send_to_dealer(TAG_REQ, b"")
 
     def seed(self) -> bytes:
         if self._seed is None:
             self._seed = self.session.recv_from_dealer(TAG_SEED_RSP)
         return self._seed
 
-    # -- wire --
-
-    def _fetch(self, spec: TripleSpec):
+    def take(self, spec: TripleSpec):
         index = self.next_index
         self.next_index += 1
-        self.requests_made.append(spec)
         role = self.session.role
         pair = spec.kind in PAIR_KINDS
         half = BitPairs if pair else HeldTriple if spec.kind in HELD_KINDS else Triple
@@ -300,26 +288,6 @@ class TripleSource:
             return BitPairs(bytes_to_words(self.session.recv_from_dealer(TAG_BITPAIR_RSP), spec.shape), *parts)
         c_shape = spec.part_shapes()[2]
         return half(*parts, bytes_to_words(self.session.recv_from_dealer(TAG_TRIPLE_RSP), c_shape))
-
-    # -- modes --
-
-    def pre_deal(self, plan: list):
-        """Fetch every planned correlation now; the online phase just pops."""
-        self.mode = "pre-dealt"
-        self._plan = list(plan)
-        self._queue = [(spec, self._fetch(spec)) for spec in plan]
-
-    def take(self, spec: TripleSpec):
-        if self.mode == "inline":
-            return self._fetch(spec)
-        if not self._queue:
-            # a well-planned run never gets here; fall back is a re-request
-            self.rerequests += 1
-            raise RandomnessExhausted(f"budget exhausted at request {spec}")
-        queued_spec, value = self._queue.pop(0)
-        if queued_spec != spec:
-            raise ShapeMismatch(f"dealt {queued_spec} but consuming {spec}")
-        return value
 
     # -- convenience constructors --
 
@@ -340,33 +308,3 @@ class TripleSource:
 
     def maskpairs(self, shape) -> BitPairs:
         return self.take(TripleSpec("maskpair", tuple(shape)))
-
-    def audit(self) -> dict:
-        """Post-run budget audit for pre-dealt mode."""
-        return {
-            "mode": self.mode,
-            "leftovers": len(self._queue),
-            "rerequests": self.rerequests,
-            "consumed": self.next_index,
-        }
-
-
-class PlanningSource(TripleSource):
-    """Dry-run collector: records the request sequence, returns zero-valued
-    correlations (a=b=c=0 is a valid triple, r=0 a valid pair), touches no
-    channel. The plan is P0's, so a held correlation comes back in P0's
-    form, with the input-shaped mask."""
-
-    def __init__(self):
-        super().__init__(session=None)
-        self.mode = "planning"
-
-    def take(self, spec: TripleSpec):
-        self.next_index += 1
-        self.requests_made.append(spec)
-        a_shape, b_shape, c_shape = spec.part_shapes()
-        if spec.kind in PAIR_KINDS:
-            return BitPairs(zeros(a_shape), zeros(b_shape))
-        if spec.kind in HELD_KINDS:
-            return HeldTriple(zeros(a_shape), zeros(c_shape))
-        return Triple(zeros(a_shape), zeros(b_shape), zeros(c_shape))

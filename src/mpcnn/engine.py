@@ -3,8 +3,8 @@
 PlainEngine runs on raw ring tensors and is the fixed-point oracle;
 SecureEngine runs the interactive protocols over shares. Approximations and
 network layers are written once against this surface, so the oracle executes
-exactly the same formulas, truncations and iteration counts as the secure
-path; they differ only by the local-truncation noise of shared products.
+exactly the same formulas and truncations as the secure path; they differ
+only by the local-truncation noise of shared products.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .ring import (
     ConvGeometry,
     FixedPointConfig,
     RingTensor,
-    ShapeMismatch,
     WORD_BITS,
     conv2d_ring,
     encode,
@@ -25,7 +24,6 @@ from .ring import (
     matmul_ring,
     ring_mul_trunc,
     trunc,
-    zeros,
 )
 from .ring import POOL_SENTINEL, pool_windows as _ring_pool_windows
 from .sharing import ArithShare, add_public, mul_public, share_public
@@ -61,9 +59,6 @@ class PlainEngine:
     def sub(self, a, b):
         return a - b
 
-    def neg(self, a):
-        return -a
-
     def mul_raw(self, a, b):
         return a * b
 
@@ -89,14 +84,6 @@ class PlainEngine:
 
     def mux(self, c, a, b):
         return b + c * (a - b)
-
-    def msb_onehot(self, a) -> RingTensor:
-        v = a.data.copy()
-        for k in range(6):
-            v |= v >> np.uint64(1 << k)
-        onehot = v ^ (v >> np.uint64(1))
-        bit_axis = np.arange(WORD_BITS, dtype=np.uint64)
-        return RingTensor((onehot[..., None] >> bit_axis) & np.uint64(1))
 
     # linear layers (raw products; callers rescale)
     def conv2d(self, x, w, geom: ConvGeometry):
@@ -136,9 +123,6 @@ class SecureEngine:
     def sub(self, a, b):
         return a - b
 
-    def neg(self, a):
-        return -a
-
     def mul_raw(self, a, b):
         return arith.beaver_mul(self.ctx, a, b)
 
@@ -165,9 +149,6 @@ class SecureEngine:
     def mux(self, c, a, b):
         return arith.mux(self.ctx, c, a, b)
 
-    def msb_onehot(self, a) -> ArithShare:
-        return arith.msb_onehot(self.ctx, a)
-
     def conv2d(self, x, w, geom: ConvGeometry):
         return arith.conv2d(self.ctx, x, w, geom)
 
@@ -191,13 +172,6 @@ def e_stack(e, values, axis=0):
 
 def e_concat(e, values, axis):
     return e.wrap_like(values[0], np.concatenate([e.raw(v).data for v in values], axis=axis))
-
-
-def e_split(e, v, sizes, axis):
-    if int(np.sum(sizes)) != v.shape[axis]:
-        raise ShapeMismatch(f"split {sizes} does not cover axis {axis} of {v.shape}")
-    bounds = np.cumsum(sizes)[:-1]
-    return [e.wrap_like(v, p) for p in np.split(e.raw(v).data, bounds, axis=axis)]
 
 
 def e_reshape(e, v, shape):

@@ -8,15 +8,12 @@ plaintext; they double as the reference semantics for the secure protocols.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 WORD_BITS = 64
 MASK = (1 << 64) - 1
-
-_RTF1_MAGIC = b"RTF1"
 
 
 class RingRangeError(ValueError):
@@ -271,48 +268,3 @@ def pool_windows(x: RingTensor, k: int, stride: int, padding: int,
     padded = _pad_chw(x.data, padding, fill)
     rows, cols, oh, ow = _window_indices(h, w, k, k, stride, padding)
     return RingTensor(padded[:, rows, cols]), oh, ow
-
-
-def upsample_nearest2x_ring(x: RingTensor) -> RingTensor:
-    if x.data.ndim != 3:
-        raise ShapeMismatch(f"expected rank-3 C,H,W tensor, got {x.shape}")
-    return RingTensor(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2))
-
-
-def concat_ring(xs, axis: int) -> RingTensor:
-    return RingTensor(np.concatenate([x.data for x in xs], axis=axis))
-
-
-def split_ring(x: RingTensor, sizes, axis: int):
-    bounds = np.cumsum(sizes)[:-1]
-    if int(np.sum(sizes)) != x.shape[axis]:
-        raise ShapeMismatch(f"split sizes {sizes} do not cover axis {axis} of {x.shape}")
-    return [RingTensor(part) for part in np.split(x.data, bounds, axis=axis)]
-
-
-# ---------------------------------------------------------------------------
-# RTF1 tensor container: magic, u8 rank, rank x u64 LE dims, f32 LE payload
-
-
-def write_rtf1(path, values: np.ndarray):
-    arr = np.asarray(values, dtype=np.float32)
-    with open(path, "wb") as f:
-        f.write(_RTF1_MAGIC)
-        f.write(struct.pack("<B", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.astype("<f4").tobytes())
-
-
-def read_rtf1(path, cfg: FixedPointConfig = DEFAULT_CFG) -> RingTensor:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _RTF1_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        (rank,) = struct.unpack("<B", f.read(1))
-        dims = struct.unpack(f"<{rank}Q", f.read(8 * rank))
-        count = int(np.prod(dims)) if rank else 1
-        payload = f.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    return encode(arr.astype(np.float64), cfg)

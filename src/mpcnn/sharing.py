@@ -223,7 +223,3 @@ def mul_public(a: ArithShare, c) -> ArithShare:
         return ArithShare(a.owner, a.t * c)
     with np.errstate(over="ignore"):
         return ArithShare(a.owner, RingTensor(a.t.data * np.uint64(c & ((1 << WORD_BITS) - 1))))
-
-
-def bin_xor(a: BinShare, b: BinShare) -> BinShare:
-    return a ^ b

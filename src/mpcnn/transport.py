@@ -10,7 +10,6 @@ transcripts for the same protocol run.
 from __future__ import annotations
 
 import enum
-import json
 import os
 import queue
 import socket
@@ -86,8 +85,6 @@ class Transcript:
     header_bytes_sent: int = 0
     header_bytes_recv: int = 0
     rounds: int = 0
-    wall_start: float = field(default_factory=time.perf_counter)
-    wall_time: float = 0.0
     tags: dict = field(default_factory=dict)
 
     def _tag(self, tag: str) -> TagStats:
@@ -111,50 +108,30 @@ class Transcript:
         self._tag(tag).phases += 1
 
     def snapshot(self) -> "Transcript":
-        snap = Transcript(
+        return Transcript(
             bytes_sent=self.bytes_sent,
             bytes_recv=self.bytes_recv,
             header_bytes_sent=self.header_bytes_sent,
             header_bytes_recv=self.header_bytes_recv,
             rounds=self.rounds,
-            wall_start=self.wall_start,
-            wall_time=time.perf_counter() - self.wall_start,
             tags={k: TagStats(v.bytes_sent, v.bytes_recv, v.phases) for k, v in self.tags.items()},
         )
-        return snap
 
     def reset(self):
         self.bytes_sent = self.bytes_recv = 0
         self.header_bytes_sent = self.header_bytes_recv = 0
         self.rounds = 0
         self.tags = {}
-        self.wall_start = time.perf_counter()
-
-    def jsonl_line(self, session_id: int) -> str:
-        return json.dumps(
-            {
-                "session": session_id,
-                "bytes": self.bytes_sent,
-                "rounds": self.rounds,
-                "wall_ms": round(self.wall_time * 1000.0, 3),
-            }
-        )
 
     def counters(self) -> tuple:
-        """Deterministic fields only (no wall time)."""
+        """Payload bytes, rounds and per-tag stats as one comparable tuple
+        (header bytes left out)."""
         return (
             self.bytes_sent,
             self.bytes_recv,
             self.rounds,
             tuple(sorted((k, v.bytes_sent, v.bytes_recv, v.phases) for k, v in self.tags.items())),
         )
-
-
-def export_jsonl(snapshots: dict, path: str):
-    """snapshots: session_id -> Transcript."""
-    with open(path, "w") as f:
-        for sid, t in sorted(snapshots.items()):
-            f.write(t.jsonl_line(sid) + "\n")
 
 
 # ---------------------------------------------------------------------------

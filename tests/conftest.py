@@ -1,9 +1,6 @@
 import socket
-import threading
 
-import pytest
-
-from mpcnn.transport import InProcFabric, InProcHub, Role, Session, TcpFabric
+from mpcnn.transport import InProcFabric, InProcHub, Role, TcpFabric
 
 
 def free_port() -> int:
@@ -14,80 +11,16 @@ def free_port() -> int:
     return port
 
 
-class PairResult:
-    def __init__(self):
-        self.values = {}
-        self.errors = {}
-
-
-def run_pair(fn0, fn1, session_id=1, hub=None):
-    """Run fn(session) for P0 and P1 on in-process fabrics; returns their results."""
+def inproc_fabrics(hub=None):
+    """`make_fabric` for `runtime.run_pair_raw`: both parties on one
+    in-process hub."""
     hub = hub or InProcHub()
-    res = PairResult()
-
-    def runner(role, fn):
-        try:
-            sess = Session(InProcFabric(hub, role), session_id, role)
-            res.values[role] = fn(sess)
-        except Exception as e:  # surfaced to the test
-            res.errors[role] = e
-
-    t0 = threading.Thread(target=runner, args=(Role.P0, fn0))
-    t1 = threading.Thread(target=runner, args=(Role.P1, fn1))
-    t0.start(), t1.start()
-    t0.join(), t1.join()
-    if res.errors:
-        raise next(iter(res.errors.values()))
-    return res.values
+    return lambda role: InProcFabric(hub, role)
 
 
-def run_tcp_pair(fn0, fn1, session_id=1):
-    """Same as run_pair over localhost TCP."""
-    port = free_port()
-    res = PairResult()
-
-    def runner(role, fn):
-        try:
-            if role is Role.P0:
-                fab = TcpFabric(Role.P0, listen_addr=("127.0.0.1", port))
-            else:
-                fab = TcpFabric(Role.P1, peer_addr=("127.0.0.1", port))
-            sess = Session(fab, session_id, role)
-            try:
-                res.values[role] = fn(sess)
-            finally:
-                fab.close()
-        except Exception as e:
-            res.errors[role] = e
-
-    t0 = threading.Thread(target=runner, args=(Role.P0, fn0))
-    t1 = threading.Thread(target=runner, args=(Role.P1, fn1))
-    t0.start(), t1.start()
-    t0.join(), t1.join()
-    if res.errors:
-        raise next(iter(res.errors.values()))
-    return res.values
-
-
-def run_with_dealer(fn0, fn1, session_id=1, hub=None, master_seed=None):
-    """run_pair plus an in-process dealer service; fn gets (session, dealer_svc)."""
-    from mpcnn.dealer import DealerService
-
-    hub = hub or InProcHub()
-    svc = DealerService(InProcFabric(hub, Role.DEALER), master_seed).start()
-    try:
-        return run_pair(
-            lambda s: fn0(s, svc),
-            lambda s: fn1(s, svc),
-            session_id=session_id,
-            hub=hub,
-        )
-    finally:
-        svc.stop()
-
-
-@pytest.fixture
-def hub():
-    h = InProcHub()
-    yield h
-    h.close()
+def tcp_fabrics():
+    """`make_fabric` for `runtime.run_pair_raw`: P0 listens on a free
+    loopback port and P1 connects to it."""
+    addr = ("127.0.0.1", free_port())
+    return lambda role: (TcpFabric(Role.P0, listen_addr=addr) if role is Role.P0
+                         else TcpFabric(Role.P1, peer_addr=addr))

@@ -11,7 +11,7 @@ from mpcnn.engine import (
     PlainEngine,
     SecureEngine,
     e_concat,
-    e_split,
+    e_take,
     e_upsample2x,
     maxpool2d,
     tournament_max,
@@ -306,7 +306,7 @@ class TestConversions:
 
         def fn(ctx):
             xs = shared_pair(ctx, x)
-            return reveal(ctx.session, arith.b2a(ctx, arith.a2b(ctx, xs)))
+            return reveal_bin(ctx.session, arith.a2b(ctx, xs))
 
         assert run_secure(rt, fn) == x
 
@@ -339,18 +339,6 @@ class TestConversions:
         assert total / n == 104
         assert vals[Role.P1] == (0, 0)  # P1 expands its half from its seed
 
-    def test_b2a_zero_pattern(self, rt):
-        # identical words at both parties xor to the all-zero secret
-        common = rand_words((8,))
-
-        def fn(ctx):
-            from mpcnn.sharing import BinShare
-
-            sh = BinShare(ctx.role, common)
-            return reveal(ctx.session, arith.b2a(ctx, sh))
-
-        assert run_secure(rt, fn) == zeros((8,))
-
     def test_b2a_single_bits(self, rt):
         bits = RNG.integers(0, 2, size=1000).astype(np.uint64)
 
@@ -363,24 +351,6 @@ class TestConversions:
 
         got = run_secure(rt, fn)
         assert np.array_equal(got.data, bits)
-
-    def test_b2a_opens_one_bit_per_bit(self, rt):
-        # 64 masked bits per word, packed 8 per byte: 8 B per element, 1 round
-        n = 100
-        x = rand_words((n,))
-
-        def fn(ctx):
-            from mpcnn.sharing import BinShare
-
-            sh = BinShare(ctx.role, x if ctx.role is Role.P0 else zeros((n,)))
-            before = ctx.session.measure()
-            y = arith.b2a(ctx, sh)
-            after = ctx.session.measure()
-            return reveal(ctx.session, y), after.bytes_sent - before.bytes_sent, after.rounds - before.rounds
-
-        got, sent, rounds = run_secure(rt, fn)
-        assert got == x
-        assert sent == 8 * n and rounds == 1
 
     def test_masked_opening_uniform(self, rt):
         # z = bit xor r over 10^4 trials is indistinguishable from fair coins
@@ -606,7 +576,7 @@ class TestTensorOps:
             e = SecureEngine(ctx)
             xs = shared_pair(ctx, x)
             before = ctx.session.measure()
-            parts = e_split(e, xs, [2, 2], axis=0)
+            parts = [e_take(e, xs, [0, 1], axis=0), e_take(e, xs, [2, 3], axis=0)]
             back = e_concat(e, parts, axis=0)
             up = e_upsample2x(e, back)
             after = ctx.session.measure()
@@ -615,39 +585,6 @@ class TestTensorOps:
 
         got = run_secure(rt, fn)
         assert np.array_equal(got.data[:, ::2, ::2], x.data)
-
-    def test_const_floor(self, rt):
-        def fn(ctx):
-            x = shared_pair(ctx, encode([7.0, 7.5, -7.5, 1024.0], CFG))
-            y = arith.const_floor(ctx, x, 2)
-            ident = arith.const_floor(ctx, x, 1)
-            return reveal(ctx.session, y), reveal(ctx.session, ident)
-
-        y, ident = run_secure(rt, fn)
-        assert y == encode([3.0, 3.0, -4.0, 512.0], CFG)  # floor semantics
-        assert ident == encode([7.0, 7.5, -7.5, 1024.0], CFG)
-
-    def test_const_floor_not_power_of_two(self, rt):
-        def fn(ctx):
-            x = shared_pair(ctx, encode([1.0], CFG))
-            with pytest.raises(ValueError):
-                arith.const_floor(ctx, x, 3)
-            return True
-
-        assert run_secure(rt, fn)
-
-    def test_const_floor_error_sweep(self, rt):
-        ks = RNG.integers(-(1 << 30), 1 << 30, size=5000)
-        x = RingTensor(ks.view(np.uint64))
-
-        def fn(ctx):
-            xs = shared_pair(ctx, x)
-            return reveal(ctx.session, arith.const_floor(ctx, xs, 4))
-
-        got = decode(run_secure(rt, fn), CFG)
-        want = np.floor(ks / CFG.scale / 4.0)
-        assert np.max(np.abs(got - want)) <= 2.0 ** (1 - CFG.frac_bits)
-
 
 class TestMaxpool:
     def test_sppf_geometry_preserves_shape(self, rt):
@@ -684,18 +621,3 @@ class TestMaxpool:
         want = v.max(axis=-1)
         assert np.array_equal(decode(got, CFG), want)
 
-
-class TestPlainSecureEngineAgreement:
-    def test_msb_onehot_matches(self, rt):
-        vals = np.concatenate([RNG.integers(1, 1 << 48, size=500), [1, 2, 3, 2**40]])
-        x = RingTensor(vals.astype(np.uint64))
-
-        def fn(ctx):
-            xs = shared_pair(ctx, x)
-            return reveal(ctx.session, arith.msb_onehot(ctx, xs))
-
-        got = run_secure(rt, fn)
-        want = PlainEngine(CFG).msb_onehot(x)
-        assert got == want
-        # exactly one hot bit per element, at the leading-one position
-        assert np.array_equal(got.data.sum(axis=-1), np.ones(len(vals), dtype=np.uint64))

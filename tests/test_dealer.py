@@ -1,4 +1,4 @@
-"""Dealer correlations: triples, bit pairs, budget discipline."""
+"""Dealer correlations: triples, bit pairs, seeds, and the service."""
 
 import numpy as np
 import pytest
@@ -6,95 +6,96 @@ import pytest
 from mpcnn.dealer import (
     TAG_REQ,
     TAG_SEED_RSP,
+    TAG_TRIPLE_RSP,
     BitPairs,
     DealerError,
     HeldTriple,
-    PlanningSource,
-    RandomnessExhausted,
     RandomnessReused,
     Triple,
     TripleSpec,
-    TripleSource,
     derive_correlation,
     expand,
     session_seed,
 )
-from mpcnn.ring import ConvGeometry, ShapeMismatch, conv2d_ring, matmul_ring, zeros
+from mpcnn.ring import ConvGeometry, conv2d_ring, matmul_ring
+from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import fresh_seed
 from mpcnn.transport import Role, SessionTimeout
 
-from conftest import run_with_dealer
 
-RNG = np.random.default_rng(31)
+@pytest.fixture
+def rt():
+    with LocalRuntime() as runtime:
+        yield runtime
 
 
-def fetch_both(spec_fn):
-    """Run both parties fetching one correlation; returns {role: value}."""
+def fetch_both(rt, spec_fn):
+    """Run both parties fetching one correlation from their session's
+    source; returns {role: value}."""
 
-    def fn(sess, svc):
-        src = TripleSource(sess)
-        return spec_fn(src)
+    def fn(ctx):
+        return spec_fn(ctx.triples)
 
-    return run_with_dealer(fn, fn)
+    return rt.run_session(fn, fn)
 
 
 class TestTripleCorrectness:
-    def test_arith_triple(self):
-        vals = fetch_both(lambda src: src.arith((4,)))
+    def test_arith_triple(self, rt):
+        vals = fetch_both(rt, lambda src: src.arith((4,)))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         a, b, c = t0.a + t1.a, t0.b + t1.b, t0.c + t1.c
         assert c == a * b
 
-    def test_bool_triple(self):
-        vals = fetch_both(lambda src: src.bool_((64,)))
+    def test_bool_triple(self, rt):
+        vals = fetch_both(rt, lambda src: src.bool_((64,)))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         a, b, c = t0.a ^ t1.a, t0.b ^ t1.b, t0.c ^ t1.c
         assert c == (a & b)
 
-    def test_conv_triple_matches_ring_conv(self):
+    def test_conv_triple_matches_ring_conv(self, rt):
         # CompactCNN geometry: 1x64 kernels over a 1x384 signal; a held
         # correlation: P0 holds the input mask a0, P1 the kernel mask b
         geom = ConvGeometry(1, 32, 1, 64)
-        vals = fetch_both(lambda src: src.conv((1, 1, 384), geom))
+        vals = fetch_both(rt, lambda src: src.conv((1, 1, 384), geom))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         assert t0.mask.shape == (1, 1, 384) and t1.mask.shape == (32, 1, 1, 64)
         c = t0.c + t1.c
         assert c.shape == (32, 1, 321)
         assert c == conv2d_ring(t0.mask, t1.mask, geom)
 
-    def test_matmul_triple(self):
-        vals = fetch_both(lambda src: src.matmul(5, 7, 3))
+    def test_matmul_triple(self, rt):
+        vals = fetch_both(rt, lambda src: src.matmul(5, 7, 3))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         assert t0.mask.shape == (5, 7) and t1.mask.shape == (7, 3)
         assert (t0.c + t1.c) == matmul_ring(t0.mask, t1.mask)
 
 
 class TestBitPairs:
-    def test_arith_and_bin_agree(self):
-        vals = fetch_both(lambda src: src.bitpairs((10_000,)))
+    def test_arith_and_bin_agree(self, rt):
+        vals = fetch_both(rt, lambda src: src.bitpairs((10_000,)))
         p0, p1 = vals[Role.P0], vals[Role.P1]
         r_arith = (p0.arith + p1.arith).data
         r_bin = (p0.bin ^ p1.bin).data
         assert set(np.unique(r_arith)) <= {0, 1}
         assert np.array_equal(r_arith, r_bin)
 
-    def test_bit_frequency(self):
+    def test_bit_frequency(self, rt):
         # binomial bound at 10^4 samples
-        vals = fetch_both(lambda src: src.bitpairs((10_000,)))
+        vals = fetch_both(rt, lambda src: src.bitpairs((10_000,)))
         p0, p1 = vals[Role.P0], vals[Role.P1]
         freq = float((p0.arith + p1.arith).data.mean())
         assert 0.48 <= freq <= 0.52
 
 
 class TestMaskPairs:
-    def test_arith_and_bin_agree(self):
-        vals = fetch_both(lambda src: src.maskpairs((10_000,)))
+    def test_arith_and_bin_agree(self, rt):
+        vals = fetch_both(rt, lambda src: src.maskpairs((10_000,)))
         p0, p1 = vals[Role.P0], vals[Role.P1]
         assert (p0.arith + p1.arith) == (p0.bin ^ p1.bin)
 
-    def test_top_bit_frequency(self):
+    def test_top_bit_frequency(self, rt):
         # binomial bound at 10^4 samples
-        vals = fetch_both(lambda src: src.maskpairs((10_000,)))
+        vals = fetch_both(rt, lambda src: src.maskpairs((10_000,)))
         r = (vals[Role.P0].arith + vals[Role.P1].arith).data
         freq = float((r >> np.uint64(63)).mean())
         assert 0.48 <= freq <= 0.52
@@ -196,125 +197,91 @@ class TestDerivation:
 
 
 class TestSeeds:
-    def test_one_seed_round_trip_per_party(self):
+    def test_one_seed_round_trip_per_party(self, rt):
         # P1 never talks to the dealer again after its seed
-        def fn(sess, svc):
-            src = TripleSource(sess)
+        def fn(ctx):
+            src = ctx.triples
             src.arith((8,))
             src.bool_((8,))
             src.maskpairs((8,))
-            d = sess.dealer_transcript
+            d = ctx.session.dealer_transcript
             return src.seed(), d.tags[TAG_REQ].phases, d.tags[TAG_SEED_RSP].bytes_recv, d.bytes_recv
 
-        vals = run_with_dealer(fn, fn)
+        vals = rt.run_session(fn, fn)
         (seed0, req0, seed_bytes0, recv0), (seed1, req1, seed_bytes1, recv1) = vals[Role.P0], vals[Role.P1]
         assert seed0 != seed1
         assert seed_bytes0 == seed_bytes1 == 32
         assert req1 == 1 and recv1 == 32
         assert req0 == 4 and recv0 == 32 + 3 * 8 * 8  # seed, then one 8-word correction per request
 
-    def test_p1_refuses_an_index_twice(self):
-        def fn(sess, svc):
-            src = TripleSource(sess)
+    def test_p1_refuses_an_index_twice(self, rt):
+        def fn(ctx):
+            src = ctx.triples
             src.arith((2,))
-            if sess.role is Role.P1:
+            if ctx.role is Role.P1:
                 src.next_index -= 1
                 with pytest.raises(RandomnessReused):
                     src.arith((2,))
-            return svc.rerequest_count()
+            return rt.dealer.rerequest_count()
 
-        assert run_with_dealer(fn, fn)[Role.P1] == 0
+        assert rt.run_session(fn, fn)[Role.P1] == 0
 
-    def test_dealer_sends_p1_no_correction(self, monkeypatch):
+    def test_dealer_sends_p1_no_correction(self, rt, monkeypatch):
         # a correction would give P1 the secret behind P0's half
         monkeypatch.setenv("MPCNN_TIMEOUT_MS", "300")
 
-        def fn(sess, svc):
-            src = TripleSource(sess)
-            src.seed()
-            if sess.role is Role.P1:
-                sess.send_to_dealer(TAG_REQ, TripleSpec("arith", (2,)).to_wire(0))
+        def fn(ctx):
+            if ctx.role is Role.P1:
+                ctx.session.send_to_dealer(TAG_REQ, TripleSpec("arith", (2,)).to_wire(0))
                 with pytest.raises(SessionTimeout):
-                    sess.recv_from_dealer("TRIPLE_RSP")
+                    ctx.session.recv_from_dealer(TAG_TRIPLE_RSP)
             return True
 
-        assert all(run_with_dealer(fn, fn).values())
+        assert all(rt.run_session(fn, fn).values())
 
 
 class TestBudget:
-    def test_pre_deal_then_consume(self):
-        plan = [TripleSpec("arith", (8,)), TripleSpec("bitpair", (32,))]
-
-        def fn(sess, svc):
-            src = TripleSource(sess)
-            src.pre_deal(plan)
-            src.arith((8,))
-            src.bitpairs((32,))
-            return src.audit()
-
-        vals = run_with_dealer(fn, fn)
-        for audit in vals.values():
-            assert audit == {"mode": "pre-dealt", "leftovers": 0, "rerequests": 0, "consumed": 2}
-
-    def test_exhaustion_is_explicit(self):
-        def fn(sess, svc):
-            src = TripleSource(sess)
-            src.pre_deal([TripleSpec("bitpair", (4,))])
-            src.bitpairs((4,))
-            with pytest.raises(RandomnessExhausted):
-                src.bitpairs((4,))
-            return True
-
-        assert all(run_with_dealer(fn, fn).values())
-
-    def test_shape_mismatch_is_error_not_broadcast(self):
-        def fn(sess, svc):
-            src = TripleSource(sess)
-            src.pre_deal([TripleSpec("arith", (8,))])
-            with pytest.raises(ShapeMismatch):
-                src.arith((4,))
-            return True
-
-        assert all(run_with_dealer(fn, fn).values())
-
-    def test_indices_never_reused(self):
-        def fn(sess, svc):
-            src = TripleSource(sess)
+    def test_indices_never_reused(self, rt):
+        def fn(ctx):
             for _ in range(5):
-                src.arith((2,))
-            return src.next_index
+                ctx.triples.arith((2,))
+            return ctx.triples.next_index
 
-        vals = run_with_dealer(fn, fn)
+        vals = rt.run_session(fn, fn)
         assert vals[Role.P0] == vals[Role.P1] == 5
 
 
 class TestAccountingSeparation:
-    def test_dealer_traffic_not_in_party_transcript(self):
-        def fn(sess, svc):
-            src = TripleSource(sess)
-            src.arith((100,))
-            return sess.measure(), sess.dealer_transcript.snapshot()
+    def test_dealer_traffic_not_in_party_transcript(self, rt):
+        def fn(ctx):
+            ctx.triples.arith((100,))
+            return ctx.session.measure(), ctx.session.dealer_transcript.snapshot()
 
-        vals = run_with_dealer(fn, fn)
+        vals = rt.run_session(fn, fn)
         for party_t, dealer_t in vals.values():
             assert party_t.bytes_sent == 0 and party_t.rounds == 0
         assert vals[Role.P0][1].bytes_recv == 32 + 100 * 8  # seed, c correction
         assert vals[Role.P1][1].bytes_recv == 32  # seed only
 
 
-class TestPlanning:
-    def test_planner_records_and_fabricates_zeros(self):
-        src = PlanningSource()
-        t = src.arith((4,))
-        p = src.bitpairs((8,))
-        h = src.matmul(1, 4, 2)  # a held correlation, in P0's form
-        assert np.all(t.a.data == 0) and np.all(p.bin.data == 0)
-        assert h.mask == zeros((1, 4)) and h.c == zeros((1, 2))
-        assert src.requests_made == [TripleSpec("arith", (4,)), TripleSpec("bitpair", (8,)),
-                                     TripleSpec("matmul", (1, 4), mat=(1, 4, 2))]
+class TestService:
+    def test_malformed_request_is_dropped(self, rt, monkeypatch):
+        # each garbage request goes unanswered, and the service thread keeps
+        # serving: a later session in the same runtime completes
+        bad = [b"{not json", b"\xff", b"[]", b"{}", b'{"index":0,"kind":"arith","shape":[-1]}',
+               TripleSpec("cube", (4,)).to_wire(0)]
 
-    def test_planner_fabricates_zero_mask_pairs(self):
-        src = PlanningSource()
-        p = src.maskpairs((2, 3))
-        assert p.arith == zeros((2, 3)) and p.bin == zeros((2, 3))
-        assert src.audit() == {"mode": "planning", "leftovers": 0, "rerequests": 0, "consumed": 1}
+        def garbage(ctx):
+            if ctx.role is Role.P0:
+                for payload in bad:
+                    ctx.session.send_to_dealer(TAG_REQ, payload)
+                with pytest.raises(SessionTimeout):
+                    ctx.session.recv_from_dealer(TAG_TRIPLE_RSP)
+            return True
+
+        with monkeypatch.context() as m:
+            m.setenv("MPCNN_TIMEOUT_MS", "300")
+            assert all(rt.run_session(garbage, garbage).values())
+        vals = fetch_both(rt, lambda src: src.arith((4,)))
+        t0, t1 = vals[Role.P0], vals[Role.P1]
+        assert t0.c + t1.c == (t0.a + t1.a) * (t0.b + t1.b)

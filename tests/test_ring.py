@@ -1,6 +1,5 @@
 """Ring arithmetic and fixed-point encoding."""
 
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,6 @@ from mpcnn.ring import (
     RingRangeError,
     RingTensor,
     ShapeMismatch,
-    concat_ring,
     conv2d_ring,
     decode,
     encode,
@@ -20,12 +18,8 @@ from mpcnn.ring import (
     gtz_plain,
     matmul_ring,
     msb,
-    read_rtf1,
     ring_mul_trunc,
-    split_ring,
     trunc,
-    upsample_nearest2x_ring,
-    write_rtf1,
     zeros,
 )
 
@@ -187,34 +181,7 @@ class TestConvMatmul:
 
 
 class TestTensorOps:
-    def test_concat_split_roundtrip(self):
-        x = rand_words((6, 4))
-        parts = split_ring(x, [2, 3, 1], axis=0)
-        assert concat_ring(parts, axis=0) == x
-
-    def test_upsample(self):
-        x = rand_words((2, 3, 3))
-        up = upsample_nearest2x_ring(x)
-        assert up.shape == (2, 6, 6)
-        assert np.array_equal(up.data[:, ::2, ::2], x.data)
-
     def test_trunc_matches_floor_div(self):
         x = encode(7.0, CFG)
         assert trunc(x, 1) == encode(3.5, CFG)
 
-
-class TestRtf1:
-    def test_round_trip(self, tmp_path):
-        values = RNG.normal(size=(3, 5, 7)).astype(np.float32)
-        path = os.path.join(tmp_path, "t.rtf1")
-        write_rtf1(path, values)
-        got = read_rtf1(path, CFG)
-        assert got.shape == (3, 5, 7)
-        assert np.max(np.abs(decode(got, CFG) - values)) <= 0.5 / CFG.scale
-
-    def test_bad_magic(self, tmp_path):
-        path = os.path.join(tmp_path, "bad.rtf1")
-        with open(path, "wb") as f:
-            f.write(b"NOPE" + bytes(16))
-        with pytest.raises(ValueError):
-            read_rtf1(path, CFG)

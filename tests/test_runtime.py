@@ -1,9 +1,10 @@
-"""LocalRuntime: per-session state is freed, the benchmark's self-test, and
-one benchmark detector inference end to end."""
+"""LocalRuntime: per-session state is freed, the benchmark's self-test, its
+tracer's hooks, and one inference of each benchmark network end to end."""
 
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -54,13 +55,51 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def import_bench():
+    """The benchmark's modules, imported read-only from its directory."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import infer
+    import tracing
+
+    return infer, tracing
+
+
+def test_tracer_hooks_resolve():
+    # every name the benchmark's tracer wraps still exists, and traced
+    # CompactCNN inferences reach them: their spans nest and cover the
+    # inference, and the comparison op is seen. One untraced inference warms
+    # the runtime first, and the tracer's coverage check takes the median of
+    # three, as a benchmark run does over many.
+    infer, tracing = import_bench()
+    prep = infer.prepare("compactcnn", seed=5)
+
+    def party_fns():
+        return (infer.party_fn(prep.model, x=prep.inputs[0]),
+                infer.party_fn(prep.model, weights=prep.weights))
+
+    tracer, walls = tracing.Tracer(), {}
+    with LocalRuntime() as rt:
+        rt.run_session(*party_fns())
+        tracer.install()
+        try:
+            for _ in range(3):
+                sid = rt.new_session_id()
+                t0 = time.perf_counter()
+                rt.run_session(*map(tracer.party_root, party_fns()), session_id=sid)
+                walls[sid] = (time.perf_counter() - t0) * 1e3
+        finally:
+            tracer.uninstall()
+    metrics, problems = tracing.per_layer_metrics(tracing.aggregate(tracer.spans, walls), walls, walls)
+    assert problems == []
+    assert metrics["arith.gtz.calls_per_inf"] > 0
+
+
 def one_benchmark_inference(model_name):
     """One inference of a benchmark network through LocalRuntime, with the
     benchmark's own preparation and checks, imported read-only. Returns
     (output, reference, bound, P0's ledger, check problems)."""
-    if BENCH not in sys.path:
-        sys.path.insert(0, BENCH)
-    import infer
+    infer, _ = import_bench()
 
     prep = infer.prepare(model_name, seed=5)
     ref, bound, _ = prep.refs[0]

@@ -10,7 +10,6 @@ from mpcnn.sharing import (
     Prg,
     PrzsSeedPair,
     add_public,
-    bin_xor,
     fresh_seed,
     mul_public,
     przs_setup,
@@ -18,9 +17,10 @@ from mpcnn.sharing import (
     reveal_bin,
     share_input,
 )
+from mpcnn.runtime import run_pair_raw
 from mpcnn.transport import Role
 
-from conftest import run_pair
+from conftest import inproc_fabrics
 
 CFG = FixedPointConfig(16)
 RNG = np.random.default_rng(7)
@@ -53,7 +53,7 @@ class TestPrzs:
             sp = przs_setup(sess)
             return sp.stream(sess.role).draw((128,))
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         assert vals[Role.P0] + vals[Role.P1] == zeros((128,))
 
     def test_distinct_sessions_independent(self):
@@ -118,7 +118,7 @@ class TestReveal:
             got = reveal(sess, sh)
             return got, sess.measure()
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         for got, t in vals.values():
             assert got == x
             assert t.rounds == 1
@@ -132,7 +132,7 @@ class TestReveal:
             got = reveal(sess, sh, to="p0", tag="output")
             return got, sess.measure()
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         got0, t0 = vals[Role.P0]
         assert got0 == x
         got1, t1 = vals[Role.P1]
@@ -196,11 +196,11 @@ class TestLocalAlgebra:
             _ = mul_public(a, 7)
             _ = add_public(a, from_words(np.arange(10)))
             bb = BinShare(sess.role, st.draw((10,)))
-            _ = bin_xor(bb, bb)
+            _ = bb ^ bb
             _ = bb.shift_left(3)
             return sess.measure()
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         for t in vals.values():
             assert t.bytes_sent == 0 and t.rounds == 0
 

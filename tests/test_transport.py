@@ -15,10 +15,10 @@ from mpcnn.transport import (
     Role,
     Session,
     Transcript,
-    export_jsonl,
 )
+from mpcnn.runtime import run_pair_raw
 
-from conftest import run_pair, run_tcp_pair
+from conftest import inproc_fabrics, tcp_fabrics
 
 
 class TestTranscript:
@@ -31,7 +31,7 @@ class TestTranscript:
             sess.exchange("blob", b"x" * 1024)
             return sess.measure()
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         for t in vals.values():
             assert t.bytes_sent == 1024
             assert t.bytes_recv == 1024
@@ -44,7 +44,7 @@ class TestTranscript:
             sess.exchange("pair", b"a" * 64 + b"b" * 64)
             return sess.measure()
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         assert all(t.rounds == 1 for t in vals.values())
         assert all(t.bytes_sent == 128 for t in vals.values())
 
@@ -56,28 +56,15 @@ class TestTranscript:
                 seen.append(sess.measure().rounds)
             return seen
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         for seq in vals.values():
             assert seq == sorted(seq) == [1, 2, 3, 4, 5]
-
-    def test_jsonl_export(self, tmp_path):
-        def fn(sess):
-            sess.exchange("x", bytes(100))
-            return sess.measure()
-
-        vals = run_pair(fn, fn)
-        path = tmp_path / "t.jsonl"
-        export_jsonl({1: vals[Role.P0]}, path)
-        import json
-
-        row = json.loads(path.read_text().strip())
-        assert set(row) == {"session", "bytes", "rounds", "wall_ms"}
-        assert row["bytes"] == 100 and row["rounds"] == 1
 
 
 class TestExchange:
     def test_swap(self):
-        vals = run_pair(lambda s: s.exchange("t", b"A"), lambda s: s.exchange("t", b"B"))
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: lambda s: s.exchange("t", b"A"),
+                                                Role.P1: lambda s: s.exchange("t", b"B")})
         assert vals[Role.P0] == b"B"
         assert vals[Role.P1] == b"A"
 
@@ -86,22 +73,23 @@ class TestExchange:
             sess.exchange("t", b"")
             return sess.measure().rounds
 
-        vals = run_pair(fn, fn)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         assert vals[Role.P0] == 0 and vals[Role.P1] == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ProtocolError):
-            run_pair(lambda s: s.exchange("t", b"abc"), lambda s: s.exchange("t", b"defg"))
+            run_pair_raw(inproc_fabrics(), {Role.P0: lambda s: s.exchange("t", b"abc"),
+                                            Role.P1: lambda s: s.exchange("t", b"defg")})
 
-    @pytest.mark.parametrize("run", [run_pair, run_tcp_pair], ids=["inproc", "tcp"])
-    def test_asymmetric_swap_is_one_round(self, run):
+    @pytest.mark.parametrize("fabrics", [inproc_fabrics, tcp_fabrics], ids=["inproc", "tcp"])
+    def test_asymmetric_swap_is_one_round(self, fabrics):
         # P0 sends 8 bytes and P1 24; each side checks the length it expects
         # from the other
         def fn(sess):
             mine, theirs = (b"a" * 8, 24) if sess.role is Role.P0 else (b"b" * 24, 8)
             return sess.exchange("t", mine, peer_len=theirs), sess.measure().counters()
 
-        vals = run(fn, fn)
+        vals = run_pair_raw(fabrics(), {Role.P0: fn, Role.P1: fn})
         assert vals[Role.P0] == (b"b" * 24, (8, 24, 1, (("t", 8, 24, 1),)))
         assert vals[Role.P1] == (b"a" * 8, (24, 8, 1, (("t", 24, 8, 1),)))
 
@@ -117,7 +105,7 @@ class TestExchange:
             return sess.exchange("t", bytes(sent), peer_len=8)
 
         with pytest.raises(ProtocolError, match=f"expected 24, got {sent}"):
-            run_tcp_pair(fn, fn)
+            run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn})
 
     def test_concurrent_sessions_isolated(self):
         # ten sessions exchange different sizes; each transcript sees only its own
@@ -160,7 +148,7 @@ class TestDirected:
             sess.send_to_peer("out", b"share")
             return sess.measure()
 
-        vals = run_pair(p0, p1)
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: p0, Role.P1: p1})
         got, t0 = vals[Role.P0]
         assert got == b"share"
         assert t0.bytes_recv == 5 and t0.bytes_sent == 0 and t0.rounds == 1
@@ -181,7 +169,7 @@ class TestDirected:
             sess._raw_recv(Role.P0, "t")
 
         with pytest.raises(ProtocolError):
-            run_pair(p0, p1, hub=hub)
+            run_pair_raw(inproc_fabrics(hub), {Role.P0: p0, Role.P1: p1})
 
 
 class TestDisconnect:
@@ -226,8 +214,9 @@ class TestBackendEquivalence:
         # byte-identical transcripts for the same protocol run, 20 random scripts
         for seed in range(20):
             steps = random_script(seed)
-            inproc = run_pair(lambda s: run_script(s, steps), lambda s: run_script(s, steps))
-            tcp = run_tcp_pair(lambda s: run_script(s, steps), lambda s: run_script(s, steps))
+            fns = {Role.P0: lambda s: run_script(s, steps), Role.P1: lambda s: run_script(s, steps)}
+            inproc = run_pair_raw(inproc_fabrics(), fns)
+            tcp = run_pair_raw(tcp_fabrics(), fns)
             assert inproc[Role.P0] == tcp[Role.P0]
             assert inproc[Role.P1] == tcp[Role.P1]
 
@@ -239,5 +228,5 @@ class TestTcp:
             sock = sess.fabric._conns[sess.role.peer].sock
             return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
-        vals = run_tcp_pair(fn, fn)
+        vals = run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn})
         assert vals[Role.P0] and vals[Role.P1]
