@@ -4,9 +4,12 @@ A data holder (P0) and a model holder (P1) evaluate fixed-point neural
 networks over shares in Z_2^64, assisted by a trusted dealer. The dealer
 gives each party one seed per session, from which it expands its halves of
 every correlation: Beaver and boolean triples, the held conv and matmul
-correlations of the model holder's linear layers, and mask and bit pairs.
-Only P0 asks for more, one correction per request. Every protocol run
-produces an exact transcript of payload bytes and communication rounds.
+correlations of the model holder's linear layers, mask pairs, and the
+select correlations that multiply a XOR-shared comparison bit into a word
+in one round. Only P0 asks for more: the corrections, in one dealer round
+trip per batch (a comparison fetches its mask pair and all of its AND
+triples at once). Every protocol run produces an exact transcript of
+payload bytes and communication rounds.
 """
 
 __version__ = "0.1.0"

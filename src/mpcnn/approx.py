@@ -5,8 +5,8 @@ sweeps in the test suite; outside the stated domain values are unspecified.
 Round counts never depend on the data:
 
     fn          domain        tolerance         rounds
-    sigmoid     [-16, 16]     abs err <= 2e-2   14
-    silu        [-16, 16]     abs err <= 2e-2   13
+    sigmoid     [-16, 16]     abs err <= 2e-2   13
+    silu        [-16, 16]     abs err <= 2e-2   12
 
 Both are piecewise with T = 8: on -T < x <= T they use
 
@@ -15,10 +15,11 @@ Both are piecewise with T = 8: on -T < x <= T they use
 
 with g and r as degree-8 Chebyshev series in t = 2(x/T)^2 - 1, which lies in
 [-1, 1] there, so every Chebyshev term and every truncated value is small.
-Outside, silu is relu(x) and sigmoid is [x > 0]. One exact ring product
-selects the piece, so for |x| > T the output is relu(x), or the encoded 0 or
-1, bit for bit, even though the series' truncations there may wrap and leave
-garbage that the select discards (see `_piecewise`).
+Outside, silu is relu(x) and sigmoid is [x > 0]. One exact select by the
+XOR-shared comparison bits picks the piece, so for |x| > T the output is
+relu(x), or the encoded 0 or 1, bit for bit, even though the series'
+truncations there may wrap and leave garbage that the select discards (see
+`_piecewise`).
 """
 
 from __future__ import annotations
@@ -77,13 +78,14 @@ def _series(e, terms, coeffs, const: float):
 
 def _piecewise(e, x, inner, high):
     """0 for x <= -T, inner(y, [T_1(t), ..., T_8(t)]) for -T < x <= T, and
-    `high` for x > T, where y = x/T and t = 2y^2 - 1. 13 rounds plus
+    `high` for x > T, where y = x/T and t = 2y^2 - 1. 12 rounds plus
     whatever `inner` adds.
 
     One gtz on the stacked [x + T, x - T] gives a = [x > -T] and b = [x > T]
-    (8 rounds); y is a local truncation, t one product and the terms three
-    more. The select a*q + b*(high - q) is one exact ring product on stacked
-    operands (1 round): it is 0, q or high, bit for bit. For |x| > T, t
+    as XOR-shared bits (7 rounds); y is a local truncation, t one product
+    and the terms three more. The select a*q + b*(high - q) is one exact
+    `arith.select` on stacked operands (1 round): it is 0, q or high, bit for
+    bit. For |x| > T, t
     reaches 7 and T_8(t) about 7e8, so the truncations inside q may wrap
     and q is garbage; that is safe only because q reaches the output through
     this exact select, where it is multiplied by 0 or cancelled."""
@@ -96,7 +98,7 @@ def _piecewise(e, x, inner, high):
 
 def sec_sigmoid(e, x):
     """1/2 + (x/T) r(x) inside, [x > 0] outside (see the module docstring).
-    14 rounds."""
+    13 rounds."""
     def inner(y, ts):
         return e.add_const(e.fmul(y, _series(e, ts, _SIGMOID_R[1:], _SIGMOID_R[0])), 0.5)
 
@@ -105,7 +107,7 @@ def sec_sigmoid(e, x):
 
 def sec_silu(e, x):
     """x/2 + g(x) inside, relu(x) outside (see the module docstring).
-    13 rounds."""
+    12 rounds."""
     def inner(y, ts):
         return _series(e, [x] + ts, [0.5] + _SILU_G[1:], _SILU_G[0])
 

@@ -1,5 +1,5 @@
 """Interactive protocols over shares: Beaver multiplication, the model
-holder's linear layers, share conversions and comparison.
+holder's linear layers, share conversions, comparison and selection.
 
 Round structure (one round = one parallel phase, independent of tensor size):
 
@@ -9,10 +9,12 @@ Round structure (one round = one parallel phase, independent of tensor size):
   and_gate                       1
   a2b                            7   (1 masked-word opening + 6 AND phases
                                       of the carry-lookahead prefix tree)
-  gtz                            8   (1 masked-word opening + 6 AND phases
-                                      of the carry-out tree + 1-bit b2a)
-  relu                           9   (gtz + one multiplication)
-  mux                            1
+  gtz                            7   (1 masked-word opening + 6 AND phases
+                                      of the carry-out tree)
+  select                         1   (the masked word and the masked bit
+                                      open together)
+  relu                           8   (gtz + select)
+  mux                            1   (one select)
 
 conv2d and matmul are the client-server linear layer of Delphi (Mishra et
 al., USENIX Security 2020), with the dealer in place of homomorphic
@@ -27,8 +29,15 @@ gates are interactive, giving exactly log2(64) = 6 AND phases. gtz opens the
 same masked difference but needs only the sum's top bit, so it computes only
 the carry into bit 63: a bit-sliced prefix tree over lanes 0..62 whose
 groups halve at each of its 6 levels (118 bit-ANDs per element, against
-a2b's 768). No model calls a2b: it stays for its tests and for the
-benchmark's tracer, which wraps it by name.
+a2b's 768). It fetches its mask pair and all six levels' triples in one
+dealer round trip and returns the bit XOR-shared. No model calls a2b: it
+stays for its tests and for the benchmark's tracer, which wraps it by name.
+
+select multiplies a shared word by a XOR-shared bit in one round: ABY3's
+bit injection (Mohassel-Rindal, CCS 2018) fused with the product, with the
+dealer in place of OT. So a comparison bit is never converted on its own:
+every consumer (ReLU, the SiLU select, the max-pool mux) spends one round
+on it.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dealer import HeldTriple, TripleSource
+from .dealer import HeldTriple, MaskPairs, Triple, TripleSource, TripleSpec
 from .ring import (
     ConvGeometry,
     FixedPointConfig,
@@ -72,9 +81,14 @@ class ProtocolCtx:
         return BinShare(self.role, t)
 
 
-def open_values(ctx: ProtocolCtx, tag: str, tensors: list) -> list:
-    """Open several share tensors in one phase; returns public RingTensors."""
+def open_values(ctx: ProtocolCtx, tag: str, tensors: list, bits: BinShare | None = None) -> list:
+    """Open several share tensors in one phase; returns public RingTensors.
+    `bits`, a XOR share of 0/1 words, opens in the same phase with only its
+    low bits sent, packed 8 per byte, and comes back last as 0/1 words."""
     payload = b"".join(words_to_bytes(t.t) for t in tensors)
+    if bits is not None:
+        low = (bits.t.data & np.uint64(1)).astype(np.uint8).reshape(-1)
+        payload += np.packbits(low, bitorder="little").tobytes()
     got = ctx.session.exchange(tag, payload)
     out, off = [], 0
     for t in tensors:
@@ -85,6 +99,9 @@ def open_values(ctx: ProtocolCtx, tag: str, tensors: list) -> list:
         else:
             out.append(t.t + other)
         off += n
+    if bits is not None:
+        theirs = np.unpackbits(np.frombuffer(got[off:], dtype=np.uint8), count=low.size, bitorder="little")
+        out.append(RingTensor((low ^ theirs).astype(np.uint64).reshape(bits.shape)))
     return out
 
 
@@ -171,11 +188,13 @@ def mul_trunc(ctx: ProtocolCtx, x: ArithShare, y: ArithShare, tag: str = "mul.op
 # boolean ops
 
 
-def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, tag: str = "and.open") -> BinShare:
-    """Bitwise AND over XOR shares with a boolean triple; one opening phase."""
+def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, tag: str = "and.open",
+             triple: Triple | None = None) -> BinShare:
+    """Bitwise AND over XOR shares with a boolean triple, fetched here unless
+    the caller fetched it ahead; one opening phase."""
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
-    t = ctx.triples.bool_(x.shape)
+    t = ctx.triples.bool_(x.shape) if triple is None else triple
     e, f = open_values(ctx, tag, [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)])
     z = t.c ^ (t.b & e) ^ (t.a & f)
     if ctx.role is Role.P0:
@@ -210,10 +229,9 @@ def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) ->
     return p ^ carry
 
 
-def _mask_open(ctx: ProtocolCtx, x: ArithShare, tag: str) -> tuple[BinShare, RingTensor]:
+def _mask_open(ctx: ProtocolCtx, x: ArithShare, pairs: MaskPairs, tag: str) -> tuple[BinShare, RingTensor]:
     """Open d = x - r for one dealt mask pair r (uniform, so the opening is
     noise); returns the XOR share of r and the public d. One round."""
-    pairs = ctx.triples.maskpairs(x.shape)
     (d,) = open_values(ctx, tag, [x - ctx.arith(pairs.arith)])
     return ctx.bin(pairs.bin), d
 
@@ -224,26 +242,8 @@ def a2b(ctx: ProtocolCtx, x: ArithShare, tag_prefix: str = "a2b") -> BinShare:
     Opens x - r for a dealer-issued word r known in both sharings, then adds
     the public difference onto the XOR-shared r in the boolean adder.
     1 opening round + 6 AND phases."""
-    r, d = _mask_open(ctx, x, f"{tag_prefix}.mask")
+    r, d = _mask_open(ctx, x, ctx.triples.maskpairs(x.shape), f"{tag_prefix}.mask")
     return _carry_add_public(ctx, r, d, tag=f"{tag_prefix}.and")
-
-
-def _bits_to_arith(ctx: ProtocolCtx, bits: BinShare, tag: str) -> ArithShare:
-    """Single-bit B2A: mask each bit with a dealer pair, open, unmask locally.
-    <b> = <r> + z - 2 z <r> with z = b xor r public. The XOR shares may
-    carry junk above bit 0 that cancels between the parties; only the low
-    bits are opened, packed 8 per byte."""
-    pairs = ctx.triples.bitpairs(bits.shape)
-    mine = ((bits.t.data ^ pairs.bin.data) & np.uint64(1)).astype(np.uint8).reshape(-1)
-    payload = np.packbits(mine, bitorder="little").tobytes()
-    got = ctx.session.exchange(tag, payload)
-    theirs = np.unpackbits(np.frombuffer(got, dtype=np.uint8), count=mine.size, bitorder="little")
-    zb = (mine ^ theirs).astype(np.uint64).reshape(bits.shape)  # 0/1 words
-    with np.errstate(over="ignore"):
-        share = pairs.arith.data * (np.uint64(1) - np.uint64(2) * zb)
-    if ctx.role is Role.P0:
-        share = share + zb
-    return ctx.arith(RingTensor(share))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +273,21 @@ def _bit_slice(words: np.ndarray) -> np.ndarray:
     return a
 
 
-def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) -> BinShare:
-    """XOR share (0/1 words) of the top bit of r + d mod 2^64, d public.
+def _tree_shapes(n: int) -> list:
+    """Shapes of the AND openings of `_msb_add_public`'s levels on n
+    elements: at m groups a level ANDs h = m // 2 G-pairs and h - 1 P-pairs,
+    each a row of ceil(n / 64) words."""
+    shapes, m = [], 63
+    while m > 1:
+        h = m // 2
+        shapes.append((2 * h - 1, -(-n // WORD_BITS)))
+        m -= h
+    return shapes
+
+
+def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, tag: str) -> BinShare:
+    """XOR share (0/1 words) of the top bit of r + d mod 2^64, d public,
+    with one dealt boolean triple per level (shapes from `_tree_shapes`).
 
     The top bit is r63 ^ d63 ^ c63, where c63 is the carry out of lanes 0..62.
     Lanes are bit-sliced 64 elements per word (XOR shares allow any local bit
@@ -288,13 +301,14 @@ def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) -> B
     p = r.xor_public(d).t.data.reshape(-1)  # propagate: r ^ d
     gs, ps = _bit_slice(np.stack([g, p]))
     G, P = gs[:63], ps[1:63]  # P[i] belongs to group i + 1
-    while len(G) > 1:
+    for t in levels:
         m, h = len(G), len(G) // 2
         z = and_gate(
             ctx,
             BinShare(r.owner, RingTensor(np.concatenate([P[0 : 2 * h - 1 : 2], P[2 : 2 * h - 1 : 2]]))),
             BinShare(r.owner, RingTensor(np.concatenate([G[0 : 2 * h : 2], P[1 : 2 * h - 2 : 2]]))),
             tag=tag,
+            triple=t,
         ).t.data
         G_next, P_next = G[1 : 2 * h : 2] ^ z[:h], z[h:]
         if m % 2:
@@ -306,19 +320,42 @@ def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) -> B
     return BinShare(r.owner, RingTensor(bits.reshape(-1)[:n].reshape(d.shape)))
 
 
-def gtz(ctx: ProtocolCtx, x: ArithShare) -> ArithShare:
+def gtz(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     """1 iff the shared value is strictly positive (gtz(0) = 0), as the msb of
-    -x: one masked opening of -x, the 6-level carry-out tree for bit 63, and
-    a 1-bit b2a. Unscaled 0/1 output; exact. 8 rounds."""
-    r, d = _mask_open(ctx, -x, "gtz.mask")
-    return _bits_to_arith(ctx, _msb_add_public(ctx, r, d, tag="gtz.and"), "gtz.b2a")
+    -x, XOR-shared as 0/1 words: one masked opening of -x and the 6-level
+    carry-out tree for bit 63, with the mask pair and every level's triple
+    fetched in one dealer round trip. Exact. 7 rounds."""
+    pairs, *levels = ctx.triples.take_many(
+        [TripleSpec("maskpair", x.shape)] + [TripleSpec("bool", s) for s in _tree_shapes(x.t.size)])
+    r, d = _mask_open(ctx, -x, pairs, "gtz.mask")
+    return _msb_add_public(ctx, r, d, levels, tag="gtz.and")
 
 
-def mux(ctx: ProtocolCtx, cond: ArithShare, x: ArithShare, y: ArithShare) -> ArithShare:
-    """Oblivious select cond*x + (1-cond)*y; cond holds exact 0/1 words."""
-    return y + beaver_mul(ctx, cond, x - y, tag="mux.open")
+def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.open") -> ArithShare:
+    """x * bit for a XOR-shared bit (0/1 words, as gtz gives); exact, no
+    truncation. One round.
+
+    With a dealt select correlation (word a, bit r, and additive shares of r
+    and a*r), the parties open e = x - a and z = bit ^ r together; then
+    bit = z + r - 2zr, so x * bit = z*x + (1 - 2z)(e*r + a*r), which each
+    party evaluates on its own shares of x, r and a*r. e is masked by a
+    and z by r, both uniform and known to neither party."""
+    if not isinstance(bit, BinShare) or not isinstance(x, ArithShare):
+        raise TypeError(f"select takes a BinShare bit and an ArithShare, not {type(bit).__name__} "
+                        f"and {type(x).__name__}")
+    if bit.shape != x.shape:
+        raise ShapeMismatch(f"{bit.shape} vs {x.shape}")
+    t = ctx.triples.select(x.shape)
+    e, z = open_values(ctx, tag, [x - ctx.arith(t.a)], bits=bit ^ ctx.bin(t.r_bin))
+    sign = RingTensor(np.uint64(1) - np.uint64(2) * z.data)  # 1 - 2z: 1 or -1
+    return ctx.arith(z * x.t + sign * (e * t.r + t.ar))
+
+
+def mux(ctx: ProtocolCtx, cond: BinShare, x: ArithShare, y: ArithShare) -> ArithShare:
+    """Oblivious select cond*x + (1-cond)*y for a XOR-shared 0/1 cond."""
+    return y + select(ctx, cond, x - y, tag="mux.open")
 
 
 def relu(ctx: ProtocolCtx, x: ArithShare) -> ArithShare:
     """max(x, 0) as x * (x > 0); exact (the bit is unscaled, no truncation)."""
-    return beaver_mul(ctx, x, gtz(ctx, x), tag="relu.open")
+    return select(ctx, gtz(ctx, x), x, tag="relu.open")

@@ -26,7 +26,7 @@ from .ring import (
     trunc,
 )
 from .ring import POOL_SENTINEL, pool_windows as _ring_pool_windows
-from .sharing import ArithShare, add_public, mul_public, share_public
+from .sharing import ArithShare, BinShare, add_public, mul_public, share_public
 from .transport import Role
 
 
@@ -47,10 +47,6 @@ class PlainEngine:
 
     def const(self, shape, value: float) -> RingTensor:
         return encode(np.full(shape, value, dtype=np.float64), self.cfg)
-
-    def lift(self, t: RingTensor) -> RingTensor:
-        """Adopt a public tensor as an engine value."""
-        return t
 
     # arithmetic
     def add(self, a, b):
@@ -97,7 +93,9 @@ class PlainEngine:
 
 
 class SecureEngine:
-    """Protocol executor over one party's shares."""
+    """Protocol executor over one party's shares. A comparison gives a XOR
+    share of its 0/1 bit (`BinShare`), which the data movement below keeps
+    as one, and which `mul_raw` and `mux` multiply in with `arith.select`."""
 
     secure = True
 
@@ -108,14 +106,11 @@ class SecureEngine:
     def raw(self, v: ArithShare) -> RingTensor:
         return v.t
 
-    def wrap_like(self, v: ArithShare, data: np.ndarray):
-        return ArithShare(v.owner, RingTensor(data))
+    def wrap_like(self, v, data: np.ndarray):
+        return type(v)(v.owner, RingTensor(data))
 
     def const(self, shape, value: float) -> ArithShare:
         return share_public(encode(np.full(shape, value, dtype=np.float64), self.cfg), self.ctx.role)
-
-    def lift(self, t: RingTensor) -> ArithShare:
-        return share_public(t, self.ctx.role)
 
     def add(self, a, b):
         return a + b
@@ -124,6 +119,10 @@ class SecureEngine:
         return a - b
 
     def mul_raw(self, a, b):
+        if isinstance(a, BinShare):
+            return arith.select(self.ctx, a, b)
+        if isinstance(b, BinShare):
+            return arith.select(self.ctx, b, a)
         return arith.beaver_mul(self.ctx, a, b)
 
     def trunc(self, a, bits: int | None = None):
@@ -183,6 +182,8 @@ def e_repeat(e, v, n, axis):
 
 
 def e_sum(e, v, axis):
+    if isinstance(v, BinShare):
+        raise TypeError("XOR shares do not add up: e_sum needs an ArithShare")
     with np.errstate(over="ignore"):
         return e.wrap_like(v, np.add.reduce(e.raw(v).data, axis=axis, dtype=np.uint64))
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 WORD_BITS = 64
-MASK = (1 << 64) - 1
 
 
 class RingRangeError(ValueError):

@@ -105,8 +105,10 @@ class LocalRuntime:
             self.dealer.release(sid)
 
     def close(self):
-        self.dealer.stop()
+        """Close the hub, which wakes the dealer's service threads at once,
+        then join them."""
         self.hub.close()
+        self.dealer.stop()
 
     def __enter__(self):
         return self

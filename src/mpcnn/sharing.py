@@ -116,6 +116,8 @@ class ArithShare:
         return self.t.shape
 
     def _check(self, other: "ArithShare"):
+        if not isinstance(other, ArithShare):
+            raise TypeError(f"cannot combine an ArithShare with a {type(other).__name__}")
         if self.owner is not other.owner:
             raise ValueError("mixing shares of different parties")
 
@@ -146,17 +148,14 @@ class BinShare:
         return self.t.shape
 
     def __xor__(self, other: "BinShare") -> "BinShare":
+        if not isinstance(other, BinShare):
+            raise TypeError(f"cannot combine a BinShare with a {type(other).__name__}")
         if self.owner is not other.owner:
             raise ValueError("mixing shares of different parties")
         return BinShare(self.owner, self.t ^ other.t)
 
     def shift_left(self, k: int) -> "BinShare":
         return BinShare(self.owner, self.t.shift_left(k))
-
-    def shift_right(self, k: int) -> "BinShare":
-        """Logical: every secret bit is independent, so local shifts commute
-        with reconstruction."""
-        return BinShare(self.owner, self.t.shift_right_logical(k))
 
     def and_public(self, mask: RingTensor) -> "BinShare":
         return BinShare(self.owner, self.t & mask)

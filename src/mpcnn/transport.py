@@ -57,6 +57,10 @@ class ProtocolError(TransportError):
     """Sequence, tag, or length violation."""
 
 
+class DealerError(TransportError):
+    """The dealer refused a request, or a correlation cannot be dealt."""
+
+
 @dataclass
 class Message:
     session_id: int
@@ -505,10 +509,17 @@ class Session:
         self.dealer_transcript.note_send(tag, len(payload))
         self.dealer_transcript.note_round(tag)
 
-    def recv_from_dealer(self, tag: str) -> bytes:
-        payload = self._raw_recv(Role.DEALER, tag)
-        self.dealer_transcript.note_recv(tag, len(payload))
-        return payload
+    def recv_from_dealer(self, tag: str, error_tag: str | None = None) -> bytes:
+        """The dealer's answer on `tag`. An answer on `error_tag` instead
+        raises DealerError with its payload as the message."""
+        msg = self.fabric.recv(Role.DEALER, self.session_id)
+        refused = error_tag is not None and _msg_tag_hash(msg) == tag_hash(error_tag)
+        got_tag = error_tag if refused else tag
+        self._check_seq(Role.DEALER, msg, got_tag)
+        self.dealer_transcript.note_recv(got_tag, len(msg.payload))
+        if refused:
+            raise DealerError(msg.payload.decode(errors="replace"))
+        return msg.payload
 
     def measure(self) -> Transcript:
         return self.transcript.snapshot()

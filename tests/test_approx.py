@@ -105,16 +105,20 @@ def _costs(rt, fn, n):
 @pytest.mark.parametrize("n", [64 * 2, 100])
 def test_exact_cost(rt, n):
     # derived from the circuit: one gtz on the 2n stacked [x + T, x - T]
-    # (mask word, 118 bit-ANDs per element bit-sliced 64 to a word, packed
-    # b2a bits), then ring products on n (u), n (T_2), 2n (T_3, T_4),
-    # 4n (T_5..T_8) and 2n (the select) elements, and for sigmoid one more
-    # on n (y * r). Each product element opens two words and costs P0 one
-    # dealt correction word; P1 expands its halves from its seed.
+    # (mask word, 118 bit-ANDs per element bit-sliced 64 to a word; 7
+    # rounds), then ring products on n (u), n (T_2), 2n (T_3, T_4) and 4n
+    # (T_5..T_8) elements, for sigmoid one more on n (y * r), and the select
+    # on the 2n stacked pieces (1 round). Each product element opens two
+    # words and costs P0 one dealt correction word; each selected element
+    # opens one word and one packed bit and costs P0 two correction words;
+    # P1 expands its halves from its seed.
     m, words = 2 * n, -(-2 * n // 64)
-    gtz_online = 8 * m + 2 * 8 * 118 * words + -(-m // 8)
-    gtz_dealer = 8 * m + 8 * 118 * words + 8 * m
-    for fn, rounds, products in ((approx.sec_silu, 13, 10 * n), (approx.sec_sigmoid, 14, 11 * n)):
-        online, dealer = gtz_online + 16 * products, gtz_dealer + 8 * products
+    gtz_online = 8 * m + 2 * 8 * 118 * words
+    gtz_dealer = 8 * m + 8 * 118 * words
+    select_online, select_dealer = 8 * m + -(-m // 8), 16 * m
+    for fn, rounds, products in ((approx.sec_silu, 12, 8 * n), (approx.sec_sigmoid, 13, 9 * n)):
+        online = gtz_online + 16 * products + select_online
+        dealer = gtz_dealer + 8 * products + select_dealer
         assert _costs(rt, fn, n) == ((rounds, online, dealer), (rounds, online, 0))
         if n % 64 == 0:  # per element per party
-            assert (online / n, dealer / n) == {13: (235.25, 141.5), 14: (251.25, 149.5)}[rounds]
+            assert (online / n, dealer / n) == {12: (219.25, 141.5), 13: (235.25, 149.5)}[rounds]

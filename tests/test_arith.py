@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from mpcnn import arith
-from mpcnn.dealer import TAG_BITPAIR_RSP, DealerService
+from mpcnn.dealer import DealerService
 from mpcnn.engine import (
     PlainEngine,
     SecureEngine,
     e_concat,
+    e_reshape,
+    e_stack,
+    e_sum,
     e_take,
     e_upsample2x,
     maxpool2d,
-    tournament_max,
 )
 from mpcnn.ring import (
     ConvGeometry,
@@ -30,8 +32,8 @@ from mpcnn.ring import (
     zeros,
 )
 from mpcnn.runtime import LocalRuntime, establish, run_pair_raw
-from mpcnn.sharing import reveal, reveal_bin, share_input
-from mpcnn.transport import Role, TagStats, TcpFabric
+from mpcnn.sharing import ArithShare, BinShare, reveal, reveal_bin, share_input, share_public
+from mpcnn.transport import Role, TcpFabric
 
 from conftest import free_port
 
@@ -47,6 +49,11 @@ def rt():
 
 def shared_pair(ctx, x: RingTensor, holder=Role.P0):
     return share_input(ctx.przs, x if ctx.role is holder else None, holder, x.shape)
+
+
+def bin_shared(ctx, bits: np.ndarray) -> BinShare:
+    """A XOR sharing of 0/1 words: P0 holds them, P1 zeros."""
+    return BinShare(ctx.role, RingTensor(bits if ctx.role is Role.P0 else np.zeros_like(bits)))
 
 
 def run_tcp_with_dealer(fn):
@@ -326,40 +333,47 @@ class TestConversions:
         x = rand_words((n,))
 
         def fn(ctx):
-            xs = shared_pair(ctx, x)
-            dealt = ctx.session.dealer_transcript.bytes_recv
-            arith.a2b(ctx, xs)
-            d = ctx.session.dealer_transcript
-            return d.bytes_recv - dealt, d.tags.get(TAG_BITPAIR_RSP, TagStats()).bytes_recv
+            # the kinds and dealt bytes of each of a2b's dealer requests
+            src, d = ctx.triples, ctx.session.dealer_transcript
+            fetch, fetched = src.take_many, []
+
+            def recorded(specs):
+                before = d.bytes_recv
+                out = fetch(specs)
+                fetched.append(([s.kind for s in specs], d.bytes_recv - before))
+                return out
+
+            src.take_many = recorded
+            arith.a2b(ctx, shared_pair(ctx, x))
+            return fetched
 
         vals = rt.run_session(fn, fn, cfg=CFG)
-        total, mask = vals[Role.P0]
-        assert mask == 8 * n  # the arith half of one word pair per element
-        assert total == mask + 6 * 8 * 2 * n  # plus the c of 6 AND levels on (G, P) lane pairs
-        assert total / n == 104
-        assert vals[Role.P1] == (0, 0)  # P1 expands its half from its seed
+        # the arith half of one word pair per element, then the c of 6 AND
+        # levels on (G, P) lane pairs
+        assert vals[Role.P0] == [(["maskpair"], 8 * n)] + [(["bool"], 8 * 2 * n)] * 6
+        assert sum(b for _, b in vals[Role.P0]) / n == 104
+        assert vals[Role.P1] == [(["maskpair"], 0)] + [(["bool"], 0)] * 6  # P1 expands its half from its seed
 
     def test_b2a_single_bits(self, rt):
+        # a XOR-shared bit selecting the public word 1 is its additive sharing
         bits = RNG.integers(0, 2, size=1000).astype(np.uint64)
+        m = RNG.integers(0, 2, size=1000).astype(np.uint64)
 
         def fn(ctx):
-            from mpcnn.sharing import BinShare
-
-            m = RNG2 = np.zeros(1000, dtype=np.uint64)  # P0 carries the bits
-            sh = BinShare(ctx.role, RingTensor(bits if ctx.role is Role.P0 else m))
-            return reveal(ctx.session, arith._bits_to_arith(ctx, sh, "gtz.b2a"))
+            sh = BinShare(ctx.role, RingTensor(bits ^ m if ctx.role is Role.P0 else m))
+            one = share_public(from_words(np.ones(1000, dtype=np.uint64)), ctx.role)
+            return reveal(ctx.session, arith.select(ctx, sh, one))
 
         got = run_secure(rt, fn)
         assert np.array_equal(got.data, bits)
 
     def test_masked_opening_uniform(self, rt):
-        # z = bit xor r over 10^4 trials is indistinguishable from fair coins
+        # the z = bit xor r that select opens, over 10^4 trials of a fixed
+        # bit, is indistinguishable from fair coins
         def fn_probe(ctx):
-            pairs = ctx.triples.bitpairs((10_000,))
-            from mpcnn.sharing import BinShare
-
+            t = ctx.triples.select((10_000,))
             sh = BinShare(ctx.role, zeros((10_000,)))
-            z = arith.open_values(ctx, "z", [sh ^ ctx.bin(pairs.bin)])[0]
+            (z,) = arith.open_values(ctx, "z", [], bits=sh ^ ctx.bin(t.r_bin))
             return float(z.data.mean())
 
         freq = run_secure(rt, fn_probe)
@@ -381,18 +395,19 @@ class TestGtz:
     def test_examples(self, rt):
         def fn(ctx):
             x = shared_pair(ctx, encode([5.0, -5.0, 0.0], CFG))
-            return reveal(ctx.session, arith.gtz(ctx, x))
+            return reveal_bin(ctx.session, arith.gtz(ctx, x))
 
         assert run_secure(rt, fn) == from_words([1, 0, 0])
 
-    def test_rounds_is_8(self, rt):
+    def test_rounds_is_7(self, rt):
+        # the mask opening and the 6 AND levels; the bit stays XOR-shared
         def fn(ctx):
             x = shared_pair(ctx, rand_fixed((100,)))
             before = ctx.session.measure().rounds
             arith.gtz(ctx, x)
             return ctx.session.measure().rounds - before
 
-        assert run_secure(rt, fn) == 8
+        assert run_secure(rt, fn) == 7
 
     @pytest.mark.parametrize("n", [64 * 2, 100])
     def test_exact_bytes_per_element(self, rt, n):
@@ -400,30 +415,35 @@ class TestGtz:
         # bit-sliced tree, n = 100 leaves the last one ragged
         words = -(-n // 64)
         ands = _carry_tree_ands()
-        gtz_online = 8 * n + 2 * 8 * ands * words + -(-n // 8)  # mask, AND openings, packed bits
-        # P0 receives one correction word per mask pair, bool triple and bit
-        # pair; P1 expands its halves from its seed and receives nothing
-        gtz_dealer = 8 * n + 8 * ands * words + 8 * n
+        gtz_online = 8 * n + 2 * 8 * ands * words  # mask, AND openings
+        # P0 receives one correction word per mask pair and bool triple, all
+        # in one request; P1 expands its halves from its seed and receives
+        # nothing
+        gtz_dealer = 8 * n + 8 * ands * words
+        # relu adds one select: a masked word and a packed masked bit open,
+        # and P0 receives two correction words per element in one more request
+        relu_online, relu_dealer = gtz_online + 8 * n + -(-n // 8), gtz_dealer + 16 * n
 
         def fn(ctx, op):
             x = shared_pair(ctx, rand_fixed((n,)))
-            before = ctx.session.measure().bytes_sent
-            dealt = ctx.session.dealer_transcript.bytes_recv
+            before = ctx.session.measure()
+            d = ctx.session.dealer_transcript
+            dealt, requests = d.bytes_recv, d.rounds
             op(ctx, x)
-            return (ctx.session.measure().bytes_sent - before,
-                    ctx.session.dealer_transcript.bytes_recv - dealt)
+            after = ctx.session.measure()
+            return (after.bytes_sent - before.bytes_sent, after.rounds - before.rounds,
+                    d.bytes_recv - dealt, d.rounds - requests)
 
         def both(op):
             vals = rt.run_session(lambda ctx: fn(ctx, op), lambda ctx: fn(ctx, op), cfg=CFG)
             return vals[Role.P0], vals[Role.P1]
 
         assert ands == 118
-        assert both(arith.gtz) == ((gtz_online, gtz_dealer), (gtz_online, 0))
-        relu_online, relu_dealer = gtz_online + 16 * n, gtz_dealer + 8 * n
-        assert both(arith.relu) == ((relu_online, relu_dealer), (relu_online, 0))
+        assert both(arith.gtz) == ((gtz_online, 7, gtz_dealer, 1), (gtz_online, 7, 0, 0))
+        assert both(arith.relu) == ((relu_online, 8, relu_dealer, 2), (relu_online, 8, 0, 0))
         if n % 64 == 0:  # per element per party
-            assert gtz_online / n == 37.625 and gtz_dealer / n == 30.75
-            assert relu_online / n == 53.625 and relu_dealer / n == 38.75
+            assert gtz_online / n == 37.5 and gtz_dealer / n == 22.75
+            assert relu_online / n == 45.625 and relu_dealer / n == 38.75
 
     @pytest.mark.parametrize("shape", [(1,), (63,), (64,), (65,), (3, 5, 7)])
     def test_full_ring_vs_oracle(self, rt, shape):
@@ -440,7 +460,7 @@ class TestGtz:
             cases.append(x)
 
         def fn(ctx):
-            return [reveal(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
+            return [reveal_bin(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
 
         for x, got in zip(cases, run_secure(rt, fn)):
             assert got == gtz_plain(x)
@@ -463,10 +483,143 @@ class TestGtz:
 
         def fn(ctx):
             xs = shared_pair(ctx, x)
-            return reveal(ctx.session, arith.gtz(ctx, xs))
+            return reveal_bin(ctx.session, arith.gtz(ctx, xs))
 
         got = run_secure(rt, fn)
         assert np.array_equal(got.data.astype(bool), ks > 0)
+
+
+SELECT_SHAPES = [(1,), (63,), (64,), (65,), (3, 5, 7)]
+SELECT_EDGES = [0, 2**63, 2**64 - 1]
+
+
+def select_cases(shape):
+    """(v, x) pairs of uniform words over the whole ring, with x at 0, 2^63
+    and 2^64 - 1 at both ends and at least one positive and one non-positive
+    v; the element counts straddle the 64-element words of gtz's tree."""
+    cases = []
+    for k in range(0, len(SELECT_EDGES), int(np.prod(shape))):
+        v, x = rand_words(shape), rand_words(shape)
+        vf, xf = v.data.reshape(-1), x.data.reshape(-1)
+        edges = SELECT_EDGES[k : k + xf.size]
+        xf[: len(edges)] = edges
+        xf[xf.size - len(edges) :] = edges[::-1]
+        vf[0] = 5
+        vf[-1] = 2**64 - 5
+        cases.append((v, x))
+    return cases
+
+
+def select_vs_oracle(ctx, cases):
+    """[(x * bit revealed, party transcript counters of the selects)] with
+    bit = gtz(v), for every (v, x) case."""
+    out = []
+    for v, x in cases:
+        bit = arith.gtz(ctx, shared_pair(ctx, v))
+        xs = shared_pair(ctx, x, holder=Role.P1)
+        before = ctx.session.measure()
+        z = arith.select(ctx, bit, xs)
+        after = ctx.session.measure()
+        cost = after.bytes_sent - before.bytes_sent, after.bytes_recv - before.bytes_recv, after.rounds - before.rounds
+        out.append((reveal(ctx.session, z), cost))
+    return out
+
+
+class TestSelect:
+    @pytest.mark.parametrize("shape", SELECT_SHAPES)
+    def test_full_ring_vs_oracle(self, rt, shape):
+        # exact over the ring: one round, the masked word and the packed
+        # masked bit each way
+        cases = select_cases(shape)
+        n = int(np.prod(shape))
+        for (v, x), (got, cost) in zip(cases, run_secure(rt, lambda ctx: select_vs_oracle(ctx, cases))):
+            assert got == x * gtz_plain(v)
+            assert cost == (8 * n + -(-n // 8),) * 2 + (1,)
+
+    def test_full_ring_over_tcp(self):
+        # P0, P1 and the dealer each on their own TcpFabric: the same outputs
+        # bit for bit, and the same party and dealer transcripts, as in-process
+        cases = [c for shape in SELECT_SHAPES for c in select_cases(shape)]
+
+        def fn(ctx):
+            return ([z for z, _ in select_vs_oracle(ctx, cases)], ctx.session.measure().counters(),
+                    ctx.session.dealer_transcript.counters())
+
+        tcp = run_tcp_with_dealer(fn)
+        with LocalRuntime() as runtime:
+            inproc = runtime.run_session(fn, fn, cfg=CFG)
+        for role in (Role.P0, Role.P1):
+            outs, party, dealt = tcp[role]
+            assert all(z == x * gtz_plain(v) for z, (v, x) in zip(outs, cases))
+            assert (party, dealt) == inproc[role][1:]
+
+    def test_deals_two_correction_words_per_element(self, rt):
+        n = 100
+
+        def fn(ctx):
+            bit = bin_shared(ctx, RNG.integers(0, 2, size=n).astype(np.uint64))
+            d = ctx.session.dealer_transcript
+            before = d.bytes_recv, d.rounds
+            arith.select(ctx, bit, shared_pair(ctx, rand_words((n,))))
+            return d.bytes_recv - before[0], d.rounds - before[1]
+
+        vals = rt.run_session(fn, fn, cfg=CFG)
+        assert vals[Role.P0] == (16 * n, 1)  # P0's shares of r and a*r, one request
+        assert vals[Role.P1] == (0, 0)
+
+    def test_refuses_an_arithmetic_bit(self, rt):
+        def fn(ctx):
+            x = shared_pair(ctx, rand_words((4,)))
+            c = shared_pair(ctx, from_words([0, 1, 1, 0]))
+            with pytest.raises(TypeError):
+                arith.select(ctx, c, x)
+            with pytest.raises(TypeError):
+                arith.mux(ctx, c, x, x)
+            return True
+
+        assert run_secure(rt, fn)
+
+
+class TestShareTypes:
+    def test_arith_refuses_a_xor_share(self):
+        a = ArithShare(Role.P0, rand_words((4,)))
+        b = BinShare(Role.P0, rand_words((4,)))
+        for op in (lambda: a + b, lambda: a - b, lambda: b ^ a):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_data_movement_keeps_xor_shares(self, rt):
+        # stacked, taken and reshaped comparison bits still reveal as XOR
+        # shares, and summing them is refused
+        v = rand_words((2, 6))
+
+        def fn(ctx):
+            e = SecureEngine(ctx)
+            bits = e.gtz(shared_pair(ctx, v))
+            moved = [e_stack(e, [bits, bits]), e_take(e, bits, 1, axis=0), e_reshape(e, bits, (3, 4))]
+            assert all(isinstance(m, BinShare) for m in moved)
+            with pytest.raises(TypeError):
+                e_sum(e, bits, axis=0)
+            return [reveal_bin(ctx.session, m) for m in moved]
+
+        stacked, taken, reshaped = run_secure(rt, fn)
+        want = gtz_plain(v).data
+        assert np.array_equal(stacked.data, np.stack([want, want]))
+        assert np.array_equal(taken.data, want[1])
+        assert np.array_equal(reshaped.data, want.reshape(3, 4))
+
+    def test_mul_raw_selects_by_a_xor_bit(self, rt):
+        # either operand order reaches select, and agrees with the oracle
+        v, x = rand_words((50,)), rand_words((50,))
+
+        def fn(ctx):
+            e = SecureEngine(ctx)
+            bit, xs = e.gtz(shared_pair(ctx, v)), shared_pair(ctx, x)
+            return [reveal(ctx.session, e.mul_raw(a, b)) for a, b in ((bit, xs), (xs, bit))]
+
+        plain = PlainEngine(CFG)
+        want = plain.mul_raw(x, plain.gtz(v))
+        assert all(got == want for got in run_secure(rt, fn))
 
 
 class TestMuxRelu:
@@ -477,8 +630,8 @@ class TestMuxRelu:
         def fn(ctx):
             xs = shared_pair(ctx, x)
             ys = shared_pair(ctx, y, holder=Role.P1)
-            one = shared_pair(ctx, from_words(np.ones(10, dtype=np.uint64)))
-            zero = shared_pair(ctx, zeros((10,)))
+            one = bin_shared(ctx, np.ones(10, dtype=np.uint64))
+            zero = bin_shared(ctx, np.zeros(10, dtype=np.uint64))
             a = reveal(ctx.session, arith.mux(ctx, one, xs, ys))
             b = reveal(ctx.session, arith.mux(ctx, zero, xs, ys))
             return a, b
@@ -493,7 +646,7 @@ class TestMuxRelu:
         def fn(ctx):
             xs = shared_pair(ctx, x)
             ys = shared_pair(ctx, y, holder=Role.P1)
-            cs = shared_pair(ctx, RingTensor(c))
+            cs = bin_shared(ctx, c)
             return reveal(ctx.session, arith.mux(ctx, cs, xs, ys))
 
         got = run_secure(rt, fn)
@@ -511,7 +664,8 @@ class TestMuxRelu:
         assert r1 == encode([0.0, 0.0, 2.0], CFG)
         assert r2 == r1
 
-    def test_relu_rounds_9_size_invariant(self, rt):
+    def test_relu_rounds_8_size_invariant(self, rt):
+        # gtz 7, select 1
         for n in (10, 1000):
             def fn(ctx, n=n):
                 x = shared_pair(ctx, rand_fixed((n,)))
@@ -519,7 +673,7 @@ class TestMuxRelu:
                 arith.relu(ctx, x)
                 return ctx.session.measure().rounds - before
 
-            assert run_secure(rt, fn) == 9
+            assert run_secure(rt, fn) == 8
 
     def test_relu_exact_oracle_sweep(self, rt):
         ks = RNG.integers(-(1 << 36), 1 << 36, size=20_000)

@@ -1,23 +1,24 @@
-"""Dealer correlations: triples, bit pairs, seeds, and the service."""
+"""Dealer correlations: triples, mask pairs, select correlations, seeds,
+batched fetches, and the service."""
 
 import numpy as np
 import pytest
 
+from mpcnn import dealer
 from mpcnn.dealer import (
+    HALVES,
     TAG_REQ,
     TAG_SEED_RSP,
     TAG_TRIPLE_RSP,
-    BitPairs,
     DealerError,
-    HeldTriple,
     RandomnessReused,
-    Triple,
     TripleSpec,
     derive_correlation,
+    encode_request,
     expand,
     session_seed,
 )
-from mpcnn.ring import ConvGeometry, conv2d_ring, matmul_ring
+from mpcnn.ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import fresh_seed
 from mpcnn.transport import Role, SessionTimeout
@@ -71,19 +72,21 @@ class TestTripleCorrectness:
 
 
 class TestBitPairs:
+    # the bit r of a select correlation, in its additive and XOR sharings
     def test_arith_and_bin_agree(self, rt):
-        vals = fetch_both(rt, lambda src: src.bitpairs((10_000,)))
+        vals = fetch_both(rt, lambda src: src.select((10_000,)))
         p0, p1 = vals[Role.P0], vals[Role.P1]
-        r_arith = (p0.arith + p1.arith).data
-        r_bin = (p0.bin ^ p1.bin).data
+        r_arith = (p0.r + p1.r).data
+        r_bin = (p0.r_bin ^ p1.r_bin).data
         assert set(np.unique(r_arith)) <= {0, 1}
         assert np.array_equal(r_arith, r_bin)
+        assert p0.ar + p1.ar == (p0.a + p1.a) * (p0.r + p1.r)
 
     def test_bit_frequency(self, rt):
         # binomial bound at 10^4 samples
-        vals = fetch_both(rt, lambda src: src.bitpairs((10_000,)))
+        vals = fetch_both(rt, lambda src: src.select((10_000,)))
         p0, p1 = vals[Role.P0], vals[Role.P1]
-        freq = float((p0.arith + p1.arith).data.mean())
+        freq = float((p0.r + p1.r).data.mean())
         assert 0.48 <= freq <= 0.52
 
 
@@ -106,18 +109,20 @@ SPECS = {
     "bool": TripleSpec("bool", (16,)),
     "conv": TripleSpec("conv", (2, 5, 4), geom=ConvGeometry(2, 3, 2, 2)),
     "matmul": TripleSpec("matmul", (4, 6), mat=(4, 6, 3)),
-    "bitpair": TripleSpec("bitpair", (16,)),
     "maskpair": TripleSpec("maskpair", (16,)),
+    "select": TripleSpec("select", (16,)),
 }
 
 
 def reconstruct(spec, h0, h1):
     """The correlation from both halves, checked for validity."""
-    if spec.kind in ("bitpair", "maskpair"):
-        r = h0.arith + h1.arith
-        assert r == (h0.bin ^ h1.bin)
-        if spec.kind == "bitpair":
-            assert set(np.unique(r.data)) <= {0, 1}
+    if spec.kind == "maskpair":
+        assert h0.arith + h1.arith == (h0.bin ^ h1.bin)
+        return
+    if spec.kind == "select":
+        r = h0.r + h1.r
+        assert r == (h0.r_bin ^ h1.r_bin) and set(np.unique(r.data)) <= {0, 1}
+        assert h0.ar + h1.ar == (h0.a + h1.a) * r
         return
     if spec.kind == "bool":
         a, b, c = h0.a ^ h1.a, h0.b ^ h1.b, h0.c ^ h1.c
@@ -140,10 +145,9 @@ def halves(master, sid, index, spec):
     p0 = expand(session_seed(master, sid, Role.P0), index, spec, Role.P0)
     p1 = expand(session_seed(master, sid, Role.P1), index, spec, Role.P1)
     corr = derive_correlation(master, sid, index, spec)
-    if spec.kind in ("bitpair", "maskpair"):
-        return BitPairs(corr, *p0), BitPairs(*p1)
-    half = HeldTriple if spec.kind in ("conv", "matmul") else Triple
-    return half(*p0, corr), half(*p1)
+    corrs = [RingTensor(c) for c in corr.data] if spec.kind == "select" else [corr]
+    half = HALVES[spec.kind]
+    return half(*p0, *corrs), half(*p1)
 
 
 class TestDerivation:
@@ -232,7 +236,7 @@ class TestSeeds:
 
         def fn(ctx):
             if ctx.role is Role.P1:
-                ctx.session.send_to_dealer(TAG_REQ, TripleSpec("arith", (2,)).to_wire(0))
+                ctx.session.send_to_dealer(TAG_REQ, encode_request(0, [TripleSpec("arith", (2,))]))
                 with pytest.raises(SessionTimeout):
                     ctx.session.recv_from_dealer(TAG_TRIPLE_RSP)
             return True
@@ -251,6 +255,40 @@ class TestBudget:
         assert vals[Role.P0] == vals[Role.P1] == 5
 
 
+class TestBatch:
+    def test_take_many_is_one_round_trip(self, rt):
+        # every kind at consecutive indices: P0 sends one request whose body
+        # names the first index once, and receives every correction in one
+        # response; each pair of halves reconstructs its correlation
+        specs = [SPECS[k] for k in sorted(SPECS)]
+
+        def fn(ctx):
+            ctx.triples.arith((2,))
+            d = ctx.session.dealer_transcript
+            before = d.rounds, d.bytes_sent, d.bytes_recv
+            got = ctx.triples.take_many(specs)
+            return got, ctx.triples.next_index, (d.rounds - before[0], d.bytes_sent - before[1],
+                                                  d.bytes_recv - before[2])
+
+        vals = rt.run_session(fn, fn)
+        (h0, next0, cost0), (h1, next1, cost1) = vals[Role.P0], vals[Role.P1]
+        for spec, a, b in zip(specs, h0, h1):
+            reconstruct(spec, a, b)
+        assert next0 == next1 == 1 + len(specs)
+        words = sum(int(np.prod(s)) for spec in specs for s in spec.correction_shapes())
+        assert cost0 == (1, len(encode_request(1, specs)), 8 * words)
+        assert cost1 == (0, 0, 0)
+        assert encode_request(1, specs).count(b'"index"') == 1
+
+    def test_unknown_kind_is_refused_before_sending(self, rt):
+        def fn(ctx):
+            with pytest.raises(DealerError):
+                ctx.triples.take(TripleSpec("cube", (4,)))
+            return ctx.session.dealer_transcript.rounds, ctx.triples.next_index
+
+        assert rt.run_session(fn, fn)[Role.P0] == (1, 0)  # the seed request only
+
+
 class TestAccountingSeparation:
     def test_dealer_traffic_not_in_party_transcript(self, rt):
         def fn(ctx):
@@ -265,23 +303,26 @@ class TestAccountingSeparation:
 
 
 class TestService:
-    def test_malformed_request_is_dropped(self, rt, monkeypatch):
-        # each garbage request goes unanswered, and the service thread keeps
+    def test_malformed_request_is_refused(self, rt, monkeypatch):
+        # each garbage request (bad JSON, bad UTF-8, a list, an empty object, a
+        # negative shape, an unknown kind, a conv with neither geometry nor a
+        # 3-d shape) is answered on the dealer's error tag, so P0's
+        # source raises DealerError at once (an unanswered request would
+        # time out after the default 30 s), and the service thread keeps
         # serving: a later session in the same runtime completes
-        bad = [b"{not json", b"\xff", b"[]", b"{}", b'{"index":0,"kind":"arith","shape":[-1]}',
-               TripleSpec("cube", (4,)).to_wire(0)]
+        bad = [b"{not json", b"\xff", b"[]", b"{}", b'{"index":0,"specs":[{"kind":"arith","shape":[-1]}]}',
+               encode_request(0, [TripleSpec("cube", (4,))]), b'{"index":0,"specs":[{"kind":"conv","shape":[1]}]}']
 
         def garbage(ctx):
             if ctx.role is Role.P0:
                 for payload in bad:
-                    ctx.session.send_to_dealer(TAG_REQ, payload)
-                with pytest.raises(SessionTimeout):
-                    ctx.session.recv_from_dealer(TAG_TRIPLE_RSP)
+                    with monkeypatch.context() as m:
+                        m.setattr(dealer, "encode_request", lambda first, specs: payload)
+                        with pytest.raises(DealerError):
+                            ctx.triples.arith((4,))
             return True
 
-        with monkeypatch.context() as m:
-            m.setenv("MPCNN_TIMEOUT_MS", "300")
-            assert all(rt.run_session(garbage, garbage).values())
+        assert all(rt.run_session(garbage, garbage).values())
         vals = fetch_both(rt, lambda src: src.arith((4,)))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         assert t0.c + t1.c == (t0.a + t1.a) * (t0.b + t1.b)

@@ -10,9 +10,10 @@ import numpy as np
 
 from mpcnn import arith
 from mpcnn.ring import RingTensor
+from mpcnn.dealer import DealerService
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import reveal, share_input
-from mpcnn.transport import InProcFabric, Role
+from mpcnn.transport import InProcFabric, InProcHub, Role
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "securebench")
 
@@ -46,6 +47,19 @@ class TestSessionRelease:
             assert rt.dealer.rerequest_count() == 1
             rt.run_session(one_mul, one_mul)
             assert rt.dealer.rerequest_count() == 1
+
+    def test_close_joins_dealer_threads(self):
+        rt = LocalRuntime()
+        rt.run_session(one_mul, one_mul)
+        threads = list(rt.dealer._threads)
+        rt.close()
+        assert len(threads) == 2 and not any(t.is_alive() for t in threads)
+        # with its fabric still open, a service stops within one 0.2 s poll
+        svc = DealerService(InProcFabric(InProcHub(), Role.DEALER)).start()
+        t0 = time.perf_counter()
+        svc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert not any(t.is_alive() for t in svc._threads)
 
 
 def test_benchmark_selftest_passes():
@@ -111,23 +125,67 @@ def one_benchmark_inference(model_name):
     return out, ref, bound, led0, problems
 
 
+def gtz_bytes(n):
+    """Bytes one party sends in a gtz on n elements: the masked word, and
+    118 bit-ANDs per element, bit-sliced 64 elements to a word, each
+    opening two words."""
+    return 8 * n + 2 * 8 * 118 * -(-n // 64)
+
+
+def select_bytes(n):
+    """Bytes one party sends in a select on n elements: the masked word and
+    the masked bit, packed 8 per byte."""
+    return 8 * n + -(-n // 8)
+
+
+def tag_bytes(led0):
+    return {tag: (sent, recv, phases) for tag, sent, recv, phases in led0["tags"]}
+
+
 def test_detector_inference_end_to_end():
-    # the output lies within the float64 reference's a-priori bound; the two
-    # SiLU layers take 13 rounds each (5 convs, 2 x 13 SiLU, 2 x 9 max-pool,
-    # 1 reveal); the five convs move their input-shaped masks (223,232 B)
-    # from P0 and their weight-shaped masks (2,186,592 B) from P1
+    # the output lies within the float64 reference's a-priori bound. Rounds:
+    # 5 convs, 2 SiLU layers at 12 (gtz 7, t 1, Chebyshev terms 3, select 1),
+    # 2 max-pool levels at 8 (gtz 7, mux 1) and the reveal. Bytes: the five
+    # convs move their input-shaped masks (223,232 B) from P0 and their
+    # weight-shaped masks (2,186,592 B) from P1; each SiLU runs gtz and the
+    # select on the 2 x 1,024 stacked [x + T, x - T] and 8 x 1,024 Beaver
+    # products; the max-pool levels compare 512 and 256 pairs; P0 receives
+    # the 8 x 8 x 8 head
     out, ref, bound, led0, problems = one_benchmark_inference("detector")
-    assert led0["rounds"] == 50
-    assert led0["sent"] + led0["recv"] == 3_459_872
+    silu = 2 * 1024
+    assert tag_bytes(led0) == {
+        "conv.open": (223_232, 2_186_592, 5),
+        "gtz.mask": (8 * (2 * silu + 512 + 256),) * 2 + (4,),
+        "gtz.and": (sum(gtz_bytes(n) - 8 * n for n in (silu, silu, 512, 256)),) * 2 + (24,),
+        "mul.open": (2 * 16 * 8 * 1024,) * 2 + (8,),
+        "select.open": (2 * select_bytes(silu),) * 2 + (2,),
+        "mux.open": (select_bytes(512) + select_bytes(256),) * 2 + (2,),
+        "reveal": (0, 8 * 512, 1),
+    }
+    assert led0["rounds"] == 5 + 2 * 12 + 2 * 8 + 1 == 46
+    online = 223_232 + 2_186_592 + 2 * (2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu))
+                                        + sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256))) + 8 * 512
+    assert led0["sent"] + led0["recv"] == online == 3_382_048
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
 
 
 def test_compactcnn_inference_end_to_end():
-    # conv 1, ReLU 9, linear 1, reveal 1; the conv and the linear layer move
-    # (384 + 32) words one way and (2048 + 64) the other
+    # conv 1, ReLU 8 (gtz 7 on the 32 x 321 conv output, select 1), linear 1,
+    # reveal 1; the conv and the linear layer move (384 + 32) words one way
+    # and (2048 + 64) the other, and P0 receives the 2 logits
     out, ref, bound, led0, problems = one_benchmark_inference("compactcnn")
-    assert led0["rounds"] == 12
-    assert led0["sent"] + led0["recv"] == 1_123_800
+    n = 32 * 321
+    assert tag_bytes(led0) == {
+        "conv.open": (8 * 384, 8 * 2048, 1),
+        "gtz.mask": (8 * n, 8 * n, 1),
+        "gtz.and": (gtz_bytes(n) - 8 * n,) * 2 + (6,),
+        "select.open": (select_bytes(n),) * 2 + (1,),
+        "matmul.open": (8 * 32, 8 * 64, 1),
+        "reveal": (0, 16, 1),
+    }
+    assert led0["rounds"] == 11
+    online = 8 * (384 + 32 + 2048 + 64) + 2 * (gtz_bytes(n) + select_bytes(n)) + 16
+    assert led0["sent"] + led0["recv"] == online == 959_448
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)

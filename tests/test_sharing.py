@@ -223,7 +223,7 @@ class TestBinShares:
     def test_logical_shift_63_extracts_msb(self):
         x = from_words([1 << 63, 5])
         a0, a1 = self._bin_shared(x)
-        got = a0.shift_right(63).t ^ a1.shift_right(63).t
+        got = a0.t.shift_right_logical(63) ^ a1.t.shift_right_logical(63)
         assert got == from_words([1, 0])
 
     def test_shift_out_of_range(self):
