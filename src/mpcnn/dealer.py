@@ -27,10 +27,13 @@ XOR-shared bit b costs one opening (see `arith.select`).
 The dealer keeps no correlation state: it derives each correction from its
 master seed and the (session, index) of the request, so serving is
 idempotent. It remembers only which (session, role, index) it has served,
-to count re-requests. A request it cannot serve is answered at once on an
-error tag, which P0's source raises as `DealerError`. Dealer traffic rides
-the transport layer under tags TRIPLE_REQ / SEED_RSP / TRIPLE_RSP /
-DEALER_ERR and is accounted separately from the party-to-party transcript.
+to count re-requests. It answers each request once, under the request's
+own seq, so only the parties' sessions number dealer traffic. A request it
+cannot serve is answered at once on an error tag, which P0's source raises
+as `DealerError`; P1's requests for corrections go unanswered. Dealer
+traffic rides the transport layer under tags TRIPLE_REQ / SEED_RSP /
+TRIPLE_RSP / DEALER_ERR and is accounted separately from the party-to-party
+transcript.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
 from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, words_to_bytes
-from .transport import DealerError, Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout
+from .transport import SERVICE, DealerError, Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout, tag_hash
 
 TAG_REQ = "TRIPLE_REQ"  # an empty request asks for the session seed
 TAG_SEED_RSP = "SEED_RSP"
@@ -233,7 +236,6 @@ class DealerService:
         self.fabric = fabric
         self.master_seed = master_seed or fresh_seed()
         self._lock = threading.Lock()
-        self._send_seq: dict = {}  # (role, sid) -> next response seq
         self._served: dict = {}  # sid -> {(role, index)} served, for the re-request audit
         self._rerequests = 0
         self._stop = threading.Event()
@@ -253,17 +255,14 @@ class DealerService:
         for t in self._threads:
             t.join()
 
-    def _note_served(self, role: Role, sid: int, indices) -> int:
-        """Records the request and returns the response's seq."""
+    def _note_served(self, role: Role, sid: int, indices):
+        """Records the indices one request served, counting re-requests."""
         with self._lock:
             served = self._served.setdefault(sid, set())
             for index in indices:
                 if (role, index) in served:
                     self._rerequests += 1
                 served.add((role, index))
-            seq = self._send_seq.get((role, sid), 0)
-            self._send_seq[(role, sid)] = seq + 1
-            return seq
 
     def _answer(self, role: Role, payload: bytes, sid: int) -> tuple:
         """(indices served, response tag, response payload) for one request."""
@@ -280,7 +279,7 @@ class DealerService:
     def _serve_party(self, role: Role):
         while not self._stop.is_set():
             try:
-                msg = self.fabric.recv_any(role, timeout=POLL_S)
+                msg = self.fabric.recv(role, SERVICE, timeout=POLL_S)
             except SessionTimeout:
                 continue
             except PeerDisconnected:
@@ -288,9 +287,9 @@ class DealerService:
             if msg.payload and role is Role.P1:
                 continue  # P0's corrections would unmask P1's half; P1 never asks for them
             indices, tag, payload = self._answer(role, msg.payload, msg.session_id)
-            seq = self._note_served(role, msg.session_id, indices)
+            self._note_served(role, msg.session_id, indices)
             try:
-                self.fabric.send(role, Message(msg.session_id, seq, tag, payload))
+                self.fabric.send(role, Message(msg.session_id, msg.seq, tag_hash(tag), payload))
             except PeerDisconnected:
                 return
 
@@ -302,8 +301,6 @@ class DealerService:
         """Forget a finished session; its re-requests stay counted."""
         with self._lock:
             self._served.pop(session_id, None)
-            for role in (Role.P0, Role.P1):
-                self._send_seq.pop((role, session_id), None)
 
 
 class TripleSource:

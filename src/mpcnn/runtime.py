@@ -16,7 +16,7 @@ from .arith import ProtocolCtx
 from .dealer import DealerService, TripleSource
 from .ring import FixedPointConfig
 from .sharing import przs_setup
-from .transport import Fabric, InProcFabric, InProcHub, Role, Session
+from .transport import Fabric, InProcFabric, Mailbox, Role, Session
 
 
 def establish(session: Session, cfg: FixedPointConfig | None = None) -> ProtocolCtx:
@@ -24,13 +24,13 @@ def establish(session: Session, cfg: FixedPointConfig | None = None) -> Protocol
     The seed request goes out first, so the dealer answers it while the
     parties swap PRZS seeds."""
     triples = TripleSource(session)
-    seeds = przs_setup(session)
+    przs = przs_setup(session)
     triples.seed()
     session.transcript.reset()
     return ProtocolCtx(
         session=session,
         triples=triples,
-        przs=seeds.stream(session.role),
+        przs=przs,
         cfg=cfg or FixedPointConfig(),
     )
 
@@ -52,8 +52,7 @@ def run_pair_raw(make_fabric, fn_by_role, session_id=1):
                 sess = Session(fabric, session_id, role)
                 outcome.values[role] = fn_by_role[role](sess)
             finally:
-                if not isinstance(fabric, InProcFabric):
-                    fabric.close()
+                fabric.close()
         except Exception as e:
             outcome.errors[role] = e
 
@@ -68,12 +67,12 @@ def run_pair_raw(make_fabric, fn_by_role, session_id=1):
 
 
 class LocalRuntime:
-    """One in-process hub with a dealer service, hosting any number of
+    """One in-process mailbox with a dealer service, hosting any number of
     concurrent two-party sessions."""
 
     def __init__(self, master_seed: bytes | None = None):
-        self.hub = InProcHub()
-        self.dealer = DealerService(InProcFabric(self.hub, Role.DEALER), master_seed).start()
+        self.mailbox = Mailbox()
+        self.dealer = DealerService(InProcFabric(self.mailbox, Role.DEALER), master_seed).start()
         self._sid_lock = threading.Lock()
         self._next_sid = 1
 
@@ -84,11 +83,11 @@ class LocalRuntime:
             return sid
 
     def fabric(self, role: Role) -> Fabric:
-        return InProcFabric(self.hub, role)
+        return InProcFabric(self.mailbox, role)
 
     def run_session(self, fn0, fn1, cfg: FixedPointConfig | None = None, session_id=None):
         """fn(ctx) for each party; returns {Role.P0: ..., Role.P1: ...}. The
-        session's hub queues and dealer entries are freed when both parties
+        session's mailbox queues and dealer entries are freed when both parties
         are done."""
         sid = session_id if session_id is not None else self.new_session_id()
 
@@ -101,13 +100,13 @@ class LocalRuntime:
         try:
             return run_pair_raw(self.fabric, {Role.P0: wrap(fn0), Role.P1: wrap(fn1)}, sid)
         finally:
-            self.hub.release(sid)
+            self.mailbox.release(sid)
             self.dealer.release(sid)
 
     def close(self):
-        """Close the hub, which wakes the dealer's service threads at once,
-        then join them."""
-        self.hub.close()
+        """Close the mailbox, which wakes the dealer's service threads at
+        once, then join them."""
+        self.mailbox.close()
         self.dealer.stop()
 
     def __enter__(self):

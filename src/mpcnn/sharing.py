@@ -2,9 +2,9 @@
 
 Share material comes from a ChaCha20 keystream used as a counter-mode PRG
 (32-byte key, 16-byte nonce = 8-byte domain tag || 8-byte stream id). The two
-parties hold the same pair of session seeds arranged with opposite signs, so
-their zero-share streams cancel: P0 draws PRG(s0) - PRG(s1) while P1 draws
-PRG(s1) - PRG(s0). Sharing an input is then non-interactive: the holder adds
+parties swap session seeds once and both key one stream with a hash of the
+pair, so their zero shares cancel: P0 draws r = PRG(H(s0 || s1)) and P1
+draws -r. Sharing an input is then non-interactive: the holder adds
 the value onto its zero share, and its share also keeps the value itself, so
 that protocols which take one party's input in the clear (the model holder's
 weights in `arith.conv2d` / `arith.matmul`) can use it.
@@ -61,36 +61,26 @@ def fresh_seed() -> bytes:
     return secrets.token_bytes(SEED_BYTES)
 
 
-@dataclass
-class PrzsSeedPair:
-    """Both session seeds, ordered (P0's, P1's). Streams advance in lockstep."""
-
-    seed_a: bytes
-    seed_b: bytes
-
-    def stream(self, role: Role, domain: bytes = b"przs") -> "PrzsStream":
-        return PrzsStream(self, role, domain)
-
-
 class PrzsStream:
-    def __init__(self, seeds: PrzsSeedPair, role: Role, domain: bytes):
+    """One party's zero shares from the joint seed: r at P0 and -r at P1.
+    The two parties' streams advance in lockstep."""
+
+    def __init__(self, joint_seed: bytes, role: Role, domain: bytes = b"przs"):
         self.role = role
-        self._a = Prg(seeds.seed_a, domain)
-        self._b = Prg(seeds.seed_b, domain)
+        self._prg = Prg(joint_seed, domain)
 
     def draw(self, shape) -> RingTensor:
-        a = self._a.draw_words(shape)
-        b = self._b.draw_words(shape)
-        return a - b if self.role is Role.P0 else b - a
+        r = self._prg.draw_words(shape)
+        return r if self.role is Role.P0 else -r
 
 
-def przs_setup(session: Session) -> PrzsSeedPair:
-    """Exchange session seeds; both parties end with the same ordered pair."""
+def przs_setup(session: Session) -> PrzsStream:
+    """Swap session seeds; both parties key their stream with the hash of
+    the pair, ordered (P0's, P1's)."""
     mine = fresh_seed()
     theirs = session.exchange("przs.setup", mine)
-    if session.role is Role.P0:
-        return PrzsSeedPair(mine, theirs)
-    return PrzsSeedPair(theirs, mine)
+    pair = mine + theirs if session.role is Role.P0 else theirs + mine
+    return PrzsStream(hashlib.blake2b(pair, digest_size=SEED_BYTES).digest(), session.role)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +178,12 @@ def share_public(value: RingTensor, role: Role) -> ArithShare:
 
 def reveal(session: Session, share: ArithShare, to: str = "both", tag: str = "reveal") -> RingTensor | None:
     """Reconstruct a shared tensor. to='both' is one symmetric round; a directed
-    reveal sends only the counterpart's share."""
+    reveal (to='p0' or 'p1') sends only the counterpart's share."""
     if to == "both":
         other = session.exchange(tag, words_to_bytes(share.t))
         return share.t + bytes_to_words(other, share.shape)
+    if to not in ("p0", "p1"):
+        raise ValueError(f"reveal to {to!r}: expected 'both', 'p0' or 'p1'")
     target = Role.P0 if to == "p0" else Role.P1
     if session.role is target:
         other = session.recv_from_peer(tag)

@@ -1,9 +1,12 @@
 """Party-to-party and dealer channels with exact byte and round accounting.
 
 A round is one parallel communication phase: everything that may legally fly
-concurrently counts once, no matter how many bytes it carries. Payload bytes
-and 24-byte frame headers are tracked separately. The in-process and TCP
-backends sit under the same Session API and produce byte-identical
+concurrently counts once, no matter how many bytes it carries. The ledger
+counts payload bytes only. A frame carries its tag as the tag's CRC-32, so
+both backends check tags alike. Received frames wait in a `Mailbox` keyed by
+(session, source, destination), where every frame to the dealer goes under
+the one `SERVICE` key. The in-process roles share one mailbox; each TCP
+connection's reader thread fills its own. Both backends give byte-identical
 transcripts for the same protocol run.
 """
 
@@ -20,9 +23,10 @@ import zlib
 from dataclasses import dataclass, field
 
 HEADER = struct.Struct("<QQII")  # session_id, seq, tag hash, payload length
-HEADER_BYTES = HEADER.size  # 24
 
 DEFAULT_TIMEOUT_MS = 30_000
+
+SERVICE = -1  # the mailbox key of every frame to the dealer, whatever its session
 
 
 def timeout_seconds() -> float:
@@ -54,7 +58,7 @@ class SessionTimeout(TransportError):
 
 
 class ProtocolError(TransportError):
-    """Sequence, tag, or length violation."""
+    """Sequence, tag, length or set-up violation."""
 
 
 class DealerError(TransportError):
@@ -65,7 +69,7 @@ class DealerError(TransportError):
 class Message:
     session_id: int
     seq: int
-    tag: str
+    tag: int  # tag_hash of the tag string
     payload: bytes
 
 
@@ -86,25 +90,18 @@ class Transcript:
 
     bytes_sent: int = 0
     bytes_recv: int = 0
-    header_bytes_sent: int = 0
-    header_bytes_recv: int = 0
     rounds: int = 0
     tags: dict = field(default_factory=dict)
 
     def _tag(self, tag: str) -> TagStats:
-        st = self.tags.get(tag)
-        if st is None:
-            st = self.tags[tag] = TagStats()
-        return st
+        return self.tags.get(tag) or self.tags.setdefault(tag, TagStats())
 
     def note_send(self, tag: str, n: int):
         self.bytes_sent += n
-        self.header_bytes_sent += HEADER_BYTES
         self._tag(tag).bytes_sent += n
 
     def note_recv(self, tag: str, n: int):
         self.bytes_recv += n
-        self.header_bytes_recv += HEADER_BYTES
         self._tag(tag).bytes_recv += n
 
     def note_round(self, tag: str):
@@ -112,68 +109,58 @@ class Transcript:
         self._tag(tag).phases += 1
 
     def snapshot(self) -> "Transcript":
-        return Transcript(
-            bytes_sent=self.bytes_sent,
-            bytes_recv=self.bytes_recv,
-            header_bytes_sent=self.header_bytes_sent,
-            header_bytes_recv=self.header_bytes_recv,
-            rounds=self.rounds,
-            tags={k: TagStats(v.bytes_sent, v.bytes_recv, v.phases) for k, v in self.tags.items()},
-        )
+        tags = {k: TagStats(v.bytes_sent, v.bytes_recv, v.phases) for k, v in self.tags.items()}
+        return Transcript(self.bytes_sent, self.bytes_recv, self.rounds, tags)
 
     def reset(self):
-        self.bytes_sent = self.bytes_recv = 0
-        self.header_bytes_sent = self.header_bytes_recv = 0
-        self.rounds = 0
+        self.bytes_sent = self.bytes_recv = self.rounds = 0
         self.tags = {}
 
     def counters(self) -> tuple:
-        """Payload bytes, rounds and per-tag stats as one comparable tuple
-        (header bytes left out)."""
-        return (
-            self.bytes_sent,
-            self.bytes_recv,
-            self.rounds,
-            tuple(sorted((k, v.bytes_sent, v.bytes_recv, v.phases) for k, v in self.tags.items())),
-        )
+        """Payload bytes, rounds and per-tag stats as one comparable tuple."""
+        tags = tuple(sorted((k, v.bytes_sent, v.bytes_recv, v.phases) for k, v in self.tags.items()))
+        return self.bytes_sent, self.bytes_recv, self.rounds, tags
 
 
 # ---------------------------------------------------------------------------
 # fabrics: message routing between roles, keyed by session
 
 
-class Fabric:
-    """Routes frames between roles. One fabric instance per role."""
-
-    role: Role
-
-    def send(self, to: Role, msg: Message):
-        raise NotImplementedError
-
-    def recv(self, frm: Role, session_id: int, timeout: float | None = None) -> Message:
-        raise NotImplementedError
-
-    def close(self):
-        pass
-
-
-class InProcHub:
-    """Shared mailbox for in-process parties. Queues are per (session, src, dst)."""
+class Mailbox:
+    """Received frames in FIFO queues keyed by (session, source,
+    destination); a frame to the dealer goes under SERVICE. Once the mailbox
+    is closed, every `get` raises PeerDisconnected."""
 
     def __init__(self):
         self._queues: dict = {}
         self._lock = threading.Lock()
-        self._closed = False
+        self.closed = False
 
-    def queue_for(self, session_id: int, src: Role, dst: Role) -> queue.Queue:
-        key = (session_id, src, dst)
+    def _queue(self, key) -> queue.Queue:
         with self._lock:
             q = self._queues.get(key)
             if q is None:
                 q = self._queues[key] = queue.Queue()
-                if self._closed:
+                if self.closed:
                     q.put(None)
             return q
+
+    def put(self, src: Role, dst: Role, msg: Message):
+        if self.closed:
+            raise PeerDisconnected("mailbox closed")
+        sid = SERVICE if dst is Role.DEALER else msg.session_id
+        self._queue((sid, src, dst)).put(msg)
+
+    def get(self, session_id: int, src: Role, dst: Role, timeout: float | None = None) -> Message:
+        q = self._queue((session_id, src, dst))
+        try:
+            msg = q.get(timeout=timeout if timeout is not None else timeout_seconds())
+        except queue.Empty:
+            raise SessionTimeout(f"recv from {src} timed out (session {session_id})") from None
+        if msg is None:
+            q.put(None)  # the next get fails at once too
+            raise PeerDisconnected(f"channel from {src} closed")
+        return msg
 
     def release(self, session_id: int):
         """Drop a finished session's queues."""
@@ -183,96 +170,78 @@ class InProcHub:
 
     def close(self):
         with self._lock:
-            self._closed = True
+            self.closed = True
             for q in self._queues.values():
                 q.put(None)
 
-    @property
-    def closed(self):
-        return self._closed
+
+class Fabric:
+    """Routes frames between roles. One fabric instance per role; frames
+    from `frm` wait in the mailbox `_mailbox(frm)`."""
+
+    role: Role
+
+    def send(self, to: Role, msg: Message):
+        raise NotImplementedError
+
+    def _mailbox(self, frm: Role) -> Mailbox:
+        raise NotImplementedError
+
+    def recv(self, frm: Role, session_id: int, timeout: float | None = None) -> Message:
+        """The next frame from `frm` in a session; the dealer reads SERVICE."""
+        return self._mailbox(frm).get(session_id, frm, self.role, timeout)
+
+    def close(self):
+        pass
 
 
 class InProcFabric(Fabric):
-    SERVICE = -1  # dealer reads all sessions from one inbox per source party
+    """A role on a mailbox shared by all in-process roles."""
 
-    def __init__(self, hub: InProcHub, role: Role):
-        self.hub = hub
+    def __init__(self, mailbox: Mailbox, role: Role):
+        self.mailbox = mailbox
         self.role = role
 
     def send(self, to: Role, msg: Message):
-        if self.hub.closed:
-            raise PeerDisconnected("hub closed")
-        sid = self.SERVICE if to is Role.DEALER else msg.session_id
-        self.hub.queue_for(sid, self.role, to).put(msg)
+        self.mailbox.put(self.role, to, msg)
 
-    def recv(self, frm: Role, session_id: int, timeout: float | None = None) -> Message:
-        q = self.hub.queue_for(session_id, frm, self.role)
-        try:
-            msg = q.get(timeout=timeout if timeout is not None else timeout_seconds())
-        except queue.Empty:
-            raise SessionTimeout(f"recv from {frm} timed out (session {session_id})")
-        if msg is None:
-            raise PeerDisconnected(f"channel from {frm} closed")
-        return msg
-
-    def recv_any(self, frm: Role, timeout: float | None = None) -> Message:
-        """Dealer-side service inbox: frames from `frm` across all sessions."""
-        return self.recv(frm, self.SERVICE, timeout)
+    def _mailbox(self, frm: Role) -> Mailbox:
+        return self.mailbox
 
 
 class _TcpConn:
-    """One long-lived framed connection. A writer thread drains a queue so that
-    simultaneous large sends from both ends cannot deadlock."""
+    """One long-lived framed connection, carrying `src`'s frames to `dst`
+    and back. A writer thread drains a queue so that simultaneous large
+    sends from both ends cannot deadlock; a reader thread fills `mailbox`."""
 
-    SERVICE = -1
-
-    def __init__(self, sock: socket.socket, service: bool = False):
+    def __init__(self, sock: socket.socket, src: Role, dst: Role):
         self.sock = sock
-        self.sock.settimeout(timeout_seconds())
+        self.sock.settimeout(None)  # Mailbox.get times out, so an idle connection stays up
         # frames are written whole; Nagle would hold each one's tail segment
         # until the peer ACKs the previous one
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.service = service  # dealer end: one inbox across sessions
+        self.src, self.dst = src, dst
+        self.mailbox = Mailbox()
         self._outbox: queue.Queue = queue.Queue()
-        self._inboxes: dict = {}
-        self._in_lock = threading.Lock()
-        self._alive = True
         self._writer = threading.Thread(target=self._write_loop, daemon=True)
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._writer.start()
-        self._reader.start()
-
-    def _inbox(self, session_id: int) -> queue.Queue:
-        with self._in_lock:
-            q = self._inboxes.get(session_id)
-            if q is None:
-                q = self._inboxes[session_id] = queue.Queue()
-            return q
+        threading.Thread(target=self._read_loop, daemon=True).start()
 
     def _write_loop(self):
-        while True:
-            item = self._outbox.get()
-            if item is None:
-                return
+        while (item := self._outbox.get()) is not None:
             try:
                 self.sock.sendall(item)
             except OSError:
-                self._alive = False
+                self.mailbox.close()
                 return
 
     def _read_loop(self):
         try:
             while True:
-                header = self._read_exact(HEADER_BYTES)
-                sid, seq, th, length = HEADER.unpack(header)
-                payload = self._read_exact(length)
-                key = self.SERVICE if self.service else sid
-                self._inbox(key).put((sid, seq, th, payload))
+                sid, seq, th, length = HEADER.unpack(self._read_exact(HEADER.size))
+                self.mailbox.put(self.src, self.dst, Message(sid, seq, th, self._read_exact(length)))
         except (OSError, PeerDisconnected):
-            self._alive = False
-            with self._in_lock:
-                for q in self._inboxes.values():
-                    q.put(None)
+            self.mailbox.close()
 
     def _read_exact(self, n: int) -> bytes:
         buf = bytearray()
@@ -284,27 +253,15 @@ class _TcpConn:
         return bytes(buf)
 
     def send(self, msg: Message):
-        if not self._alive:
+        if self.mailbox.closed:
             raise PeerDisconnected("connection lost")
-        frame = HEADER.pack(msg.session_id, msg.seq, tag_hash(msg.tag), len(msg.payload))
-        self._outbox.put(frame + msg.payload)
-
-    def recv(self, key: int, timeout: float | None = None):
-        try:
-            item = self._inbox(key).get(
-                timeout=timeout if timeout is not None else timeout_seconds()
-            )
-        except queue.Empty:
-            raise SessionTimeout(f"tcp recv timed out (session {key})")
-        if item is None:
-            raise PeerDisconnected("connection lost")
-        return item
+        self._outbox.put(HEADER.pack(msg.session_id, msg.seq, msg.tag, len(msg.payload)) + msg.payload)
 
     def close(self):
         # drain pending sends before tearing the socket down
         self._outbox.put(None)
         self._writer.join(timeout=timeout_seconds())
-        self._alive = False
+        self.mailbox.close()
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -312,113 +269,109 @@ class _TcpConn:
         self.sock.close()
 
 
+def _listener(addr) -> socket.socket:
+    srv = socket.create_server(tuple(addr), backlog=4)  # SO_REUSEADDR on POSIX
+    srv.settimeout(timeout_seconds())
+    return srv
+
+
+def _accept(srv: socket.socket) -> socket.socket:
+    try:
+        return srv.accept()[0]
+    except TimeoutError:
+        raise SessionTimeout(f"nobody connected to {srv.getsockname()} in time") from None
+
+
+def _first_byte(sock: socket.socket) -> int:
+    """The one byte a new connection opens with, read under the timeout."""
+    sock.settimeout(timeout_seconds())
+    try:
+        got = sock.recv(1)
+    except TimeoutError:
+        raise SessionTimeout("no set-up byte in time") from None
+    except OSError as e:
+        raise ProtocolError(f"set-up failed: {e}") from None
+    if not got:
+        raise ProtocolError("connection closed during set-up")
+    return got[0]
+
+
 class TcpFabric(Fabric):
-    """TCP backend. P0 listens for P1; the dealer listens for both parties.
+    """TCP backend. P0 listens for P1; the dealer listens for both parties,
+    each of which names itself in its first byte.
 
     Connection map: parties hold one connection to each other and one to the
-    dealer; the dealer holds one connection per party.
-    """
+    dealer; the dealer holds one connection per party. Set-up raises
+    SessionTimeout when nobody connects or speaks in time, and ProtocolError
+    for any handshake but one P0's and one P1's."""
 
-    def __init__(self, role: Role, listen_addr=None, peer_addr=None, dealer_addr=None,
-                 expect_parties=2):
+    def __init__(self, role: Role, listen_addr=None, peer_addr=None, dealer_addr=None):
         self.role = role
         self._conns: dict = {}
         if role is Role.DEALER:
-            self._serve_parties(listen_addr, expect_parties)
-        elif role is Role.P0:
-            if listen_addr:
-                self._accept_peer(listen_addr)
-            if dealer_addr:
-                self._connect(Role.DEALER, dealer_addr)
-        else:
-            if peer_addr:
-                self._connect(Role.P0, peer_addr)
-            if dealer_addr:
-                self._connect(Role.DEALER, dealer_addr)
-
-    @staticmethod
-    def _listener(addr):
-        host, port = addr
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((host, port))
-        srv.listen(4)
-        srv.settimeout(timeout_seconds())
-        return srv
+            self._serve_parties(listen_addr)
+            return
+        if role is Role.P0 and listen_addr:
+            self._accept_peer(listen_addr)
+        if role is Role.P1 and peer_addr:
+            self._connect(Role.P0, peer_addr)
+        if dealer_addr:
+            self._connect(Role.DEALER, dealer_addr)
 
     def _accept_peer(self, addr):
-        srv = self._listener(addr)
-        self.bound_addr = srv.getsockname()
-        sock, _ = srv.accept()
-        sock.sendall(b"\x00")  # role handshake not needed for the pair
-        self._conns[Role.P1] = _TcpConn(sock)
-        srv.close()
+        with _listener(addr) as srv:
+            sock = _accept(srv)
+        sock.sendall(b"\x00")  # tells P1 that P0 is ready
+        self._conns[Role.P1] = _TcpConn(sock, Role.P1, Role.P0)
 
-    def _serve_parties(self, addr, expect_parties):
-        srv = self._listener(addr)
-        self.bound_addr = srv.getsockname()
-        for _ in range(expect_parties):
-            sock, _ = srv.accept()
-            role_byte = sock.recv(1)
-            role = Role(role_byte[0])
-            self._conns[role] = _TcpConn(sock, service=True)
-        srv.close()
+    def _serve_parties(self, addr):
+        """Accept exactly one P0 and one P1, each naming itself in its first byte."""
+        accepted, parties = [], {}
+        try:
+            with _listener(addr) as srv:
+                while len(parties) < 2:
+                    accepted.append(sock := _accept(srv))
+                    byte = _first_byte(sock)
+                    if byte not in (Role.P0.value, Role.P1.value) or Role(byte) in parties:
+                        raise ProtocolError(f"role byte {byte} after {sorted(r.name for r in parties)}")
+                    parties[Role(byte)] = sock
+        except BaseException:
+            for sock in accepted:
+                sock.close()
+            raise
+        self._conns = {role: _TcpConn(sock, role, Role.DEALER) for role, sock in parties.items()}
 
     def _connect(self, to: Role, addr):
         deadline = time.time() + timeout_seconds()
-        last = None
-        while time.time() < deadline:
+        while True:
             try:
                 sock = socket.create_connection(addr, timeout=timeout_seconds())
                 break
             except OSError as e:  # peer may not be listening yet
-                last = e
+                if time.time() >= deadline:
+                    raise TransportError(f"cannot connect to {to} at {addr}: {e}") from None
                 time.sleep(0.05)
-        else:
-            raise TransportError(f"cannot connect to {to} at {addr}: {last}")
         if to is Role.DEALER:
             sock.sendall(bytes([self.role.value]))
         else:
-            sock.recv(1)
-        self._conns[to] = _TcpConn(sock)
+            _first_byte(sock)  # P0 is ready
+        self._conns[to] = _TcpConn(sock, to, self.role)
+
+    def _conn(self, role: Role) -> _TcpConn:
+        conn = self._conns.get(role)
+        if conn is None:
+            raise TransportError(f"no connection to {role}")
+        return conn
 
     def send(self, to: Role, msg: Message):
-        conn = self._conns.get(to)
-        if conn is None:
-            raise TransportError(f"no connection to {to}")
-        conn.send(msg)
+        self._conn(to).send(msg)
 
-    def recv(self, frm: Role, session_id: int, timeout: float | None = None) -> Message:
-        conn = self._conns.get(frm)
-        if conn is None:
-            raise TransportError(f"no connection to {frm}")
-        sid, seq, th, payload = conn.recv(session_id, timeout)
-        return Message(sid, seq, _TagPlaceholder(th), payload)  # tag checked by hash
-
-    def recv_any(self, frm: Role, timeout: float | None = None) -> Message:
-        conn = self._conns.get(frm)
-        if conn is None:
-            raise TransportError(f"no connection to {frm}")
-        sid, seq, th, payload = conn.recv(_TcpConn.SERVICE, timeout)
-        return Message(sid, seq, _TagPlaceholder(th), payload)
+    def _mailbox(self, frm: Role) -> Mailbox:
+        return self._conn(frm).mailbox
 
     def close(self):
         for conn in self._conns.values():
             conn.close()
-
-
-class _TagPlaceholder(str):
-    """Carries only a tag hash (TCP frames do not ship the tag string)."""
-
-    def __new__(cls, th: int):
-        obj = super().__new__(cls, f"#{th:08x}")
-        obj.hash = th
-        return obj
-
-
-def _msg_tag_hash(msg: Message) -> int:
-    t = msg.tag
-    return t.hash if isinstance(t, _TagPlaceholder) else tag_hash(t)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +383,8 @@ class Session:
 
     Byte counters cover party-to-party payload only; dealer traffic goes to a
     separate transcript so offline cost is reported apart from online cost.
+    Frames to each role are numbered from 0 and must arrive in order; the
+    dealer answers each request under the request's own seq.
     """
 
     def __init__(self, fabric: Fabric, session_id: int, role: Role):
@@ -455,11 +410,11 @@ class Session:
         if msg.seq != expect:
             raise ProtocolError(f"seq {msg.seq} != expected {expect} from {frm}")
         self._recv_seq[frm] = expect + 1
-        if _msg_tag_hash(msg) != tag_hash(tag):
+        if msg.tag != tag_hash(tag):
             raise ProtocolError(f"tag mismatch: expected {tag!r}")
 
     def _raw_send(self, to: Role, tag: str, payload: bytes):
-        self.fabric.send(to, Message(self.session_id, self._next_seq(to), tag, payload))
+        self.fabric.send(to, Message(self.session_id, self._next_seq(to), tag_hash(tag), payload))
 
     def _raw_recv(self, frm: Role, tag: str) -> bytes:
         msg = self.fabric.recv(frm, self.session_id)
@@ -513,7 +468,7 @@ class Session:
         """The dealer's answer on `tag`. An answer on `error_tag` instead
         raises DealerError with its payload as the message."""
         msg = self.fabric.recv(Role.DEALER, self.session_id)
-        refused = error_tag is not None and _msg_tag_hash(msg) == tag_hash(error_tag)
+        refused = error_tag is not None and msg.tag == tag_hash(error_tag)
         got_tag = error_tag if refused else tag
         self._check_seq(Role.DEALER, msg, got_tag)
         self.dealer_transcript.note_recv(got_tag, len(msg.payload))

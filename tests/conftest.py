@@ -1,6 +1,6 @@
 import socket
 
-from mpcnn.transport import InProcFabric, InProcHub, Role, TcpFabric
+from mpcnn.transport import InProcFabric, Mailbox, Role, TcpFabric
 
 
 def free_port() -> int:
@@ -11,11 +11,11 @@ def free_port() -> int:
     return port
 
 
-def inproc_fabrics(hub=None):
+def inproc_fabrics(mailbox=None):
     """`make_fabric` for `runtime.run_pair_raw`: both parties on one
-    in-process hub."""
-    hub = hub or InProcHub()
-    return lambda role: InProcFabric(hub, role)
+    in-process mailbox."""
+    mailbox = mailbox or Mailbox()
+    return lambda role: InProcFabric(mailbox, role)
 
 
 def tcp_fabrics():

@@ -309,7 +309,9 @@ class TestService:
         # 3-d shape) is answered on the dealer's error tag, so P0's
         # source raises DealerError at once (an unanswered request would
         # time out after the default 30 s), and the service thread keeps
-        # serving: a later session in the same runtime completes
+        # serving: in the same session P0 then takes a valid correlation
+        # that reconstructs against P1's half at that index, and a later
+        # session in the same runtime completes
         bad = [b"{not json", b"\xff", b"[]", b"{}", b'{"index":0,"specs":[{"kind":"arith","shape":[-1]}]}',
                encode_request(0, [TripleSpec("cube", (4,))]), b'{"index":0,"specs":[{"kind":"conv","shape":[1]}]}']
 
@@ -320,9 +322,13 @@ class TestService:
                         m.setattr(dealer, "encode_request", lambda first, specs: payload)
                         with pytest.raises(DealerError):
                             ctx.triples.arith((4,))
-            return True
+            index = ctx.triples.next_index = len(bad)
+            return index, ctx.triples.arith((4,))
 
-        assert all(rt.run_session(garbage, garbage).values())
+        vals = rt.run_session(garbage, garbage)
+        (i0, t0), (i1, t1) = vals[Role.P0], vals[Role.P1]
+        assert i0 == i1 == len(bad)
+        assert t0.c + t1.c == (t0.a + t1.a) * (t0.b + t1.b)
         vals = fetch_both(rt, lambda src: src.arith((4,)))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         assert t0.c + t1.c == (t0.a + t1.a) * (t0.b + t1.b)

@@ -13,7 +13,7 @@ from mpcnn.ring import RingTensor
 from mpcnn.dealer import DealerService
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import reveal, share_input
-from mpcnn.transport import InProcFabric, InProcHub, Role
+from mpcnn.transport import SERVICE, InProcFabric, Mailbox, Role
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "securebench")
 
@@ -30,9 +30,9 @@ class TestSessionRelease:
             for _ in range(200):
                 out = rt.run_session(one_mul, one_mul)
                 assert out[Role.P0] == RingTensor(np.arange(4, dtype=np.uint64) ** 2)
-            sessions = {sid for sid, _, _ in rt.hub._queues}
-            assert sessions <= {InProcFabric.SERVICE}
-            assert rt.dealer._served == {} and rt.dealer._send_seq == {}
+            sessions = {sid for sid, _, _ in rt.mailbox._queues}
+            assert sessions <= {SERVICE}
+            assert rt.dealer._served == {}
 
     def test_rerequest_counted_after_release(self):
         def rerequest(ctx):
@@ -55,7 +55,7 @@ class TestSessionRelease:
         rt.close()
         assert len(threads) == 2 and not any(t.is_alive() for t in threads)
         # with its fabric still open, a service stops within one 0.2 s poll
-        svc = DealerService(InProcFabric(InProcHub(), Role.DEALER)).start()
+        svc = DealerService(InProcFabric(Mailbox(), Role.DEALER)).start()
         t0 = time.perf_counter()
         svc.stop()
         assert time.perf_counter() - t0 < 1.0

@@ -8,7 +8,7 @@ from mpcnn.sharing import (
     ArithShare,
     BinShare,
     Prg,
-    PrzsSeedPair,
+    PrzsStream,
     add_public,
     fresh_seed,
     mul_public,
@@ -31,27 +31,27 @@ def rand_words(shape):
 
 
 def seeds():
-    return PrzsSeedPair(fresh_seed(), fresh_seed())
+    """A joint PRZS seed, as `przs_setup` derives one."""
+    return fresh_seed()
 
 
 class TestPrzs:
     def test_streams_cancel(self):
         sp = seeds()
-        s0, s1 = sp.stream(Role.P0), sp.stream(Role.P1)
+        s0, s1 = PrzsStream(sp, Role.P0), PrzsStream(sp, Role.P1)
         a = s0.draw((1000,))
         b = s1.draw((1000,))
         assert a + b == zeros((1000,))
 
     def test_reproducible(self):
         sp = seeds()
-        a = sp.stream(Role.P0).draw((64,))
-        b = sp.stream(Role.P0).draw((64,))
+        a = PrzsStream(sp, Role.P0).draw((64,))
+        b = PrzsStream(sp, Role.P0).draw((64,))
         assert a == b
 
     def test_setup_over_channel(self):
         def fn(sess):
-            sp = przs_setup(sess)
-            return sp.stream(sess.role).draw((128,))
+            return przs_setup(sess).draw((128,))
 
         vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
         assert vals[Role.P0] + vals[Role.P1] == zeros((128,))
@@ -61,8 +61,8 @@ class TestPrzs:
         # cross-correlation between the streams
         from scipy import stats
 
-        x = seeds().stream(Role.P0).draw((1 << 16,)).data
-        y = seeds().stream(Role.P0).draw((1 << 16,)).data
+        x = PrzsStream(seeds(), Role.P0).draw((1 << 16,)).data
+        y = PrzsStream(seeds(), Role.P0).draw((1 << 16,)).data
         pooled = np.concatenate([x, y]).view(np.uint8)
         counts = np.bincount(pooled, minlength=256)
         chi2 = float(((counts - counts.mean()) ** 2 / counts.mean()).sum())
@@ -76,14 +76,14 @@ class TestShareInput:
     def test_round_trip_vector(self):
         sp = seeds()
         x = encode([1.0, 2.0, 3.0], CFG)
-        sh0 = share_input(sp.stream(Role.P0), x, Role.P0, (3,))
-        sh1 = share_input(sp.stream(Role.P1), None, Role.P0, (3,))
+        sh0 = share_input(PrzsStream(sp, Role.P0), x, Role.P0, (3,))
+        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, (3,))
         assert sh0.t + sh1.t == x
 
     def test_zero_tensor_shares_nontrivial(self):
         sp = seeds()
-        sh0 = share_input(sp.stream(Role.P0), zeros((16,)), Role.P0, (16,))
-        sh1 = share_input(sp.stream(Role.P1), None, Role.P0, (16,))
+        sh0 = share_input(PrzsStream(sp, Role.P0), zeros((16,)), Role.P0, (16,))
+        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, (16,))
         assert sh0.t + sh1.t == zeros((16,))
         assert np.any(sh0.t.data != 0) and np.any(sh1.t.data != 0)
 
@@ -91,8 +91,8 @@ class TestShareInput:
         # CompactCNN first conv: 32 filters of 1x64 held by P1
         sp = seeds()
         w = rand_words((32, 1, 1, 64))
-        sh1 = share_input(sp.stream(Role.P1), w, Role.P1, (32, 1, 1, 64))
-        sh0 = share_input(sp.stream(Role.P0), None, Role.P1, (32, 1, 1, 64))
+        sh1 = share_input(PrzsStream(sp, Role.P1), w, Role.P1, (32, 1, 1, 64))
+        sh0 = share_input(PrzsStream(sp, Role.P0), None, Role.P1, (32, 1, 1, 64))
         assert sh0.t + sh1.t == w
         # both shares are marked as P1's input; P1's keeps w itself, not a copy
         assert sh0.held_by is Role.P1 and sh1.held_by is Role.P1
@@ -103,7 +103,7 @@ class TestShareInput:
     def test_nonholder_share_pseudorandom(self):
         sp = seeds()
         x = encode(np.ones(4096), CFG)
-        sh1 = share_input(sp.stream(Role.P1), None, Role.P0, (4096,))
+        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, (4096,))
         # crude uniformity: top byte spread over many values
         assert len(np.unique(sh1.t.data >> np.uint64(56))) > 200
 
@@ -114,7 +114,7 @@ class TestReveal:
         sp = seeds()
 
         def fn(sess):
-            sh = share_input(sp.stream(sess.role), x if sess.role is Role.P0 else None, Role.P0, (50,))
+            sh = share_input(PrzsStream(sp, sess.role), x if sess.role is Role.P0 else None, Role.P0, (50,))
             got = reveal(sess, sh)
             return got, sess.measure()
 
@@ -128,7 +128,7 @@ class TestReveal:
         sp = seeds()
 
         def fn(sess):
-            sh = share_input(sp.stream(sess.role), x if sess.role is Role.P0 else None, Role.P0, (8,))
+            sh = share_input(PrzsStream(sp, sess.role), x if sess.role is Role.P0 else None, Role.P0, (8,))
             got = reveal(sess, sh, to="p0", tag="output")
             return got, sess.measure()
 
@@ -141,11 +141,26 @@ class TestReveal:
         assert t1.tags["output"].bytes_sent == 8 * 8
         assert t0.rounds == 1 and t1.rounds == 1
 
+    @pytest.mark.parametrize("to", ["P0", "p2", ""])
+    def test_unknown_target_refused_before_traffic(self, to):
+        # anything but 'both', 'p0' or 'p1' used to reveal to P1
+        sp = seeds()
+
+        def fn(sess):
+            sh = share_input(PrzsStream(sp, sess.role), rand_words((8,)) if sess.role is Role.P0 else None,
+                             Role.P0, (8,))
+            with pytest.raises(ValueError, match="reveal to"):
+                reveal(sess, sh, to=to)
+            return sess.measure().counters()
+
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
+        assert vals[Role.P0] == vals[Role.P1] == (0, 0, 0, ())
+
 
 class TestLocalAlgebra:
     def _shared(self, sp, x):
-        sh0 = share_input(sp.stream(Role.P0), x, Role.P0, x.shape)
-        sh1 = share_input(sp.stream(Role.P1), None, Role.P0, x.shape)
+        sh0 = share_input(PrzsStream(sp, Role.P0), x, Role.P0, x.shape)
+        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, x.shape)
         return sh0, sh1
 
     def test_add_sub_property(self):
@@ -155,8 +170,8 @@ class TestLocalAlgebra:
             x, y = rand_words(shape), rand_words(shape)
             sp = seeds()
             x0, x1 = self._shared(sp, x)
-            y0 = share_input(sp.stream(Role.P0), y, Role.P0, shape)
-            y1 = share_input(sp.stream(Role.P1), None, Role.P0, shape)
+            y0 = share_input(PrzsStream(sp, Role.P0), y, Role.P0, shape)
+            y1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, shape)
             assert (x0 + y0).t + (x1 + y1).t == x + y
             assert (x0 - y0).t + (x1 - y1).t == x - y
 
@@ -187,9 +202,8 @@ class TestLocalAlgebra:
 
     def test_noninteractive_zero_bytes(self):
         def fn(sess):
-            sp = przs_setup(sess)
+            st = przs_setup(sess)
             sess.transcript.reset()
-            st = sp.stream(sess.role)
             a = share_input(st, rand_words((10,)) if sess.role is Role.P0 else None, Role.P0, (10,))
             b = ArithShare(sess.role, st.draw((10,)))
             _ = a + b
@@ -239,7 +253,7 @@ class TestShareUniformity:
 
         n_words = (10 * 1024 * 1024) // 8
         sp = seeds()
-        share = sp.stream(Role.P1).draw((n_words,))
+        share = PrzsStream(sp, Role.P1).draw((n_words,))
         raw = share.data.view(np.uint8)
         counts = np.bincount(raw, minlength=256)
         chi2 = float(((counts - counts.mean()) ** 2 / counts.mean()).sum())

@@ -2,23 +2,25 @@
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from mpcnn.transport import (
-    HEADER_BYTES,
     InProcFabric,
-    InProcHub,
+    Mailbox,
     PeerDisconnected,
     ProtocolError,
     Role,
     Session,
+    SessionTimeout,
+    TcpFabric,
     Transcript,
 )
 from mpcnn.runtime import run_pair_raw
 
-from conftest import inproc_fabrics, tcp_fabrics
+from conftest import free_port, inproc_fabrics, tcp_fabrics
 
 
 class TestTranscript:
@@ -35,7 +37,6 @@ class TestTranscript:
         for t in vals.values():
             assert t.bytes_sent == 1024
             assert t.bytes_recv == 1024
-            assert t.header_bytes_sent == HEADER_BYTES
             assert t.rounds == 1
 
     def test_batched_payload_is_one_round(self):
@@ -107,16 +108,20 @@ class TestExchange:
         with pytest.raises(ProtocolError, match=f"expected 24, got {sent}"):
             run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn})
 
-    def test_concurrent_sessions_isolated(self):
-        # ten sessions exchange different sizes; each transcript sees only its own
-        hub = InProcHub()
+    @pytest.mark.parametrize("fabrics", [inproc_fabrics, tcp_fabrics], ids=["inproc", "tcp"])
+    def test_concurrent_sessions_isolated(self, fabrics):
+        # ten sessions exchange different sizes over one fabric per party (one
+        # TCP connection carries all ten); each transcript sees only its own
+        make_fabric = fabrics()
         sizes = [(i + 1) * 16 for i in range(10)]
         results = {}
         lock = threading.Lock()
 
         def party(role):
+            fabric = make_fabric(role)
+
             def run_one(sid):
-                sess = Session(InProcFabric(hub, role), sid, role)
+                sess = Session(fabric, sid, role)
                 sess.exchange("blob", bytes(sizes[sid]))
                 with lock:
                     results[(role, sid)] = sess.measure()
@@ -126,6 +131,7 @@ class TestExchange:
                 t.start()
             for t in threads:
                 t.join()
+            fabric.close()
 
         t0 = threading.Thread(target=party, args=(Role.P0,))
         t1 = threading.Thread(target=party, args=(Role.P1,))
@@ -157,7 +163,7 @@ class TestDirected:
         assert t1.tags["out"].bytes_recv == 0  # one-sided by construction
 
     def test_seq_enforced(self):
-        hub = InProcHub()
+        mailbox = Mailbox()
 
         def p0(sess):
             sess._raw_send(Role.P1, "t", b"x")  # seq 0
@@ -169,14 +175,14 @@ class TestDirected:
             sess._raw_recv(Role.P0, "t")
 
         with pytest.raises(ProtocolError):
-            run_pair_raw(inproc_fabrics(hub), {Role.P0: p0, Role.P1: p1})
+            run_pair_raw(inproc_fabrics(mailbox), {Role.P0: p0, Role.P1: p1})
 
 
 class TestDisconnect:
     def test_recv_on_closed_channel(self):
-        hub = InProcHub()
-        sess = Session(InProcFabric(hub, Role.P0), 1, Role.P0)
-        hub.close()
+        mailbox = Mailbox()
+        sess = Session(InProcFabric(mailbox, Role.P0), 1, Role.P0)
+        mailbox.close()
         with pytest.raises(PeerDisconnected):
             sess.recv_from_peer("t")
 
@@ -230,3 +236,61 @@ class TestTcp:
 
         vals = run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn})
         assert vals[Role.P0] and vals[Role.P1]
+
+    def test_idle_connection_outlives_the_timeout(self, monkeypatch):
+        # only a receive times out: a connection left idle for longer than
+        # the timeout still carries the next exchange
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "500")
+
+        def fn(sess):
+            time.sleep(1.0)
+            return sess.exchange("t", bytes([sess.role.value]))
+
+        assert run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn}) == {Role.P0: b"\x01", Role.P1: b"\x00"}
+
+
+class TestTcpSetup:
+    @pytest.mark.parametrize("openings, error", [
+        ([b"\x07"], ProtocolError),  # a role byte that names no party
+        ([b""], ProtocolError),  # a client connects and closes
+        ([b"\x00", b"\x00"], ProtocolError),  # two clients both claim P0
+        ([None], SessionTimeout),  # a client connects and sends nothing
+        ([], SessionTimeout),  # nobody connects
+    ], ids=["bad-role", "closed", "two-p0", "silent", "nobody"])
+    def test_dealer_setup_fails_typed(self, monkeypatch, openings, error):
+        # each client opens with its bytes (None: none, and stays open); the
+        # dealer raises a typed error within its timeout instead of hanging
+        # or serving a party twice
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "500")
+        addr = ("127.0.0.1", free_port())
+        done = threading.Event()
+
+        def client(opening):
+            deadline = time.perf_counter() + 2
+            while True:
+                try:
+                    sock = socket.create_connection(addr, timeout=2)
+                    break
+                except OSError:
+                    if time.perf_counter() > deadline:
+                        return
+                    time.sleep(0.01)
+            with sock:
+                if opening:
+                    sock.sendall(opening)
+                if opening != b"":
+                    done.wait(5)
+
+        threads = [threading.Thread(target=client, args=(o,)) for o in openings]
+        for t in threads:
+            t.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(error):
+                TcpFabric(Role.DEALER, listen_addr=addr)
+            assert time.perf_counter() - t0 < 3
+        finally:
+            done.set()
+            for t in threads:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
