@@ -13,8 +13,10 @@ Round structure (one round = one parallel phase, independent of tensor size):
                                       of the carry-out tree)
   select                         1   (the masked word and the masked bit
                                       open together)
-  relu                           8   (gtz + select)
   mux                            1   (one select)
+
+A ReLU is select(gtz(x), x), 8 rounds; `models.ReLU` writes it on the engine
+surface as mul_raw(x, gtz(x)).
 
 conv2d and matmul are the client-server linear layer of Delphi (Mishra et
 al., USENIX Security 2020), with the dealer in place of homomorphic
@@ -178,10 +180,6 @@ def trunc_share(ctx: ProtocolCtx, x: ArithShare, bits: int | None = None) -> Ari
     with probability |value| / 2^64 and is accepted (documented)."""
     s = ctx.cfg.frac_bits if bits is None else bits
     return ctx.arith(x.t.shift_right_arith(s))
-
-
-def mul_trunc(ctx: ProtocolCtx, x: ArithShare, y: ArithShare, tag: str = "mul.open") -> ArithShare:
-    return trunc_share(ctx, beaver_mul(ctx, x, y, tag))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +353,3 @@ def mux(ctx: ProtocolCtx, cond: BinShare, x: ArithShare, y: ArithShare) -> Arith
     """Oblivious select cond*x + (1-cond)*y for a XOR-shared 0/1 cond."""
     return y + select(ctx, cond, x - y, tag="mux.open")
 
-
-def relu(ctx: ProtocolCtx, x: ArithShare) -> ArithShare:
-    """max(x, 0) as x * (x > 0); exact (the bit is unscaled, no truncation)."""
-    return select(ctx, gtz(ctx, x), x, tag="relu.open")

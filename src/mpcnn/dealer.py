@@ -29,8 +29,8 @@ master seed and the (session, index) of the request, so serving is
 idempotent. It remembers only which (session, role, index) it has served,
 to count re-requests. It answers each request once, under the request's
 own seq, so only the parties' sessions number dealer traffic. A request it
-cannot serve is answered at once on an error tag, which P0's source raises
-as `DealerError`; P1's requests for corrections go unanswered. Dealer
+cannot serve is answered at once on an error tag, which the party's source
+raises as `DealerError`; so is any request of P1's for corrections. Dealer
 traffic rides the transport layer under tags TRIPLE_REQ / SEED_RSP /
 TRIPLE_RSP / DEALER_ERR and is accounted separately from the party-to-party
 transcript.
@@ -268,6 +268,8 @@ class DealerService:
         """(indices served, response tag, response payload) for one request."""
         if not payload:
             return (SEED_INDEX,), TAG_SEED_RSP, session_seed(self.master_seed, sid, role)
+        if role is Role.P1:  # P0's corrections would unmask P1's half
+            return (), TAG_ERROR_RSP, b"P1 expands its whole half and gets no corrections"
         try:
             first, specs = decode_request(payload)
             corrs = b"".join(words_to_bytes(derive_correlation(self.master_seed, sid, first + i, spec))
@@ -284,13 +286,11 @@ class DealerService:
                 continue
             except PeerDisconnected:
                 return
-            if msg.payload and role is Role.P1:
-                continue  # P0's corrections would unmask P1's half; P1 never asks for them
             indices, tag, payload = self._answer(role, msg.payload, msg.session_id)
             self._note_served(role, msg.session_id, indices)
             try:
                 self.fabric.send(role, Message(msg.session_id, msg.seq, tag_hash(tag), payload))
-            except PeerDisconnected:
+            except (PeerDisconnected, SessionTimeout):
                 return
 
     def rerequest_count(self) -> int:

@@ -33,8 +33,6 @@ from .transport import Role
 class PlainEngine:
     """Fixed-point reference executor on public ring tensors."""
 
-    secure = False
-
     def __init__(self, cfg: FixedPointConfig | None = None):
         self.cfg = cfg or FixedPointConfig()
 
@@ -97,8 +95,6 @@ class SecureEngine:
     share of its 0/1 bit (`BinShare`), which the data movement below keeps
     as one, and which `mul_raw` and `mux` multiply in with `arith.select`."""
 
-    secure = True
-
     def __init__(self, ctx: ProtocolCtx):
         self.ctx = ctx
         self.cfg = ctx.cfg
@@ -129,7 +125,7 @@ class SecureEngine:
         return arith.trunc_share(self.ctx, a, bits)
 
     def fmul(self, a, b):
-        return arith.mul_trunc(self.ctx, a, b)
+        return arith.trunc_share(self.ctx, arith.beaver_mul(self.ctx, a, b))
 
     def add_const(self, a, value: float):
         return add_public(a, encode(np.full(a.shape, value, dtype=np.float64), self.cfg))

@@ -64,9 +64,6 @@ class RingTensor:
     def size(self) -> int:
         return self.data.size
 
-    def copy(self) -> "RingTensor":
-        return RingTensor(self.data.copy())
-
     def reshape(self, *shape) -> "RingTensor":
         return RingTensor(self.data.reshape(*shape))
 
@@ -224,12 +221,12 @@ def _pad_chw(data: np.ndarray, padding: int, fill: int) -> np.ndarray:
     return out
 
 
-def im2col(x: RingTensor, kh: int, kw: int, stride: int, padding: int, fill: int = 0) -> tuple:
-    """Unfold C x H x W into (C*kh*kw, oh*ow) columns. fill pads the border."""
+def im2col(x: RingTensor, kh: int, kw: int, stride: int, padding: int) -> tuple:
+    """Unfold C x H x W into (C*kh*kw, oh*ow) columns, zero-padded."""
     if x.data.ndim != 3:
         raise ShapeMismatch(f"expected rank-3 C,H,W tensor, got {x.shape}")
     c, h, w = x.shape
-    padded = _pad_chw(x.data, padding, fill)
+    padded = _pad_chw(x.data, padding, 0)
     rows, cols, oh, ow = _window_indices(h, w, kh, kw, stride, padding)
     patches = padded[:, rows, cols]  # (C, kh*kw, oh*ow)
     return patches.reshape(c * kh * kw, oh * ow), oh, ow

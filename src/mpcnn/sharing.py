@@ -42,7 +42,6 @@ class Prg:
             raise ValueError("seed must be 32 bytes")
         nonce = hashlib.blake2b(domain, digest_size=8).digest() + bytes(8)
         self._enc = Cipher(algorithms.ChaCha20(seed, nonce), mode=None).encryptor()
-        self.words_drawn = 0
 
     def draw_bytes(self, n: int) -> bytes:
         return self._enc.update(bytes(n))
@@ -50,7 +49,6 @@ class Prg:
     def draw_words(self, shape) -> RingTensor:
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(self.draw_bytes(8 * n), dtype="<u8").astype(np.uint64)
-        self.words_drawn += n
         return RingTensor(arr.reshape(shape))
 
     def draw_bits(self, shape) -> RingTensor:
@@ -65,9 +63,9 @@ class PrzsStream:
     """One party's zero shares from the joint seed: r at P0 and -r at P1.
     The two parties' streams advance in lockstep."""
 
-    def __init__(self, joint_seed: bytes, role: Role, domain: bytes = b"przs"):
+    def __init__(self, joint_seed: bytes, role: Role):
         self.role = role
-        self._prg = Prg(joint_seed, domain)
+        self._prg = Prg(joint_seed, b"przs")
 
     def draw(self, shape) -> RingTensor:
         r = self._prg.draw_words(shape)

@@ -6,8 +6,10 @@ counts payload bytes only. A frame carries its tag as the tag's CRC-32, so
 both backends check tags alike. Received frames wait in a `Mailbox` keyed by
 (session, source, destination), where every frame to the dealer goes under
 the one `SERVICE` key. The in-process roles share one mailbox; each TCP
-connection's reader thread fills its own. Both backends give byte-identical
-transcripts for the same protocol run.
+connection's one thread, its reader, fills its own, and senders write whole
+frames under the connection's lock, each send bounded by MPCNN_TIMEOUT_MS.
+A TCP connection opens with one byte naming the connecting role. Both
+backends give byte-identical transcripts for the same protocol run.
 """
 
 from __future__ import annotations
@@ -211,29 +213,24 @@ class InProcFabric(Fabric):
 
 class _TcpConn:
     """One long-lived framed connection, carrying `src`'s frames to `dst`
-    and back. A writer thread drains a queue so that simultaneous large
-    sends from both ends cannot deadlock; a reader thread fills `mailbox`."""
+    and back, with one thread: the reader, which fills `mailbox`. Because it
+    always drains the socket, simultaneous large sends from both ends cannot
+    deadlock. Sessions on different threads share the connection, so each
+    frame is written whole under a lock. A send is bounded by the socket's
+    timeout: one that stalls, because the peer stopped reading, leaves a
+    partial frame behind, so it closes the connection and raises
+    SessionTimeout."""
 
     def __init__(self, sock: socket.socket, src: Role, dst: Role):
         self.sock = sock
-        self.sock.settimeout(None)  # Mailbox.get times out, so an idle connection stays up
+        self.sock.settimeout(timeout_seconds())
         # frames are written whole; Nagle would hold each one's tail segment
         # until the peer ACKs the previous one
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.src, self.dst = src, dst
         self.mailbox = Mailbox()
-        self._outbox: queue.Queue = queue.Queue()
-        self._writer = threading.Thread(target=self._write_loop, daemon=True)
-        self._writer.start()
+        self._send_lock = threading.Lock()
         threading.Thread(target=self._read_loop, daemon=True).start()
-
-    def _write_loop(self):
-        while (item := self._outbox.get()) is not None:
-            try:
-                self.sock.sendall(item)
-            except OSError:
-                self.mailbox.close()
-                return
 
     def _read_loop(self):
         try:
@@ -246,21 +243,30 @@ class _TcpConn:
     def _read_exact(self, n: int) -> bytes:
         buf = bytearray()
         while len(buf) < n:
-            chunk = self.sock.recv(n - len(buf))
+            try:
+                chunk = self.sock.recv(n - len(buf))
+            except TimeoutError:
+                continue  # Mailbox.get times out, so an idle connection stays up
             if not chunk:
                 raise PeerDisconnected("socket closed")
             buf.extend(chunk)
         return bytes(buf)
 
     def send(self, msg: Message):
-        if self.mailbox.closed:
-            raise PeerDisconnected("connection lost")
-        self._outbox.put(HEADER.pack(msg.session_id, msg.seq, msg.tag, len(msg.payload)) + msg.payload)
+        frame = HEADER.pack(msg.session_id, msg.seq, msg.tag, len(msg.payload)) + msg.payload
+        with self._send_lock:
+            if self.mailbox.closed:
+                raise PeerDisconnected("connection lost")
+            try:
+                self.sock.sendall(frame)
+            except TimeoutError:
+                self.close()
+                raise SessionTimeout(f"send to {self.src} stalled (session {msg.session_id})") from None
+            except OSError as e:
+                self.close()
+                raise PeerDisconnected(f"send to {self.src} failed: {e}") from None
 
     def close(self):
-        # drain pending sends before tearing the socket down
-        self._outbox.put(None)
-        self._writer.join(timeout=timeout_seconds())
         self.mailbox.close()
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
@@ -269,77 +275,57 @@ class _TcpConn:
         self.sock.close()
 
 
-def _listener(addr) -> socket.socket:
-    srv = socket.create_server(tuple(addr), backlog=4)  # SO_REUSEADDR on POSIX
-    srv.settimeout(timeout_seconds())
-    return srv
-
-
-def _accept(srv: socket.socket) -> socket.socket:
+def _accept(addr, roles: tuple) -> dict:
+    """{role: socket} for exactly one connection from each of `roles`, each
+    naming itself in its first byte."""
+    accepted, socks = [], {}
     try:
-        return srv.accept()[0]
-    except TimeoutError:
-        raise SessionTimeout(f"nobody connected to {srv.getsockname()} in time") from None
-
-
-def _first_byte(sock: socket.socket) -> int:
-    """The one byte a new connection opens with, read under the timeout."""
-    sock.settimeout(timeout_seconds())
-    try:
-        got = sock.recv(1)
-    except TimeoutError:
-        raise SessionTimeout("no set-up byte in time") from None
-    except OSError as e:
-        raise ProtocolError(f"set-up failed: {e}") from None
-    if not got:
-        raise ProtocolError("connection closed during set-up")
-    return got[0]
+        with socket.create_server(tuple(addr), backlog=4) as srv:  # SO_REUSEADDR on POSIX
+            srv.settimeout(timeout_seconds())
+            while len(socks) < len(roles):
+                try:
+                    accepted.append(sock := srv.accept()[0])
+                    sock.settimeout(timeout_seconds())
+                    got = sock.recv(1)
+                except TimeoutError:
+                    raise SessionTimeout(f"no connection or role byte at {addr} in time") from None
+                except OSError as e:
+                    raise ProtocolError(f"set-up failed: {e}") from None
+                waiting = [r.value for r in roles if r not in socks]
+                if not got or got[0] not in waiting:
+                    raise ProtocolError(f"role byte {got!r}, expecting one of {waiting}")
+                socks[Role(got[0])] = sock
+    except BaseException:
+        for sock in accepted:
+            sock.close()
+        raise
+    return socks
 
 
 class TcpFabric(Fabric):
-    """TCP backend. P0 listens for P1; the dealer listens for both parties,
-    each of which names itself in its first byte.
+    """TCP backend. P0 listens for P1; the dealer listens for both parties.
+    Every connection opens with one byte, the connecting role's value, and
+    one accept routine serves both listeners.
 
     Connection map: parties hold one connection to each other and one to the
     dealer; the dealer holds one connection per party. Set-up raises
     SessionTimeout when nobody connects or speaks in time, and ProtocolError
-    for any handshake but one P0's and one P1's."""
+    when a connection names a role its listener does not expect, or one it
+    already has. Each connection runs one thread, its reader; a send blocks
+    its caller for at most MPCNN_TIMEOUT_MS."""
+
+    ACCEPTS = {Role.P0: (Role.P1,), Role.DEALER: (Role.P0, Role.P1)}  # who connects to whom
 
     def __init__(self, role: Role, listen_addr=None, peer_addr=None, dealer_addr=None):
         self.role = role
         self._conns: dict = {}
-        if role is Role.DEALER:
-            self._serve_parties(listen_addr)
-            return
-        if role is Role.P0 and listen_addr:
-            self._accept_peer(listen_addr)
-        if role is Role.P1 and peer_addr:
+        if listen_addr and role in self.ACCEPTS:
+            socks = _accept(listen_addr, self.ACCEPTS[role])
+            self._conns = {peer: _TcpConn(sock, peer, role) for peer, sock in socks.items()}
+        if peer_addr and role is Role.P1:
             self._connect(Role.P0, peer_addr)
-        if dealer_addr:
+        if dealer_addr and role is not Role.DEALER:
             self._connect(Role.DEALER, dealer_addr)
-
-    def _accept_peer(self, addr):
-        with _listener(addr) as srv:
-            sock = _accept(srv)
-        sock.sendall(b"\x00")  # tells P1 that P0 is ready
-        self._conns[Role.P1] = _TcpConn(sock, Role.P1, Role.P0)
-
-    def _serve_parties(self, addr):
-        """Accept exactly one P0 and one P1, each naming itself in its first byte."""
-        accepted, parties = [], {}
-        try:
-            with _listener(addr) as srv:
-                while len(parties) < 2:
-                    accepted.append(sock := _accept(srv))
-                    byte = _first_byte(sock)
-                    if byte not in (Role.P0.value, Role.P1.value) or Role(byte) in parties:
-                        raise ProtocolError(f"role byte {byte} after {sorted(r.name for r in parties)}")
-                    parties[Role(byte)] = sock
-        except BaseException:
-            for sock in accepted:
-                sock.close()
-            raise
-        self._conns = {role: _TcpConn(sock, role, Role.DEALER) for role, sock in parties.items()}
 
     def _connect(self, to: Role, addr):
         deadline = time.time() + timeout_seconds()
@@ -351,10 +337,7 @@ class TcpFabric(Fabric):
                 if time.time() >= deadline:
                     raise TransportError(f"cannot connect to {to} at {addr}: {e}") from None
                 time.sleep(0.05)
-        if to is Role.DEALER:
-            sock.sendall(bytes([self.role.value]))
-        else:
-            _first_byte(sock)  # P0 is ready
+        sock.sendall(bytes([self.role.value]))
         self._conns[to] = _TcpConn(sock, to, self.role)
 
     def _conn(self, role: Role) -> _TcpConn:

@@ -440,7 +440,8 @@ class TestGtz:
 
         assert ands == 118
         assert both(arith.gtz) == ((gtz_online, 7, gtz_dealer, 1), (gtz_online, 7, 0, 0))
-        assert both(arith.relu) == ((relu_online, 8, relu_dealer, 2), (relu_online, 8, 0, 0))
+        assert both(lambda ctx, x: arith.select(ctx, arith.gtz(ctx, x), x)) == (
+            (relu_online, 8, relu_dealer, 2), (relu_online, 8, 0, 0))
         if n % 64 == 0:  # per element per party
             assert gtz_online / n == 37.5 and gtz_dealer / n == 22.75
             assert relu_online / n == 45.625 and relu_dealer / n == 38.75
@@ -656,8 +657,8 @@ class TestMuxRelu:
     def test_relu_examples_and_idempotence(self, rt):
         def fn(ctx):
             x = shared_pair(ctx, encode([-1.0, 0.0, 2.0], CFG))
-            r1 = arith.relu(ctx, x)
-            r2 = arith.relu(ctx, r1)
+            r1 = arith.select(ctx, arith.gtz(ctx, x), x)
+            r2 = arith.select(ctx, arith.gtz(ctx, r1), r1)
             return reveal(ctx.session, r1), reveal(ctx.session, r2)
 
         r1, r2 = run_secure(rt, fn)
@@ -670,7 +671,7 @@ class TestMuxRelu:
             def fn(ctx, n=n):
                 x = shared_pair(ctx, rand_fixed((n,)))
                 before = ctx.session.measure().rounds
-                arith.relu(ctx, x)
+                arith.select(ctx, arith.gtz(ctx, x), x)
                 return ctx.session.measure().rounds - before
 
             assert run_secure(rt, fn) == 8
@@ -681,7 +682,7 @@ class TestMuxRelu:
 
         def fn(ctx):
             xs = shared_pair(ctx, x)
-            return reveal(ctx.session, arith.relu(ctx, xs))
+            return reveal(ctx.session, arith.select(ctx, arith.gtz(ctx, xs), xs))
 
         got = run_secure(rt, fn)
         assert np.array_equal(got.signed(), np.maximum(ks, 0))

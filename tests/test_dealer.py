@@ -1,12 +1,15 @@
 """Dealer correlations: triples, mask pairs, select correlations, seeds,
 batched fetches, and the service."""
 
+import time
+
 import numpy as np
 import pytest
 
 from mpcnn import dealer
 from mpcnn.dealer import (
     HALVES,
+    TAG_ERROR_RSP,
     TAG_REQ,
     TAG_SEED_RSP,
     TAG_TRIPLE_RSP,
@@ -21,7 +24,7 @@ from mpcnn.dealer import (
 from mpcnn.ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import fresh_seed
-from mpcnn.transport import Role, SessionTimeout
+from mpcnn.transport import Role
 
 
 @pytest.fixture
@@ -230,18 +233,23 @@ class TestSeeds:
 
         assert rt.run_session(fn, fn)[Role.P1] == 0
 
-    def test_dealer_sends_p1_no_correction(self, rt, monkeypatch):
-        # a correction would give P1 the secret behind P0's half
-        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "300")
-
+    def test_dealer_sends_p1_no_correction(self, rt):
+        # a correction would give P1 the secret behind P0's half: the dealer
+        # refuses P1's request at once and sends it no correction bytes
         def fn(ctx):
-            if ctx.role is Role.P1:
-                ctx.session.send_to_dealer(TAG_REQ, encode_request(0, [TripleSpec("arith", (2,))]))
-                with pytest.raises(SessionTimeout):
-                    ctx.session.recv_from_dealer(TAG_TRIPLE_RSP)
-            return True
+            if ctx.role is Role.P0:
+                return True
+            sess = ctx.session
+            sess.send_to_dealer(TAG_REQ, encode_request(0, [TripleSpec("arith", (2,))]))
+            t0 = time.perf_counter()
+            with pytest.raises(DealerError, match="no corrections") as refusal:
+                sess.recv_from_dealer(TAG_TRIPLE_RSP, error_tag=TAG_ERROR_RSP)
+            d = sess.dealer_transcript
+            return (time.perf_counter() - t0 < 5, TAG_TRIPLE_RSP in d.tags,
+                    d.bytes_recv - d.tags[TAG_SEED_RSP].bytes_recv == len(str(refusal.value)))
 
-        assert all(rt.run_session(fn, fn).values())
+        vals = rt.run_session(fn, fn)
+        assert vals[Role.P1] == (True, False, True)
 
 
 class TestBudget:

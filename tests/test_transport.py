@@ -109,9 +109,12 @@ class TestExchange:
             run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn})
 
     @pytest.mark.parametrize("fabrics", [inproc_fabrics, tcp_fabrics], ids=["inproc", "tcp"])
-    def test_concurrent_sessions_isolated(self, fabrics):
+    def test_concurrent_sessions_isolated(self, monkeypatch, fabrics):
         # ten sessions exchange different sizes over one fabric per party (one
-        # TCP connection carries all ten); each transcript sees only its own
+        # TCP connection carries all ten); each transcript sees only its own.
+        # Then each swaps a 1 MB frame of its own byte twice and checks the
+        # peer's: frames that sessions write at once must not interleave
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "5000")
         make_fabric = fabrics()
         sizes = [(i + 1) * 16 for i in range(10)]
         results = {}
@@ -119,12 +122,17 @@ class TestExchange:
 
         def party(role):
             fabric = make_fabric(role)
+            start_big = threading.Barrier(10, timeout=30)
 
             def run_one(sid):
                 sess = Session(fabric, sid, role)
                 sess.exchange("blob", bytes(sizes[sid]))
                 with lock:
                     results[(role, sid)] = sess.measure()
+                start_big.wait()
+                got = [sess.exchange("big", bytes([2 * sid + role.value]) * (1 << 20)) for _ in range(2)]
+                with lock:
+                    results[(role, sid, "big")] = got == [bytes([2 * sid + role.peer.value]) * (1 << 20)] * 2
 
             threads = [threading.Thread(target=run_one, args=(sid,)) for sid in range(10)]
             for t in threads:
@@ -142,6 +150,7 @@ class TestExchange:
                 t = results[(role, sid)]
                 assert t.bytes_sent == sizes[sid]
                 assert t.rounds == 1
+                assert results[(role, sid, "big")]
 
 
 class TestDirected:
@@ -249,18 +258,58 @@ class TestTcp:
         assert run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn}) == {Role.P0: b"\x01", Role.P1: b"\x00"}
 
 
+    def test_simultaneous_large_exchange(self):
+        # both parties send 64 MB at once, far more than the socket buffers
+        # hold: each connection's reader drains while its sender writes
+        n = 64 << 20
+
+        def fn(sess):
+            got = sess.exchange("big", bytes([sess.role.value]) * n)
+            return got == bytes([sess.role.peer.value]) * n
+
+        assert run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn}) == {Role.P0: True, Role.P1: True}
+
+    def test_send_to_a_stalled_peer_times_out(self, monkeypatch):
+        # the listener accepts and never reads: a 64 MB send fills the socket
+        # buffers and stalls, and raises SessionTimeout within the timeout
+        # instead of blocking its caller; the connection is then closed
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "500")
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            fab = TcpFabric(Role.P1, peer_addr=srv.getsockname())
+            stalled, _ = srv.accept()
+            try:
+                assert stalled.recv(1) == bytes([Role.P1.value])
+                sess = Session(fab, 0, Role.P1)
+                t0 = time.perf_counter()
+                with pytest.raises(SessionTimeout, match="stalled"):
+                    sess.send_to_peer("big", bytes(64 << 20))
+                assert 0.4 < time.perf_counter() - t0 < 1.5
+                with pytest.raises(PeerDisconnected):
+                    sess.send_to_peer("next", b"x")
+            finally:
+                fab.close()
+                stalled.close()
+
+
 class TestTcpSetup:
-    @pytest.mark.parametrize("openings, error", [
-        ([b"\x07"], ProtocolError),  # a role byte that names no party
-        ([b""], ProtocolError),  # a client connects and closes
-        ([b"\x00", b"\x00"], ProtocolError),  # two clients both claim P0
-        ([None], SessionTimeout),  # a client connects and sends nothing
-        ([], SessionTimeout),  # nobody connects
-    ], ids=["bad-role", "closed", "two-p0", "silent", "nobody"])
-    def test_dealer_setup_fails_typed(self, monkeypatch, openings, error):
+    @pytest.mark.parametrize("listener, openings, error", [
+        pytest.param(Role.DEALER, [b"\x07"], ProtocolError, id="bad-role"),  # names no party
+        pytest.param(Role.DEALER, [b""], ProtocolError, id="closed"),  # connects and closes
+        pytest.param(Role.DEALER, [b"\x00", b"\x00"], ProtocolError, id="two-p0"),  # both claim P0
+        pytest.param(Role.DEALER, [None], SessionTimeout, id="silent"),  # connects, sends nothing
+        pytest.param(Role.DEALER, [], SessionTimeout, id="nobody"),
+        # P0 listens for P1 alone
+        pytest.param(Role.P0, [b"\x00"], ProtocolError, id="p0-byte-0"),
+        pytest.param(Role.P0, [b"\x02"], ProtocolError, id="p0-byte-2"),
+        pytest.param(Role.P0, [b"\x07"], ProtocolError, id="p0-byte-7"),
+        pytest.param(Role.P0, [b""], ProtocolError, id="p0-closed"),
+        pytest.param(Role.P0, [None], SessionTimeout, id="p0-silent"),
+        pytest.param(Role.P0, [], SessionTimeout, id="p0-nobody"),
+    ])
+    def test_dealer_setup_fails_typed(self, monkeypatch, listener, openings, error):
         # each client opens with its bytes (None: none, and stays open); the
-        # dealer raises a typed error within its timeout instead of hanging
-        # or serving a party twice
+        # listener raises a typed error within its timeout instead of
+        # hanging, taking a stranger for a party, or serving a party twice
         monkeypatch.setenv("MPCNN_TIMEOUT_MS", "500")
         addr = ("127.0.0.1", free_port())
         done = threading.Event()
@@ -287,7 +336,7 @@ class TestTcpSetup:
         t0 = time.perf_counter()
         try:
             with pytest.raises(error):
-                TcpFabric(Role.DEALER, listen_addr=addr)
+                TcpFabric(listener, listen_addr=addr)
             assert time.perf_counter() - t0 < 3
         finally:
             done.set()
