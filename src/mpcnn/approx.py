@@ -2,11 +2,12 @@
 
 Each function carries a (domain, tolerance) contract verified by the grid
 sweeps in the test suite; outside the stated domain values are unspecified.
-Round counts never depend on the data:
+Round counts never depend on the data; they are given at the default
+comparison domain cmp_bits = 31 (one more at cmp_bits = 63):
 
     fn          domain        tolerance         rounds
-    sigmoid     [-16, 16]     abs err <= 2e-2   13
-    silu        [-16, 16]     abs err <= 2e-2   12
+    sigmoid     [-16, 16]     abs err <= 2e-2   12
+    silu        [-16, 16]     abs err <= 2e-2   11
 
 Both are piecewise with T = 8: on -T < x <= T they use
 
@@ -78,17 +79,18 @@ def _series(e, terms, coeffs, const: float):
 
 def _piecewise(e, x, inner, high):
     """0 for x <= -T, inner(y, [T_1(t), ..., T_8(t)]) for -T < x <= T, and
-    `high` for x > T, where y = x/T and t = 2y^2 - 1. 12 rounds plus
+    `high` for x > T, where y = x/T and t = 2y^2 - 1. 11 rounds plus
     whatever `inner` adds.
 
     One gtz on the stacked [x + T, x - T] gives a = [x > -T] and b = [x > T]
-    as XOR-shared bits (7 rounds); y is a local truncation, t one product
+    as XOR-shared bits (6 rounds; on the domain [-16, 16] both lie far
+    inside the comparison domain); y is a local truncation, t one product
     and the terms three more. The select a*q + b*(high - q) is one exact
     `arith.select` on stacked operands (1 round): it is 0, q or high, bit for
-    bit. For |x| > T, t
-    reaches 7 and T_8(t) about 7e8, so the truncations inside q may wrap
-    and q is garbage; that is safe only because q reaches the output through
-    this exact select, where it is multiplied by 0 or cancelled."""
+    bit. For |x| > T, t reaches 7 and T_8(t) about 7e8, so the truncations
+    inside q may wrap and q is garbage; that is safe only because q reaches
+    the output through this exact select, where it is multiplied by 0 or
+    cancelled."""
     ab = e.gtz(e_stack(e, [e.add_const(x, _T), e.add_const(x, -_T)]))
     y = e.trunc(x, _T_BITS)
     t = e.add_const(e.fmul(e.mul_const_int(y, 2), y), -1.0)
@@ -98,7 +100,7 @@ def _piecewise(e, x, inner, high):
 
 def sec_sigmoid(e, x):
     """1/2 + (x/T) r(x) inside, [x > 0] outside (see the module docstring).
-    13 rounds."""
+    12 rounds."""
     def inner(y, ts):
         return e.add_const(e.fmul(y, _series(e, ts, _SIGMOID_R[1:], _SIGMOID_R[0])), 0.5)
 
@@ -107,7 +109,7 @@ def sec_sigmoid(e, x):
 
 def sec_silu(e, x):
     """x/2 + g(x) inside, relu(x) outside (see the module docstring).
-    12 rounds."""
+    11 rounds."""
     def inner(y, ts):
         return _series(e, [x] + ts, [0.5] + _SILU_G[1:], _SILU_G[0])
 

@@ -9,13 +9,15 @@ Round structure (one round = one parallel phase, independent of tensor size):
   and_gate                       1
   a2b                            7   (1 masked-word opening + 6 AND phases
                                       of the carry-lookahead prefix tree)
-  gtz                            7   (1 masked-word opening + 6 AND phases
-                                      of the carry-out tree)
+  gtz                            6   (1 masked-word opening + 5 AND phases
+                                      of the carry-out tree, at the default
+                                      comparison domain cmp_bits = 31;
+                                      7 with 6 phases at cmp_bits = 63)
   select                         1   (the masked word and the masked bit
                                       open together)
   mux                            1   (one select)
 
-A ReLU is select(gtz(x), x), 8 rounds; `models.ReLU` writes it on the engine
+A ReLU is select(gtz(x), x), 7 rounds; `models.ReLU` writes it on the engine
 surface as mul_raw(x, gtz(x)).
 
 conv2d and matmul are the client-server linear layer of Delphi (Mishra et
@@ -27,13 +29,20 @@ The a2b conversion masks the arithmetic value with one dealt word pair (an
 additive and a XOR sharing of the same uniform word), opens the difference
 (uniform, so it reveals nothing), and adds the public difference back onto
 the XOR-shared mask inside a carry-lookahead adder; only the adder's AND
-gates are interactive, giving exactly log2(64) = 6 AND phases. gtz opens the
-same masked difference but needs only the sum's top bit, so it computes only
-the carry into bit 63: a bit-sliced prefix tree over lanes 0..62 whose
-groups halve at each of its 6 levels (118 bit-ANDs per element, against
-a2b's 768). It fetches its mask pair and all six levels' triples in one
-dealer round trip and returns the bit XOR-shared. No model calls a2b: it
-stays for its tests and for the benchmark's tracer, which wraps it by name.
+gates are interactive, giving exactly log2(64) = 6 AND phases. No model
+calls a2b: it stays for its tests and for the benchmark's tracer, which
+wraps it by name.
+
+gtz is the bounded-input comparison of Catrina and de Hoogh (SCN 2010) on
+the same mask pairs. For |x| < 2^l (l = cmp_bits of the config), -x fits
+the signed ring Z_2^(l+1), so gtz(x) is its top bit, bit l. Additive shares
+reduce modulo any power of two, so gtz opens only the low l + 1 bits of
+-x - r (4 B per element at l = 31, 8 B at l = 63) and computes only the
+carry into bit l: a bit-sliced prefix tree over lanes 0..l-1 whose groups
+halve at each level (55 bit-ANDs per element in 5 levels at l = 31, 118 in
+6 at l = 63, against a2b's 768). At l = 63 this is msb(-x), exact on every
+word. It fetches its mask pair and all levels' triples in one dealer round
+trip and returns the bit XOR-shared.
 
 select multiplies a shared word by a XOR-shared bit in one round: ABY3's
 bit injection (Mohassel-Rindal, CCS 2018) fused with the product, with the
@@ -227,11 +236,20 @@ def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) ->
     return p ^ carry
 
 
-def _mask_open(ctx: ProtocolCtx, x: ArithShare, pairs: MaskPairs, tag: str) -> tuple[BinShare, RingTensor]:
-    """Open d = x - r for one dealt mask pair r (uniform, so the opening is
-    noise); returns the XOR share of r and the public d. One round."""
-    (d,) = open_values(ctx, tag, [x - ctx.arith(pairs.arith)])
-    return ctx.bin(pairs.bin), d
+def _mask_open(ctx: ProtocolCtx, x: ArithShare, pairs: MaskPairs, tag: str,
+               bits: int = WORD_BITS) -> tuple[BinShare, RingTensor]:
+    """Open the low `bits` bits of d = x - r for one dealt mask pair r
+    (uniform, so the opening is noise); returns the XOR share of r and the
+    public d, reduced mod 2^bits. Additive shares reduce mod 2^bits too, so
+    each party sends only the low bits / 8 bytes of its share. One round."""
+    mine = (x - ctx.arith(pairs.arith)).t
+    width = bits // 8
+    low = np.frombuffer(words_to_bytes(mine), dtype=np.uint8).reshape(-1, 8)[:, :width]
+    got = ctx.session.exchange(tag, low.tobytes())
+    theirs = np.zeros((mine.size, 8), dtype=np.uint8)
+    theirs[:, :width] = np.frombuffer(got, dtype=np.uint8).reshape(-1, width)
+    d = mine + bytes_to_words(theirs.tobytes(), mine.shape)
+    return ctx.bin(pairs.bin), RingTensor(d.data & np.uint64((1 << bits) - 1))
 
 
 def a2b(ctx: ProtocolCtx, x: ArithShare, tag_prefix: str = "a2b") -> BinShare:
@@ -271,11 +289,11 @@ def _bit_slice(words: np.ndarray) -> np.ndarray:
     return a
 
 
-def _tree_shapes(n: int) -> list:
+def _tree_shapes(n: int, lanes: int) -> list:
     """Shapes of the AND openings of `_msb_add_public`'s levels on n
-    elements: at m groups a level ANDs h = m // 2 G-pairs and h - 1 P-pairs,
-    each a row of ceil(n / 64) words."""
-    shapes, m = [], 63
+    elements and `lanes` lanes: at m groups a level ANDs h = m // 2 G-pairs
+    and h - 1 P-pairs, each a row of ceil(n / 64) words."""
+    shapes, m = [], lanes
     while m > 1:
         h = m // 2
         shapes.append((2 * h - 1, -(-n // WORD_BITS)))
@@ -283,22 +301,24 @@ def _tree_shapes(n: int) -> list:
     return shapes
 
 
-def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, tag: str) -> BinShare:
-    """XOR share (0/1 words) of the top bit of r + d mod 2^64, d public,
-    with one dealt boolean triple per level (shapes from `_tree_shapes`).
+def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, lanes: int,
+                    tag: str) -> BinShare:
+    """XOR share (0/1 words) of bit `lanes` of r + d, d public, with one
+    dealt boolean triple per level (shapes from `_tree_shapes`).
 
-    The top bit is r63 ^ d63 ^ c63, where c63 is the carry out of lanes 0..62.
-    Lanes are bit-sliced 64 elements per word (XOR shares allow any local bit
-    permutation), and a prefix tree pairs adjacent groups at each level:
-    G = G_hi ^ (P_hi & G_lo), P = P_hi & P_lo, with an odd top group passing
-    through. Groups go 63 -> 32 -> 16 -> 8 -> 4 -> 2 -> 1, one AND phase
-    each. The lowest group's P is never read, so it is never computed: 118
-    bit-ANDs per element in all."""
+    That bit is r_l ^ d_l ^ c_l, where c_l is the carry out of lanes
+    0..l-1 (l = lanes). Lanes are bit-sliced 64 elements per word (XOR
+    shares allow any local bit permutation), and a prefix tree pairs
+    adjacent groups at each level: G = G_hi ^ (P_hi & G_lo), P = P_hi &
+    P_lo, with an odd top group passing through. At l = 31 groups go 31 ->
+    16 -> 8 -> 4 -> 2 -> 1, one AND phase each; at l = 63 they go 63 -> 32
+    -> ... -> 1 in 6. The lowest group's P is never read, so it is never
+    computed: 55 bit-ANDs per element at l = 31, 118 at l = 63."""
     n = d.data.size
     g = r.and_public(d).t.data.reshape(-1)  # generate: r & d
     p = r.xor_public(d).t.data.reshape(-1)  # propagate: r ^ d
     gs, ps = _bit_slice(np.stack([g, p]))
-    G, P = gs[:63], ps[1:63]  # P[i] belongs to group i + 1
+    G, P = gs[:lanes], ps[1:lanes]  # P[i] belongs to group i + 1
     for t in levels:
         m, h = len(G), len(G) // 2
         z = and_gate(
@@ -313,20 +333,27 @@ def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, 
             G_next = np.concatenate([G_next, G[m - 1 :]])
             P_next = np.concatenate([P_next, P[m - 2 :]])
         G, P = G_next, P_next
-    top = ps[63] ^ G[0]  # (W,) words, element 64j + k at bit k of word j
+    top = ps[lanes] ^ G[0]  # (W,) words, element 64j + k at bit k of word j
     bits = (top[:, None] >> np.arange(WORD_BITS, dtype=np.uint64)) & np.uint64(1)
     return BinShare(r.owner, RingTensor(bits.reshape(-1)[:n].reshape(d.shape)))
 
 
 def gtz(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
-    """1 iff the shared value is strictly positive (gtz(0) = 0), as the msb of
-    -x, XOR-shared as 0/1 words: one masked opening of -x and the 6-level
-    carry-out tree for bit 63, with the mask pair and every level's triple
-    fetched in one dealer round trip. Exact. 7 rounds."""
+    """1 iff the shared value is strictly positive (gtz(0) = 0), XOR-shared
+    as 0/1 words; exact for |x| < 2^l, l = ctx.cfg.cmp_bits, and on every
+    word at l = 63.
+
+    In that domain -x fits Z_2^(l+1) as a signed word, so gtz is its bit l.
+    (This is Catrina and de Hoogh's NOT of bit l of 2^l - x: adding 2^l
+    flips exactly bit l mod 2^(l+1), so the offset and the NOT cancel.)
+    One opening of the low l + 1 bits of -x - r, then the carry-out tree on
+    l lanes, with the mask pair and every level's triple fetched in one
+    dealer round trip. 6 rounds at l = 31, 7 at l = 63."""
+    lanes = ctx.cfg.cmp_bits
     pairs, *levels = ctx.triples.take_many(
-        [TripleSpec("maskpair", x.shape)] + [TripleSpec("bool", s) for s in _tree_shapes(x.t.size)])
-    r, d = _mask_open(ctx, -x, pairs, "gtz.mask")
-    return _msb_add_public(ctx, r, d, levels, tag="gtz.and")
+        [TripleSpec("maskpair", x.shape)] + [TripleSpec("bool", s) for s in _tree_shapes(x.t.size, lanes)])
+    r, d = _mask_open(ctx, -x, pairs, "gtz.mask", bits=lanes + 1)
+    return _msb_add_public(ctx, r, d, levels, lanes, tag="gtz.and")
 
 
 def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.open") -> ArithShare:

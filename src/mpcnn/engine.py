@@ -14,6 +14,7 @@ import numpy as np
 from . import arith
 from .arith import ProtocolCtx
 from .ring import (
+    ComparisonDomainError,
     ConvGeometry,
     FixedPointConfig,
     RingTensor,
@@ -25,7 +26,7 @@ from .ring import (
     ring_mul_trunc,
     trunc,
 )
-from .ring import POOL_SENTINEL, pool_windows as _ring_pool_windows
+from .ring import pool_windows as _ring_pool_windows
 from .sharing import ArithShare, BinShare, add_public, mul_public, share_public
 from .transport import Role
 
@@ -74,6 +75,13 @@ class PlainEngine:
 
     # comparison / selection
     def gtz(self, a):
+        """gtz_plain, refused (ComparisonDomainError) outside the comparison
+        domain |x| < 2^cmp_bits, where the secure gtz is not exact."""
+        lim = 1 << self.cfg.cmp_bits
+        with np.errstate(over="ignore"):  # x + lim - 1 lies in [0, 2 lim - 1) iff |x| < lim
+            outside = a.data + np.uint64(lim - 1) >= np.uint64(2 * lim - 1)
+        if np.any(outside):
+            raise ComparisonDomainError(f"comparison input outside |x| < 2^{self.cfg.cmp_bits}")
         return gtz_plain(a)
 
     def mux(self, c, a, b):
@@ -87,7 +95,7 @@ class PlainEngine:
         return matmul_ring(x, w)
 
     def pool_windows(self, x, k: int, stride: int, padding: int):
-        return _ring_pool_windows(x, k, stride, padding)
+        return _ring_pool_windows(x, k, stride, padding, self.cfg.pool_sentinel)
 
 
 class SecureEngine:
@@ -152,8 +160,8 @@ class SecureEngine:
 
     def pool_windows(self, x, k: int, stride: int, padding: int):
         # the public sentinel must reconstruct once, not twice
-        fill = POOL_SENTINEL if self.ctx.role is Role.P0 else 0
-        win, oh, ow = _ring_pool_windows(x.t, k, stride, padding, fill=fill)
+        fill = self.cfg.pool_sentinel if self.ctx.role is Role.P0 else 0
+        win, oh, ow = _ring_pool_windows(x.t, k, stride, padding, fill)
         return ArithShare(x.owner, win), oh, ow
 
 
@@ -215,8 +223,10 @@ def tournament_max(e, v, axis: int):
 
 
 def maxpool2d(e, x, k: int, stride: int, padding: int):
-    """Plaintext-equivalent max pooling over C x H x W; padded cells hold the
-    most negative word and can never win."""
+    """Plaintext-equivalent max pooling over C x H x W, exact for inputs with
+    |x| < 2^(cmp_bits - 1): every compared difference then lies in the
+    comparison domain. Padded cells hold the config's `pool_sentinel`,
+    -2^(cmp_bits - 1), which lies below every such input and never wins."""
     c = x.shape[0]
     win, oh, ow = e.pool_windows(x, k, stride, padding)
     flat = tournament_max(e, win, axis=1)  # (C, oh*ow)

@@ -19,19 +19,35 @@ class RingRangeError(ValueError):
     """Raised when a real value does not fit the fixed-point range."""
 
 
+class ComparisonDomainError(RingRangeError):
+    """Raised when a comparison input lies outside the comparison domain
+    |x| < 2^cmp_bits, where the secure comparison is not exact."""
+
+
 class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Fixed-point encoding parameters: x is stored as round(x * 2**frac_bits)."""
+    """Fixed-point encoding parameters: x is stored as round(x * 2**frac_bits).
+
+    cmp_bits is the comparison domain l: a comparison is exact on words with
+    |x| < 2^l, and the secure one opens the low l + 1 bits of its masked
+    word and runs its carry tree on l lanes, so (l + 1) must be whole bytes.
+    l = 63 is the whole ring. Max pooling compares differences of window
+    cells, so its inputs must satisfy |x| < 2^(l - 1); its padding sentinel
+    is -2^(l - 1)."""
 
     frac_bits: int = 16
+    cmp_bits: int = 31
 
     def __post_init__(self):
         if not 1 <= self.frac_bits <= 32:
             raise ValueError(f"frac_bits must be in [1, 32], got {self.frac_bits}")
+        if not self.frac_bits < self.cmp_bits < WORD_BITS or (self.cmp_bits + 1) % 8:
+            raise ValueError(f"cmp_bits must be in ({self.frac_bits}, 63] with cmp_bits + 1 "
+                             f"a multiple of 8, got {self.cmp_bits}")
 
     @property
     def scale(self) -> int:
@@ -41,6 +57,14 @@ class FixedPointConfig:
     def max_abs(self) -> float:
         # |x| must stay below 2^(63 - frac_bits) so the word keeps its sign bit
         return float(1 << (63 - self.frac_bits))
+
+    @property
+    def pool_sentinel(self) -> int:
+        """Max pooling's pad word, -2^(cmp_bits - 1): below every input of
+        its domain |x| < 2^(cmp_bits - 1), and less than 2^cmp_bits from
+        each, so every comparison against it stays in the comparison
+        domain."""
+        return (1 << WORD_BITS) - (1 << (self.cmp_bits - 1))
 
 
 DEFAULT_CFG = FixedPointConfig()
@@ -251,15 +275,10 @@ def matmul_ring(a: RingTensor, b: RingTensor) -> RingTensor:
     return RingTensor(a.data @ b.data)
 
 
-# Pad value for max pooling: deeply negative but with 2^62 of headroom so the
-# ring difference against any realistic activation keeps its sign bit honest.
-POOL_SENTINEL = (1 << 64) - (1 << 62)  # two's-complement -2^62
-
-
-def pool_windows(x: RingTensor, k: int, stride: int, padding: int,
-                 fill: int = POOL_SENTINEL) -> tuple:
-    """Unfold each channel into (C, k*k, oh*ow) windows; padded cells hold a
-    sentinel that never wins a comparison."""
+def pool_windows(x: RingTensor, k: int, stride: int, padding: int, fill: int) -> tuple:
+    """Unfold each channel into (C, k*k, oh*ow) windows; padded cells hold
+    the word `fill` (the config's `pool_sentinel`, which never wins a
+    comparison)."""
     c, h, w = x.shape
     padded = _pad_chw(x.data, padding, fill)
     rows, cols, oh, ow = _window_indices(h, w, k, k, stride, padding)

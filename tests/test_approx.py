@@ -105,20 +105,22 @@ def _costs(rt, fn, n):
 @pytest.mark.parametrize("n", [64 * 2, 100])
 def test_exact_cost(rt, n):
     # derived from the circuit: one gtz on the 2n stacked [x + T, x - T]
-    # (mask word, 118 bit-ANDs per element bit-sliced 64 to a word; 7
-    # rounds), then ring products on n (u), n (T_2), 2n (T_3, T_4) and 4n
-    # (T_5..T_8) elements, for sigmoid one more on n (y * r), and the select
-    # on the 2n stacked pieces (1 round). Each product element opens two
-    # words and costs P0 one dealt correction word; each selected element
-    # opens one word and one packed bit and costs P0 two correction words;
-    # P1 expands its halves from its seed.
-    m, words = 2 * n, -(-2 * n // 64)
-    gtz_online = 8 * m + 2 * 8 * 118 * words
-    gtz_dealer = 8 * m + 8 * 118 * words
+    # (at the default domain cmp_bits = 31: the low 4 bytes of the masked
+    # word, then 55 bit-ANDs per element bit-sliced 64 to a word; 6 rounds),
+    # then ring products on n (u), n (T_2), 2n (T_3, T_4) and 4n (T_5..T_8)
+    # elements, for sigmoid one more on n (y * r), and the select on the 2n
+    # stacked pieces (1 round). Each product element opens two words and
+    # costs P0 one dealt correction word; each selected element opens one
+    # word and one packed bit and costs P0 two correction words; P1 expands
+    # its halves from its seed.
+    assert CFG.cmp_bits == 31
+    m, words, ands = 2 * n, -(-2 * n // 64), 55
+    gtz_online = 4 * m + 2 * 8 * ands * words
+    gtz_dealer = 8 * m + 8 * ands * words
     select_online, select_dealer = 8 * m + -(-m // 8), 16 * m
-    for fn, rounds, products in ((approx.sec_silu, 12, 8 * n), (approx.sec_sigmoid, 13, 9 * n)):
+    for fn, rounds, products in ((approx.sec_silu, 11, 8 * n), (approx.sec_sigmoid, 12, 9 * n)):
         online = gtz_online + 16 * products + select_online
         dealer = gtz_dealer + 8 * products + select_dealer
         assert _costs(rt, fn, n) == ((rounds, online, dealer), (rounds, online, 0))
         if n % 64 == 0:  # per element per party
-            assert (online / n, dealer / n) == {12: (219.25, 141.5), 13: (235.25, 149.5)}[rounds]
+            assert (online / n, dealer / n) == {11: (179.75, 125.75), 12: (195.75, 133.75)}[rounds]

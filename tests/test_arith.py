@@ -19,8 +19,10 @@ from mpcnn.engine import (
     maxpool2d,
 )
 from mpcnn.ring import (
+    ComparisonDomainError,
     ConvGeometry,
     FixedPointConfig,
+    RingRangeError,
     RingTensor,
     conv2d_ring,
     decode,
@@ -37,7 +39,8 @@ from mpcnn.transport import Role, TcpFabric
 
 from conftest import free_port
 
-CFG = FixedPointConfig(16)
+CFG = FixedPointConfig(16)  # comparison domain |x| < 2^31
+FULL = FixedPointConfig(16, cmp_bits=63)  # gtz exact on every word
 RNG = np.random.default_rng(1234)
 
 
@@ -56,7 +59,7 @@ def bin_shared(ctx, bits: np.ndarray) -> BinShare:
     return BinShare(ctx.role, RingTensor(bits if ctx.role is Role.P0 else np.zeros_like(bits)))
 
 
-def run_tcp_with_dealer(fn):
+def run_tcp_with_dealer(fn, cfg=CFG):
     """fn(ctx) on both parties, with P0, P1 and a DealerService each on its
     own TcpFabric over loopback; returns {role: result}."""
     host, peer, dealer_port = "127.0.0.1", free_port(), free_port()
@@ -72,7 +75,7 @@ def run_tcp_with_dealer(fn):
         return TcpFabric(Role.P1, peer_addr=(host, peer), dealer_addr=(host, dealer_port))
 
     def run(sess):
-        return fn(establish(sess, CFG))
+        return fn(establish(sess, cfg))
 
     server = threading.Thread(target=serve)
     server.start()
@@ -85,9 +88,9 @@ def run_tcp_with_dealer(fn):
             dealer["fab"].close()
 
 
-def run_secure(rt, fn):
+def run_secure(rt, fn, cfg=CFG):
     """fn(ctx) on both parties; returns P0's result."""
-    vals = rt.run_session(fn, fn, cfg=CFG)
+    vals = rt.run_session(fn, fn, cfg=cfg)
     return vals[Role.P0]
 
 
@@ -380,11 +383,11 @@ class TestConversions:
         assert 0.48 <= freq <= 0.52
 
 
-def _carry_tree_ands() -> int:
+def _carry_tree_ands(lanes: int) -> int:
     """Bit-ANDs per element in gtz's carry-out tree: each level pairs adjacent
-    groups of lanes 0..62, with a G-AND for every pair and a P-AND for every
-    pair but the lowest, whose P is never read."""
-    groups, ands = 63, 0
+    groups of lanes 0..lanes-1, with a G-AND for every pair and a P-AND for
+    every pair but the lowest, whose P is never read."""
+    groups, ands = lanes, 0
     while groups > 1:
         ands += 2 * (groups // 2) - 1
         groups -= groups // 2
@@ -399,30 +402,23 @@ class TestGtz:
 
         assert run_secure(rt, fn) == from_words([1, 0, 0])
 
-    def test_rounds_is_7(self, rt):
-        # the mask opening and the 6 AND levels; the bit stays XOR-shared
+    def test_rounds_is_6(self, rt):
+        # the mask opening and the 5 AND levels over 31 lanes; the bit stays
+        # XOR-shared
         def fn(ctx):
             x = shared_pair(ctx, rand_fixed((100,)))
             before = ctx.session.measure().rounds
             arith.gtz(ctx, x)
             return ctx.session.measure().rounds - before
 
-        assert run_secure(rt, fn) == 7
+        assert run_secure(rt, fn) == 6
 
     @pytest.mark.parametrize("n", [64 * 2, 100])
     def test_exact_bytes_per_element(self, rt, n):
-        # derived from the circuit; n = 128 fills the 64-element words of the
+        # derived from the circuit, at the default domain l = 31 and over the
+        # whole ring (l = 63); n = 128 fills the 64-element words of the
         # bit-sliced tree, n = 100 leaves the last one ragged
         words = -(-n // 64)
-        ands = _carry_tree_ands()
-        gtz_online = 8 * n + 2 * 8 * ands * words  # mask, AND openings
-        # P0 receives one correction word per mask pair and bool triple, all
-        # in one request; P1 expands its halves from its seed and receives
-        # nothing
-        gtz_dealer = 8 * n + 8 * ands * words
-        # relu adds one select: a masked word and a packed masked bit open,
-        # and P0 receives two correction words per element in one more request
-        relu_online, relu_dealer = gtz_online + 8 * n + -(-n // 8), gtz_dealer + 16 * n
 
         def fn(ctx, op):
             x = shared_pair(ctx, rand_fixed((n,)))
@@ -434,17 +430,28 @@ class TestGtz:
             return (after.bytes_sent - before.bytes_sent, after.rounds - before.rounds,
                     d.bytes_recv - dealt, d.rounds - requests)
 
-        def both(op):
-            vals = rt.run_session(lambda ctx: fn(ctx, op), lambda ctx: fn(ctx, op), cfg=CFG)
+        def both(op, cfg):
+            vals = rt.run_session(lambda ctx: fn(ctx, op), lambda ctx: fn(ctx, op), cfg=cfg)
             return vals[Role.P0], vals[Role.P1]
 
-        assert ands == 118
-        assert both(arith.gtz) == ((gtz_online, 7, gtz_dealer, 1), (gtz_online, 7, 0, 0))
-        assert both(lambda ctx, x: arith.select(ctx, arith.gtz(ctx, x), x)) == (
-            (relu_online, 8, relu_dealer, 2), (relu_online, 8, 0, 0))
-        if n % 64 == 0:  # per element per party
-            assert gtz_online / n == 37.5 and gtz_dealer / n == 22.75
-            assert relu_online / n == 45.625 and relu_dealer / n == 38.75
+        for cfg, ands, rounds, per_elem in ((CFG, 55, 6, (17.75, 14.875, 25.875, 30.875)),
+                                            (FULL, 118, 7, (37.5, 22.75, 45.625, 38.75))):
+            assert _carry_tree_ands(cfg.cmp_bits) == ands
+            # the low l + 1 bits of the masked word, then the AND openings
+            gtz_online = (cfg.cmp_bits + 1) // 8 * n + 2 * 8 * ands * words
+            # P0 receives one correction word per mask pair and bool triple,
+            # all in one request; P1 expands its halves from its seed and
+            # receives nothing
+            gtz_dealer = 8 * n + 8 * ands * words
+            # relu adds one select: a masked word and a packed masked bit
+            # open, and P0 receives two correction words per element in one
+            # more request
+            relu_online, relu_dealer = gtz_online + 8 * n + -(-n // 8), gtz_dealer + 16 * n
+            assert both(arith.gtz, cfg) == ((gtz_online, rounds, gtz_dealer, 1), (gtz_online, rounds, 0, 0))
+            assert both(lambda ctx, x: arith.select(ctx, arith.gtz(ctx, x), x), cfg) == (
+                (relu_online, rounds + 1, relu_dealer, 2), (relu_online, rounds + 1, 0, 0))
+            if n % 64 == 0:  # per element per party
+                assert (gtz_online / n, gtz_dealer / n, relu_online / n, relu_dealer / n) == per_elem
 
     @pytest.mark.parametrize("shape", [(1,), (63,), (64,), (65,), (3, 5, 7)])
     def test_full_ring_vs_oracle(self, rt, shape):
@@ -463,7 +470,7 @@ class TestGtz:
         def fn(ctx):
             return [reveal_bin(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
 
-        for x, got in zip(cases, run_secure(rt, fn)):
+        for x, got in zip(cases, run_secure(rt, fn, FULL)):
             assert got == gtz_plain(x)
 
     def test_bit_slice_layout(self):
@@ -486,8 +493,68 @@ class TestGtz:
             xs = shared_pair(ctx, x)
             return reveal_bin(ctx.session, arith.gtz(ctx, xs))
 
-        got = run_secure(rt, fn)
+        got = run_secure(rt, fn, FULL)
         assert np.array_equal(got.data.astype(bool), ks > 0)
+
+    def test_domain_vs_oracle(self, rt):
+        # 10^5 words over the whole default domain |x| < 2^31, with its edges
+        # +-(2^31 - 1), 0 and +-1: gtz and the ReLU select(gtz(x), x) are
+        # bit-exact against the ring oracle and the plain engine
+        ks = domain_words(100_000)
+        x = RingTensor(ks.view(np.uint64))
+
+        def fn(ctx):
+            xs = shared_pair(ctx, x)
+            bit = arith.gtz(ctx, xs)
+            return reveal_bin(ctx.session, bit), reveal(ctx.session, arith.select(ctx, bit, xs))
+
+        bit, relu = run_secure(rt, fn)
+        plain = PlainEngine(CFG)
+        assert bit == gtz_plain(x) == plain.gtz(x)
+        assert relu == plain.mul_raw(x, plain.gtz(x))
+        assert np.array_equal(relu.signed(), np.maximum(ks, 0))
+
+    def test_domain_edges_over_tcp(self):
+        # P0, P1 and the dealer each on their own TcpFabric: the same bits at
+        # the domain edges, and the same party and dealer transcripts, as
+        # in-process
+        cases = [RingTensor(domain_words(n).view(np.uint64)) for n in (5, 64, 65, 1000)]
+
+        def fn(ctx):
+            bits = [reveal_bin(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
+            return bits, ctx.session.measure().counters(), ctx.session.dealer_transcript.counters()
+
+        tcp = run_tcp_with_dealer(fn)
+        with LocalRuntime() as runtime:
+            inproc = runtime.run_session(fn, fn, cfg=CFG)
+        for role in (Role.P0, Role.P1):
+            bits, party, dealt = tcp[role]
+            assert all(b == gtz_plain(x) for b, x in zip(bits, cases))
+            assert (party, dealt) == inproc[role][1:]
+
+    def test_oracle_refuses_outside_domain(self):
+        # the plain oracle takes exactly |x| < 2^cmp_bits; at cmp_bits = 63
+        # that is every word but -2^63
+        lim = 2**31
+        inside = from_words(np.array([lim - 1, 0, 1, -1, -(lim - 1)], dtype=np.int64).view(np.uint64))
+        assert PlainEngine(CFG).gtz(inside) == from_words([1, 0, 1, 0, 0])
+        for k in (lim, -lim, 2**40, -(2**62)):
+            with pytest.raises(ComparisonDomainError):
+                PlainEngine(CFG).gtz(from_words(np.array([3, k], dtype=np.int64).view(np.uint64)))
+        edges = from_words([0, 1, 2**63 - 1, 2**63 + 1, 2**64 - 1])
+        assert PlainEngine(FULL).gtz(edges) == gtz_plain(edges)
+        with pytest.raises(ComparisonDomainError):
+            PlainEngine(FULL).gtz(from_words([2**63]))
+        assert issubclass(ComparisonDomainError, RingRangeError)
+
+
+def domain_words(n: int) -> np.ndarray:
+    """n signed words uniform over |x| < 2^31, starting with the domain's
+    edges +-(2^31 - 1), 0 and +-1."""
+    ks = RNG.integers(-(2**31) + 1, 2**31, size=n)
+    edges = [2**31 - 1, -(2**31 - 1), 0, 1, -1][:n]
+    ks[: len(edges)] = edges
+    return ks
 
 
 SELECT_SHAPES = [(1,), (63,), (64,), (65,), (3, 5, 7)]
@@ -533,7 +600,7 @@ class TestSelect:
         # masked bit each way
         cases = select_cases(shape)
         n = int(np.prod(shape))
-        for (v, x), (got, cost) in zip(cases, run_secure(rt, lambda ctx: select_vs_oracle(ctx, cases))):
+        for (v, x), (got, cost) in zip(cases, run_secure(rt, lambda ctx: select_vs_oracle(ctx, cases), FULL)):
             assert got == x * gtz_plain(v)
             assert cost == (8 * n + -(-n // 8),) * 2 + (1,)
 
@@ -546,9 +613,9 @@ class TestSelect:
             return ([z for z, _ in select_vs_oracle(ctx, cases)], ctx.session.measure().counters(),
                     ctx.session.dealer_transcript.counters())
 
-        tcp = run_tcp_with_dealer(fn)
+        tcp = run_tcp_with_dealer(fn, FULL)
         with LocalRuntime() as runtime:
-            inproc = runtime.run_session(fn, fn, cfg=CFG)
+            inproc = runtime.run_session(fn, fn, cfg=FULL)
         for role in (Role.P0, Role.P1):
             outs, party, dealt = tcp[role]
             assert all(z == x * gtz_plain(v) for z, (v, x) in zip(outs, cases))
@@ -603,7 +670,7 @@ class TestShareTypes:
                 e_sum(e, bits, axis=0)
             return [reveal_bin(ctx.session, m) for m in moved]
 
-        stacked, taken, reshaped = run_secure(rt, fn)
+        stacked, taken, reshaped = run_secure(rt, fn, FULL)
         want = gtz_plain(v).data
         assert np.array_equal(stacked.data, np.stack([want, want]))
         assert np.array_equal(taken.data, want[1])
@@ -618,9 +685,9 @@ class TestShareTypes:
             bit, xs = e.gtz(shared_pair(ctx, v)), shared_pair(ctx, x)
             return [reveal(ctx.session, e.mul_raw(a, b)) for a, b in ((bit, xs), (xs, bit))]
 
-        plain = PlainEngine(CFG)
+        plain = PlainEngine(FULL)
         want = plain.mul_raw(x, plain.gtz(v))
-        assert all(got == want for got in run_secure(rt, fn))
+        assert all(got == want for got in run_secure(rt, fn, FULL))
 
 
 class TestMuxRelu:
@@ -665,8 +732,8 @@ class TestMuxRelu:
         assert r1 == encode([0.0, 0.0, 2.0], CFG)
         assert r2 == r1
 
-    def test_relu_rounds_8_size_invariant(self, rt):
-        # gtz 7, select 1
+    def test_relu_rounds_7_size_invariant(self, rt):
+        # gtz 6, select 1
         for n in (10, 1000):
             def fn(ctx, n=n):
                 x = shared_pair(ctx, rand_fixed((n,)))
@@ -674,7 +741,7 @@ class TestMuxRelu:
                 arith.select(ctx, arith.gtz(ctx, x), x)
                 return ctx.session.measure().rounds - before
 
-            assert run_secure(rt, fn) == 8
+            assert run_secure(rt, fn) == 7
 
     def test_relu_exact_oracle_sweep(self, rt):
         ks = RNG.integers(-(1 << 36), 1 << 36, size=20_000)
@@ -684,7 +751,7 @@ class TestMuxRelu:
             xs = shared_pair(ctx, x)
             return reveal(ctx.session, arith.select(ctx, arith.gtz(ctx, xs), xs))
 
-        got = run_secure(rt, fn)
+        got = run_secure(rt, fn, FULL)
         assert np.array_equal(got.signed(), np.maximum(ks, 0))
 
 
@@ -776,3 +843,25 @@ class TestMaxpool:
         want = v.max(axis=-1)
         assert np.array_equal(decode(got, CFG), want)
 
+
+    def test_padded_negative_domain_vs_oracle(self, rt):
+        # 3x3, stride 1, padding 1 over max pooling's whole domain
+        # |x| < 2^30 at cmp_bits = 31: an all-negative channel, whose border
+        # windows would lose to a pad that compares like 0, and a channel
+        # spanning the domain; between them they hold its edges +-(2^30 - 1)
+        lim = 2**30
+        neg = RNG.integers(-lim + 1, 0, size=(6, 6))
+        neg[0, 0], neg[5, 5] = -lim + 1, -1
+        mixed = RNG.integers(-lim + 1, lim, size=(6, 6))
+        mixed[0, :3] = [lim - 1, -lim + 1, 0]
+        ks = np.stack([neg, mixed])
+        x = RingTensor(ks.view(np.uint64))
+
+        def fn(ctx):
+            return reveal(ctx.session, maxpool2d(SecureEngine(ctx), shared_pair(ctx, x), 3, 1, 1))
+
+        got = run_secure(rt, fn)
+        assert got == maxpool2d(PlainEngine(CFG), x, 3, 1, 1)
+        padded = np.pad(ks, ((0, 0), (1, 1), (1, 1)), constant_values=np.iinfo(np.int64).min)
+        want = np.max([padded[:, i : i + 6, j : j + 6] for i in range(3) for j in range(3)], axis=0)
+        assert np.array_equal(got.signed(), want)

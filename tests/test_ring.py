@@ -59,6 +59,25 @@ class TestEncode:
         assert np.array_equal(decode(encode(xs, CFG), CFG), xs)
 
 
+class TestFixedPointConfig:
+    def test_cmp_bits_default_and_valid(self):
+        assert CFG.cmp_bits == 31
+        for bits in (23, 31, 39, 63):
+            assert FixedPointConfig(16, cmp_bits=bits).cmp_bits == bits
+
+    @pytest.mark.parametrize("frac_bits, cmp_bits", [(16, 15), (16, 16), (16, 30), (16, 32), (16, 64),
+                                                     (16, 71), (16, -1), (31, 31), (32, 31)])
+    def test_cmp_bits_refused(self, frac_bits, cmp_bits):
+        # frac_bits < cmp_bits <= 63, with cmp_bits + 1 whole bytes
+        with pytest.raises(ValueError):
+            FixedPointConfig(frac_bits, cmp_bits=cmp_bits)
+
+    def test_pool_sentinel(self):
+        # -2^(cmp_bits - 1); over the whole ring it is the old -2^62
+        assert FixedPointConfig(16, cmp_bits=63).pool_sentinel == 2**64 - 2**62
+        assert CFG.pool_sentinel == 2**64 - 2**30
+
+
 class TestRingAlgebra:
     def test_add_encoded(self):
         assert encode(2.0, CFG) + encode(3.0, CFG) == encode(5.0, CFG)

@@ -9,7 +9,8 @@ import time
 import numpy as np
 
 from mpcnn import arith
-from mpcnn.ring import RingTensor
+from mpcnn.engine import PlainEngine
+from mpcnn.ring import FixedPointConfig, RingTensor, encode
 from mpcnn.dealer import DealerService
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import reveal, share_input
@@ -126,10 +127,10 @@ def one_benchmark_inference(model_name):
 
 
 def gtz_bytes(n):
-    """Bytes one party sends in a gtz on n elements: the masked word, and
-    118 bit-ANDs per element, bit-sliced 64 elements to a word, each
-    opening two words."""
-    return 8 * n + 2 * 8 * 118 * -(-n // 64)
+    """Bytes one party sends in a gtz on n elements at the default domain
+    cmp_bits = 31: the low 4 bytes of the masked word, and 55 bit-ANDs per
+    element, bit-sliced 64 elements to a word, each opening two words."""
+    return 4 * n + 2 * 8 * 55 * -(-n // 64)
 
 
 def select_bytes(n):
@@ -144,8 +145,8 @@ def tag_bytes(led0):
 
 def test_detector_inference_end_to_end():
     # the output lies within the float64 reference's a-priori bound. Rounds:
-    # 5 convs, 2 SiLU layers at 12 (gtz 7, t 1, Chebyshev terms 3, select 1),
-    # 2 max-pool levels at 8 (gtz 7, mux 1) and the reveal. Bytes: the five
+    # 5 convs, 2 SiLU layers at 11 (gtz 6, t 1, Chebyshev terms 3, select 1),
+    # 2 max-pool levels at 7 (gtz 6, mux 1) and the reveal. Bytes: the five
     # convs move their input-shaped masks (223,232 B) from P0 and their
     # weight-shaped masks (2,186,592 B) from P1; each SiLU runs gtz and the
     # select on the 2 x 1,024 stacked [x + T, x - T] and 8 x 1,024 Beaver
@@ -155,37 +156,63 @@ def test_detector_inference_end_to_end():
     silu = 2 * 1024
     assert tag_bytes(led0) == {
         "conv.open": (223_232, 2_186_592, 5),
-        "gtz.mask": (8 * (2 * silu + 512 + 256),) * 2 + (4,),
-        "gtz.and": (sum(gtz_bytes(n) - 8 * n for n in (silu, silu, 512, 256)),) * 2 + (24,),
+        "gtz.mask": (4 * (2 * silu + 512 + 256),) * 2 + (4,),
+        "gtz.and": (sum(gtz_bytes(n) - 4 * n for n in (silu, silu, 512, 256)),) * 2 + (20,),
         "mul.open": (2 * 16 * 8 * 1024,) * 2 + (8,),
         "select.open": (2 * select_bytes(silu),) * 2 + (2,),
         "mux.open": (select_bytes(512) + select_bytes(256),) * 2 + (2,),
         "reveal": (0, 8 * 512, 1),
     }
-    assert led0["rounds"] == 5 + 2 * 12 + 2 * 8 + 1 == 46
+    assert led0["rounds"] == 5 + 2 * 11 + 2 * 7 + 1 == 42
     online = 223_232 + 2_186_592 + 2 * (2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu))
                                         + sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256))) + 8 * 512
-    assert led0["sent"] + led0["recv"] == online == 3_382_048
+    assert led0["sent"] + led0["recv"] == online == 3_189_920
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
 
 
 def test_compactcnn_inference_end_to_end():
-    # conv 1, ReLU 8 (gtz 7 on the 32 x 321 conv output, select 1), linear 1,
+    # conv 1, ReLU 7 (gtz 6 on the 32 x 321 conv output, select 1), linear 1,
     # reveal 1; the conv and the linear layer move (384 + 32) words one way
     # and (2048 + 64) the other, and P0 receives the 2 logits
     out, ref, bound, led0, problems = one_benchmark_inference("compactcnn")
     n = 32 * 321
     assert tag_bytes(led0) == {
         "conv.open": (8 * 384, 8 * 2048, 1),
-        "gtz.mask": (8 * n, 8 * n, 1),
-        "gtz.and": (gtz_bytes(n) - 8 * n,) * 2 + (6,),
+        "gtz.mask": (4 * n, 4 * n, 1),
+        "gtz.and": (gtz_bytes(n) - 4 * n,) * 2 + (5,),
         "select.open": (select_bytes(n),) * 2 + (1,),
         "matmul.open": (8 * 32, 8 * 64, 1),
         "reveal": (0, 16, 1),
     }
-    assert led0["rounds"] == 11
+    assert led0["rounds"] == 10
     online = 8 * (384 + 32 + 2048 + 64) + 2 * (gtz_bytes(n) + select_bytes(n)) + 16
-    assert led0["sent"] + led0["recv"] == online == 959_448
+    assert led0["sent"] + led0["recv"] == online == 552_696
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
+
+
+def test_comparison_inputs_stay_in_domain():
+    # the plain oracle runs both benchmark networks over the input pools of
+    # seeds 1, 3 and 5; the largest |x| entering any gtz stays below
+    # 2^(cmp_bits - 8), at least 8 bits inside the comparison domain
+    infer, _ = import_bench()
+    cfg = FixedPointConfig()
+    peak = {}
+
+    class Recording(PlainEngine):
+        def gtz(self, a):
+            s = a.signed()
+            peak[name] = max(peak[name], int(s.max()), -int(s.min()))
+            return super().gtz(a)
+
+    for name in ("compactcnn", "detector"):
+        peak[name] = 0
+        for seed in (1, 3, 5):
+            prep = infer.prepare(name, seed=seed)
+            params = {layer.name: {k: encode(v, cfg) for k, v in prep.weights[layer.name].items()}
+                      for layer in prep.model.params}
+            assert len(prep.inputs) == infer.POOL == 8
+            for x in prep.inputs:
+                prep.model.forward(Recording(cfg), encode(x, cfg), params)
+    assert all(0 < p < 2 ** (cfg.cmp_bits - 8) for p in peak.values()), peak
