@@ -134,12 +134,12 @@ class WeightNotHeld(ValueError):
     with holder P1)."""
 
 
-def beaver_mul(ctx: ProtocolCtx, x: ArithShare, y: ArithShare, tag: str = "mul.open") -> ArithShare:
+def beaver_mul(ctx: ProtocolCtx, x: ArithShare, y: ArithShare) -> ArithShare:
     """Elementwise ring product of two shared tensors (no truncation)."""
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
     t = ctx.triples.arith(x.shape)
-    e, d = open_values(ctx, tag, [x - ctx.arith(t.a), y - ctx.arith(t.b)])
+    e, d = open_values(ctx, "mul.open", [x - ctx.arith(t.a), y - ctx.arith(t.b)])
     z = t.c + (e * t.b) + (t.a * d)
     if ctx.role is Role.P0:
         z = z + (e * d)
@@ -161,26 +161,25 @@ def _held_linear(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, t: HeldTriple, 
     return ctx.arith(f(bytes_to_words(got, x.shape) + x.t, w.clear) + t.c)
 
 
-def conv2d(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, geom: ConvGeometry,
-           tag: str = "conv.open") -> ArithShare:
+def conv2d(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, geom: ConvGeometry) -> ArithShare:
     """2D convolution of a shared input by P1's kernel (no truncation)."""
-    _check_held(ctx, w, tag)
+    _check_held(ctx, w, "conv.open")
     if w.shape != geom.weight_shape():
         raise ShapeMismatch(f"kernel {w.shape} vs geometry {geom.weight_shape()}")
     t = ctx.triples.conv(x.shape, geom)
-    return _held_linear(ctx, x, w, t, lambda a, b: conv2d_ring(a, b, geom), tag)
+    return _held_linear(ctx, x, w, t, lambda a, b: conv2d_ring(a, b, geom), "conv.open")
 
 
-def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, tag: str = "matmul.open") -> ArithShare:
+def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare) -> ArithShare:
     """Matrix product of a shared (m, k) input by P1's (k, n) weight (no
     truncation)."""
-    _check_held(ctx, w, tag)
+    _check_held(ctx, w, "matmul.open")
     m, k = x.shape
     k2, n = w.shape
     if k != k2:
         raise ShapeMismatch(f"matmul {x.shape} @ {w.shape}")
     t = ctx.triples.matmul(m, k, n)
-    return _held_linear(ctx, x, w, t, matmul_ring, tag)
+    return _held_linear(ctx, x, w, t, matmul_ring, "matmul.open")
 
 
 def trunc_share(ctx: ProtocolCtx, x: ArithShare, bits: int | None = None) -> ArithShare:
@@ -252,14 +251,14 @@ def _mask_open(ctx: ProtocolCtx, x: ArithShare, pairs: MaskPairs, tag: str,
     return ctx.bin(pairs.bin), RingTensor(d.data & np.uint64((1 << bits) - 1))
 
 
-def a2b(ctx: ProtocolCtx, x: ArithShare, tag_prefix: str = "a2b") -> BinShare:
+def a2b(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     """Arithmetic share -> XOR share of the same 64-bit pattern.
 
     Opens x - r for a dealer-issued word r known in both sharings, then adds
     the public difference onto the XOR-shared r in the boolean adder.
     1 opening round + 6 AND phases."""
-    r, d = _mask_open(ctx, x, ctx.triples.maskpairs(x.shape), f"{tag_prefix}.mask")
-    return _carry_add_public(ctx, r, d, tag=f"{tag_prefix}.and")
+    r, d = _mask_open(ctx, x, ctx.triples.maskpairs(x.shape), "a2b.mask")
+    return _carry_add_public(ctx, r, d, tag="a2b.and")
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,9 @@ def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: Tr
 class DealerService:
     """Serves both parties; one server thread per party connection."""
 
-    def __init__(self, fabric: Fabric, master_seed: bytes | None = None):
+    def __init__(self, fabric: Fabric):
         self.fabric = fabric
-        self.master_seed = master_seed or fresh_seed()
+        self.master_seed = fresh_seed()
         self._lock = threading.Lock()
         self._served: dict = {}  # sid -> {(role, index)} served, for the re-request audit
         self._rerequests = 0

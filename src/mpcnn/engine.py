@@ -5,6 +5,12 @@ SecureEngine runs the interactive protocols over shares. Approximations and
 network layers are written once against this surface, so the oracle executes
 exactly the same formulas and truncations as the secure path; they differ
 only by the local-truncation noise of shared products.
+
+Each executor defines only its primitives: `raw` and `wrap_like` (the ring
+words of a value, and a value of the same kind around new words), `const`,
+`mul_raw`, `trunc`, `gtz`, `mux`, `conv2d`, `matmul` and `pool_windows`.
+Their base `Engine` writes the local ops once over those primitives: `add`,
+`sub`, `fmul`, `add_const`, `mul_const` and `mul_const_int`.
 """
 
 from __future__ import annotations
@@ -23,15 +29,41 @@ from .ring import (
     encode,
     gtz_plain,
     matmul_ring,
-    ring_mul_trunc,
     trunc,
 )
 from .ring import pool_windows as _ring_pool_windows
-from .sharing import ArithShare, BinShare, add_public, mul_public, share_public
+from .sharing import ArithShare, BinShare, share_public
 from .transport import Role
 
 
-class PlainEngine:
+class Engine:
+    """The local ops, written once over an executor's primitives."""
+
+    cfg: FixedPointConfig
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def fmul(self, a, b):
+        return self.trunc(self.mul_raw(a, b))
+
+    def add_const(self, a, value: float):
+        # a const is P0's alone on shares, so it is added once
+        return self.add(a, self.const(a.shape, value))
+
+    def mul_const_int(self, a, value: int):
+        """a times a public word: every share scales, so it stays local."""
+        with np.errstate(over="ignore"):
+            return self.wrap_like(a, self.raw(a).data * np.uint64(value & ((1 << WORD_BITS) - 1)))
+
+    def mul_const(self, a, value: float):
+        return self.trunc(self.mul_const_int(a, int(encode(value, self.cfg).data)))
+
+
+class PlainEngine(Engine):
     """Fixed-point reference executor on public ring tensors."""
 
     def __init__(self, cfg: FixedPointConfig | None = None):
@@ -48,30 +80,11 @@ class PlainEngine:
         return encode(np.full(shape, value, dtype=np.float64), self.cfg)
 
     # arithmetic
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def mul_raw(self, a, b):
         return a * b
 
     def trunc(self, a, bits: int | None = None):
         return trunc(a, self.cfg.frac_bits if bits is None else bits)
-
-    def fmul(self, a, b):
-        return ring_mul_trunc(a, b, self.cfg)
-
-    def add_const(self, a, value: float):
-        return a + self.const(a.shape, value)
-
-    def mul_const(self, a, value: float):
-        return self.fmul(a, self.const(a.shape, value))
-
-    def mul_const_int(self, a, value: int):
-        with np.errstate(over="ignore"):
-            return RingTensor(a.data * np.uint64(value & ((1 << WORD_BITS) - 1)))
 
     # comparison / selection
     def gtz(self, a):
@@ -98,7 +111,7 @@ class PlainEngine:
         return _ring_pool_windows(x, k, stride, padding, self.cfg.pool_sentinel)
 
 
-class SecureEngine:
+class SecureEngine(Engine):
     """Protocol executor over one party's shares. A comparison gives a XOR
     share of its 0/1 bit (`BinShare`), which the data movement below keeps
     as one, and which `mul_raw` and `mux` multiply in with `arith.select`."""
@@ -116,12 +129,6 @@ class SecureEngine:
     def const(self, shape, value: float) -> ArithShare:
         return share_public(encode(np.full(shape, value, dtype=np.float64), self.cfg), self.ctx.role)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def mul_raw(self, a, b):
         if isinstance(a, BinShare):
             return arith.select(self.ctx, a, b)
@@ -131,20 +138,6 @@ class SecureEngine:
 
     def trunc(self, a, bits: int | None = None):
         return arith.trunc_share(self.ctx, a, bits)
-
-    def fmul(self, a, b):
-        return arith.trunc_share(self.ctx, arith.beaver_mul(self.ctx, a, b))
-
-    def add_const(self, a, value: float):
-        return add_public(a, encode(np.full(a.shape, value, dtype=np.float64), self.cfg))
-
-    def mul_const(self, a, value: float):
-        # public-constant products are local; only the rescale shift follows
-        c = encode(np.full(a.shape, value, dtype=np.float64), self.cfg)
-        return self.trunc(mul_public(a, c))
-
-    def mul_const_int(self, a, value: int):
-        return mul_public(a, value)
 
     def gtz(self, a):
         return arith.gtz(self.ctx, a)

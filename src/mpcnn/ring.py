@@ -184,11 +184,6 @@ def trunc(t: RingTensor, bits: int) -> RingTensor:
     return t.shift_right_arith(bits)
 
 
-def ring_mul_trunc(a: RingTensor, b: RingTensor, cfg: FixedPointConfig = DEFAULT_CFG) -> RingTensor:
-    """Fixed-point product: ring product then arithmetic shift by frac_bits."""
-    return trunc(a * b, cfg.frac_bits)
-
-
 def msb(t: RingTensor) -> RingTensor:
     """Top bit per word; 1 iff the signed interpretation is negative."""
     return t.shift_right_logical(WORD_BITS - 1)

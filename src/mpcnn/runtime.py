@@ -70,9 +70,9 @@ class LocalRuntime:
     """One in-process mailbox with a dealer service, hosting any number of
     concurrent two-party sessions."""
 
-    def __init__(self, master_seed: bytes | None = None):
+    def __init__(self):
         self.mailbox = Mailbox()
-        self.dealer = DealerService(InProcFabric(self.mailbox, Role.DEALER), master_seed).start()
+        self.dealer = DealerService(InProcFabric(self.mailbox, Role.DEALER)).start()
         self._sid_lock = threading.Lock()
         self._next_sid = 1
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from .ring import RingTensor, ShapeMismatch, WORD_BITS
+from .ring import RingTensor, ShapeMismatch
 from .transport import Role, Session
 
 SEED_BYTES = 32
@@ -190,25 +190,6 @@ def reveal(session: Session, share: ArithShare, to: str = "both", tag: str = "re
     return None
 
 
-def reveal_bin(session: Session, share: BinShare, tag: str = "reveal.bin") -> RingTensor:
-    other = session.exchange(tag, words_to_bytes(share.t))
+def reveal_bin(session: Session, share: BinShare) -> RingTensor:
+    other = session.exchange("reveal.bin", words_to_bytes(share.t))
     return share.t ^ bytes_to_words(other, share.shape)
-
-
-# -- local (non-interactive) share algebra --
-
-
-def add_public(a: ArithShare, c: RingTensor) -> ArithShare:
-    """Only P0 adds the constant; adding at both parties would double it."""
-    if a.owner is Role.P0:
-        return ArithShare(a.owner, a.t + c)
-    return a
-
-
-def mul_public(a: ArithShare, c) -> ArithShare:
-    """Multiply by a public word (int) or elementwise public tensor; both
-    parties scale, reconstruction distributes."""
-    if isinstance(c, RingTensor):
-        return ArithShare(a.owner, a.t * c)
-    with np.errstate(over="ignore"):
-        return ArithShare(a.owner, RingTensor(a.t.data * np.uint64(c & ((1 << WORD_BITS) - 1))))

@@ -230,7 +230,8 @@ class _TcpConn:
         self.src, self.dst = src, dst
         self.mailbox = Mailbox()
         self._send_lock = threading.Lock()
-        threading.Thread(target=self._read_loop, daemon=True).start()
+        self.reader = threading.Thread(target=self._read_loop, daemon=True)
+        self.reader.start()
 
     def _read_loop(self):
         try:
@@ -311,21 +312,26 @@ class TcpFabric(Fabric):
     dealer; the dealer holds one connection per party. Set-up raises
     SessionTimeout when nobody connects or speaks in time, and ProtocolError
     when a connection names a role its listener does not expect, or one it
-    already has. Each connection runs one thread, its reader; a send blocks
-    its caller for at most MPCNN_TIMEOUT_MS."""
+    already has; a set-up that fails closes the connections it made. Each
+    connection runs one thread, its reader; a send blocks its caller for at
+    most MPCNN_TIMEOUT_MS."""
 
     ACCEPTS = {Role.P0: (Role.P1,), Role.DEALER: (Role.P0, Role.P1)}  # who connects to whom
 
     def __init__(self, role: Role, listen_addr=None, peer_addr=None, dealer_addr=None):
         self.role = role
         self._conns: dict = {}
-        if listen_addr and role in self.ACCEPTS:
-            socks = _accept(listen_addr, self.ACCEPTS[role])
-            self._conns = {peer: _TcpConn(sock, peer, role) for peer, sock in socks.items()}
-        if peer_addr and role is Role.P1:
-            self._connect(Role.P0, peer_addr)
-        if dealer_addr and role is not Role.DEALER:
-            self._connect(Role.DEALER, dealer_addr)
+        try:
+            if listen_addr and role in self.ACCEPTS:
+                for peer, sock in _accept(listen_addr, self.ACCEPTS[role]).items():
+                    self._conns[peer] = _TcpConn(sock, peer, role)
+            if peer_addr and role is Role.P1:
+                self._connect(Role.P0, peer_addr)
+            if dealer_addr and role is not Role.DEALER:
+                self._connect(Role.DEALER, dealer_addr)
+        except BaseException:
+            self.close()  # the connections made so far, and their readers
+            raise
 
     def _connect(self, to: Role, addr):
         deadline = time.time() + timeout_seconds()
@@ -337,8 +343,12 @@ class TcpFabric(Fabric):
                 if time.time() >= deadline:
                     raise TransportError(f"cannot connect to {to} at {addr}: {e}") from None
                 time.sleep(0.05)
-        sock.sendall(bytes([self.role.value]))
-        self._conns[to] = _TcpConn(sock, to, self.role)
+        try:
+            sock.sendall(bytes([self.role.value]))
+            self._conns[to] = _TcpConn(sock, to, self.role)
+        except BaseException:
+            sock.close()
+            raise
 
     def _conn(self, role: Role) -> _TcpConn:
         conn = self._conns.get(role)

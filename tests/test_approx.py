@@ -1,7 +1,7 @@
-"""Approximation contracts: every (domain, frac_bits, tolerance) row of the
-table in `mpcnn.approx`, swept on the plain oracle over the whole domain,
-plus a secure sample, the exact outer pieces of sigmoid and silu, and their
-pinned rounds and bytes."""
+"""SiLU's approximation contract: the (domain, frac_bits, tolerance) row of
+the table in `mpcnn.approx`, swept on the plain oracle over the whole
+domain, plus a secure sample, the exact outer pieces, and the pinned rounds
+and bytes."""
 
 import numpy as np
 import pytest
@@ -25,11 +25,6 @@ def _plain(fn, x):
     return decode(fn(PlainEngine(CFG), encode(x, CFG)), CFG)
 
 
-def test_sigmoid_contract():
-    err = np.abs(_plain(approx.sec_sigmoid, ACT_GRID) - _sigmoid(ACT_GRID))
-    assert err.max() <= 2e-2
-
-
 def test_silu_contract():
     err = np.abs(_plain(approx.sec_silu, ACT_GRID) - ACT_GRID * _sigmoid(ACT_GRID))
     assert err.max() <= 2e-2
@@ -45,7 +40,7 @@ def share(ctx, xw):
     return share_input(ctx.przs, xw if ctx.role is Role.P0 else None, Role.P0, xw.shape)
 
 
-T = 8.0  # where sigmoid and silu switch pieces
+T = 8.0  # where silu switches pieces
 EDGES = [-16.0, -T - 2.0**-16, -T, -T + 2.0**-16, -1.0, 0.0, 1.0, T - 2.0**-16, T, T + 2.0**-16, 16.0]
 
 
@@ -65,24 +60,18 @@ def test_secure_silu_sample(rt):
 def test_outer_pieces_are_exact(rt):
     # for |x| > T the Chebyshev terms reach ~7e8 and their local truncations
     # wrap, leaving garbage in about a third of the secure q values on these
-    # inputs; the exact select must still give relu(x), or the encoded 0 or
-    # 1, bit for bit
+    # inputs; the exact select must still give relu(x) bit for bit
     rng = np.random.default_rng(11)
-    one = encode(1.0, CFG).data
     for _ in range(20):
         mag = np.concatenate([[T + 2.0**-16, 16.0], rng.uniform(T + 2.0**-16, 16.0, 30)])
         x = np.concatenate([mag, -mag])
         xw = encode(x, CFG)
 
         def fn(ctx):
-            e = SecureEngine(ctx)
-            xs = share(ctx, xw)
-            return [reveal(ctx.session, f(e, xs)) for f in (approx.sec_silu, approx.sec_sigmoid)]
+            return reveal(ctx.session, approx.sec_silu(SecureEngine(ctx), share(ctx, xw)))
 
-        silu, sigmoid = rt.run_session(fn, fn, cfg=CFG)[Role.P0]
-        pos = x > 0
-        assert np.array_equal(silu.data, np.where(pos, xw.data, 0))
-        assert np.array_equal(sigmoid.data, np.where(pos, one, 0))
+        silu = rt.run_session(fn, fn, cfg=CFG)[Role.P0]
+        assert np.array_equal(silu.data, np.where(x > 0, xw.data, 0))
 
 
 def _costs(rt, fn, n):
@@ -108,19 +97,18 @@ def test_exact_cost(rt, n):
     # (at the default domain cmp_bits = 31: the low 4 bytes of the masked
     # word, then 55 bit-ANDs per element bit-sliced 64 to a word; 6 rounds),
     # then ring products on n (u), n (T_2), 2n (T_3, T_4) and 4n (T_5..T_8)
-    # elements, for sigmoid one more on n (y * r), and the select on the 2n
-    # stacked pieces (1 round). Each product element opens two words and
-    # costs P0 one dealt correction word; each selected element opens one
-    # word and one packed bit and costs P0 two correction words; P1 expands
-    # its halves from its seed.
+    # elements, and the select on the 2n stacked pieces (1 round). Each
+    # product element opens two words and costs P0 one dealt correction
+    # word; each selected element opens one word and one packed bit and
+    # costs P0 two correction words; P1 expands its halves from its seed.
     assert CFG.cmp_bits == 31
     m, words, ands = 2 * n, -(-2 * n // 64), 55
     gtz_online = 4 * m + 2 * 8 * ands * words
     gtz_dealer = 8 * m + 8 * ands * words
     select_online, select_dealer = 8 * m + -(-m // 8), 16 * m
-    for fn, rounds, products in ((approx.sec_silu, 11, 8 * n), (approx.sec_sigmoid, 12, 9 * n)):
-        online = gtz_online + 16 * products + select_online
-        dealer = gtz_dealer + 8 * products + select_dealer
-        assert _costs(rt, fn, n) == ((rounds, online, dealer), (rounds, online, 0))
-        if n % 64 == 0:  # per element per party
-            assert (online / n, dealer / n) == {11: (179.75, 125.75), 12: (195.75, 133.75)}[rounds]
+    products = 8 * n
+    online = gtz_online + 16 * products + select_online
+    dealer = gtz_dealer + 8 * products + select_dealer
+    assert _costs(rt, approx.sec_silu, n) == ((11, online, dealer), (11, online, 0))
+    if n % 64 == 0:  # per element per party
+        assert (online / n, dealer / n) == (179.75, 125.75)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mpcnn.engine import PlainEngine
 from mpcnn.ring import (
     ConvGeometry,
     FixedPointConfig,
@@ -18,13 +19,13 @@ from mpcnn.ring import (
     gtz_plain,
     matmul_ring,
     msb,
-    ring_mul_trunc,
     trunc,
     zeros,
 )
 
 CFG = FixedPointConfig(16)
 RNG = np.random.default_rng(0xA11CE)
+fmul = PlainEngine(CFG).fmul
 
 
 def rand_words(shape):
@@ -102,14 +103,16 @@ class TestRingAlgebra:
 
 
 class TestMulTrunc:
+    """The oracle's fixed-point product, `PlainEngine.fmul`."""
+
     def test_two_times_three(self):
-        assert ring_mul_trunc(encode(2.0, CFG), encode(3.0, CFG), CFG) == encode(6.0, CFG)
+        assert fmul(encode(2.0, CFG), encode(3.0, CFG)) == encode(6.0, CFG)
 
     def test_half_squared(self):
-        assert ring_mul_trunc(encode(0.5, CFG), encode(0.5, CFG), CFG) == encode(0.25, CFG)
+        assert fmul(encode(0.5, CFG), encode(0.5, CFG)) == encode(0.25, CFG)
 
     def test_negative_against_rational_oracle(self):
-        got = ring_mul_trunc(encode(-1.5, CFG), encode(2.0, CFG), CFG)
+        got = fmul(encode(-1.5, CFG), encode(2.0, CFG))
         want = fixed_mul_oracle(Fraction(-3, 2), Fraction(2), CFG.frac_bits)
         assert got.signed()[()] == want
         assert got == encode(-3.0, CFG)
@@ -119,7 +122,7 @@ class TestMulTrunc:
         ls = RNG.integers(-(1 << 30), 1 << 30, size=200)
         for k, l in zip(ks.tolist(), ls.tolist()):
             x, y = Fraction(k, CFG.scale), Fraction(l, CFG.scale)
-            got = ring_mul_trunc(encode(float(x), CFG), encode(float(y), CFG), CFG)
+            got = fmul(encode(float(x), CFG), encode(float(y), CFG))
             assert got.signed()[()] == fixed_mul_oracle(x, y, CFG.frac_bits)
 
     def test_error_bound_random_sweep(self):
@@ -129,7 +132,7 @@ class TestMulTrunc:
         ls = RNG.integers(-(1 << 26), 1 << 26, size=50_000)
         x = ks.astype(np.float64) / CFG.scale
         y = ls.astype(np.float64) / CFG.scale
-        got = decode(ring_mul_trunc(encode(x, CFG), encode(y, CFG), CFG), CFG)
+        got = decode(fmul(encode(x, CFG), encode(y, CFG)), CFG)
         assert np.max(np.abs(got - x * y)) <= 2.0 ** (1 - CFG.frac_bits)
 
 

@@ -9,9 +9,7 @@ from mpcnn.sharing import (
     BinShare,
     Prg,
     PrzsStream,
-    add_public,
     fresh_seed,
-    mul_public,
     przs_setup,
     reveal,
     reveal_bin,
@@ -181,25 +179,6 @@ class TestLocalAlgebra:
         y0, y1 = self._shared(seeds(), encode(3.0, CFG))
         assert (x0 + y0).t + (x1 + y1).t == encode(5.0, CFG)
 
-    def test_mul_public_zero(self):
-        sp = seeds()
-        x0, x1 = self._shared(sp, rand_words((10,)))
-        assert mul_public(x0, 0).t + mul_public(x1, 0).t == zeros((10,))
-
-    def test_add_public_only_p0(self):
-        sp = seeds()
-        x = encode(1.0, CFG)
-        x0, x1 = self._shared(sp, x)
-        c = encode(2.0, CFG)
-        assert add_public(x0, c).t + add_public(x1, c).t == encode(3.0, CFG)
-
-    def test_mul_public_tensor(self):
-        sp = seeds()
-        x = rand_words((32,))
-        c = rand_words((32,))
-        x0, x1 = self._shared(sp, x)
-        assert mul_public(x0, c).t + mul_public(x1, c).t == x * c
-
     def test_noninteractive_zero_bytes(self):
         def fn(sess):
             st = przs_setup(sess)
@@ -207,8 +186,6 @@ class TestLocalAlgebra:
             a = share_input(st, rand_words((10,)) if sess.role is Role.P0 else None, Role.P0, (10,))
             b = ArithShare(sess.role, st.draw((10,)))
             _ = a + b
-            _ = mul_public(a, 7)
-            _ = add_public(a, from_words(np.arange(10)))
             bb = BinShare(sess.role, st.draw((10,)))
             _ = bb ^ bb
             _ = bb.shift_left(3)

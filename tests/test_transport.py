@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from mpcnn import transport
 from mpcnn.transport import (
     InProcFabric,
     Mailbox,
@@ -17,6 +18,7 @@ from mpcnn.transport import (
     SessionTimeout,
     TcpFabric,
     Transcript,
+    TransportError,
 )
 from mpcnn.runtime import run_pair_raw
 
@@ -343,3 +345,40 @@ class TestTcpSetup:
             for t in threads:
                 t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
+
+    def test_failed_setup_closes_its_connections(self, monkeypatch):
+        # P0 and P1 connect to each other and then find no dealer: each
+        # raises, and closes the connection it already made, so no reader
+        # thread of either fabric outlives it
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "1000")
+        made = []
+
+        class Recording(transport._TcpConn):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(transport, "_TcpConn", Recording)
+        peer, dealer = ("127.0.0.1", free_port()), ("127.0.0.1", free_port())
+        errors = {}
+
+        def party(role, **addrs):
+            try:
+                TcpFabric(role, dealer_addr=dealer, **addrs)
+            except Exception as e:
+                errors[role] = e
+
+        threads = [threading.Thread(target=party, args=(Role.P0,), kwargs={"listen_addr": peer}),
+                   threading.Thread(target=party, args=(Role.P1,), kwargs={"peer_addr": peer})]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert set(errors) == {Role.P0, Role.P1}
+        assert all(isinstance(e, TransportError) for e in errors.values())
+        assert len(made) == 2  # P0's end and P1's end of their connection
+        for conn in made:
+            conn.reader.join(timeout=2)
+            assert not conn.reader.is_alive()
+            assert conn.sock.fileno() == -1
