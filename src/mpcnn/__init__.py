@@ -6,8 +6,9 @@ gives each party one seed per session, from which it expands its halves of
 every correlation: Beaver and boolean triples, the held conv and matmul
 correlations of the model holder's linear layers, mask pairs, and the
 select correlations that multiply a XOR-shared comparison bit into a word
-in one round. Only P0 asks for more: the corrections, in one dealer round
-trip per batch (a comparison fetches its mask pair and all of its AND
+in one round. Each kind is defined once, in the dealer's `HALVES` table.
+Only P0 asks for more: the corrections, in one dealer round trip per batch
+(a comparison or an a2b conversion fetches its mask pair and all of its AND
 triples at once). Every protocol run produces an exact transcript of
 payload bytes and communication rounds.
 """

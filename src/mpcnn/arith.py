@@ -6,7 +6,8 @@ Round structure (one round = one parallel phase, independent of tensor size):
   beaver_mul                     1   (e and d open together)
   conv2d / matmul                1   (P0's masked input and P1's masked
                                       weight cross in one swap)
-  and_gate                       1
+  and_gate                       1   (with a boolean triple the caller
+                                      fetched)
   a2b                            7   (1 masked-word opening + 6 AND phases
                                       of the carry-lookahead prefix tree)
   gtz                            6   (1 masked-word opening + 5 AND phases
@@ -29,9 +30,11 @@ The a2b conversion masks the arithmetic value with one dealt word pair (an
 additive and a XOR sharing of the same uniform word), opens the difference
 (uniform, so it reveals nothing), and adds the public difference back onto
 the XOR-shared mask inside a carry-lookahead adder; only the adder's AND
-gates are interactive, giving exactly log2(64) = 6 AND phases. No model
-calls a2b: it stays for its tests and for the benchmark's tracer, which
-wraps it by name.
+gates are interactive, giving exactly log2(64) = 6 AND phases. Like gtz, it
+fetches its word pair and all six levels' triples in one dealer round trip
+and hands each level's triple to `and_gate`, which fetches nothing itself.
+No model calls a2b: it stays for its tests and for the benchmark's tracer,
+which wraps it by name.
 
 gtz is the bounded-input comparison of Catrina and de Hoogh (SCN 2010) on
 the same mask pairs. For |x| < 2^l (l = cmp_bits of the config), -x fits
@@ -166,7 +169,7 @@ def conv2d(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, geom: ConvGeometry) -
     _check_held(ctx, w, "conv.open")
     if w.shape != geom.weight_shape():
         raise ShapeMismatch(f"kernel {w.shape} vs geometry {geom.weight_shape()}")
-    t = ctx.triples.conv(x.shape, geom)
+    t = ctx.triples.take(TripleSpec("conv", x.shape, geom=geom))
     return _held_linear(ctx, x, w, t, lambda a, b: conv2d_ring(a, b, geom), "conv.open")
 
 
@@ -178,7 +181,7 @@ def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare) -> ArithShare:
     k2, n = w.shape
     if k != k2:
         raise ShapeMismatch(f"matmul {x.shape} @ {w.shape}")
-    t = ctx.triples.matmul(m, k, n)
+    t = ctx.triples.take(TripleSpec("matmul", (m, k), mat=(m, k, n)))
     return _held_linear(ctx, x, w, t, matmul_ring, "matmul.open")
 
 
@@ -194,13 +197,11 @@ def trunc_share(ctx: ProtocolCtx, x: ArithShare, bits: int | None = None) -> Ari
 # boolean ops
 
 
-def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, tag: str = "and.open",
-             triple: Triple | None = None) -> BinShare:
-    """Bitwise AND over XOR shares with a boolean triple, fetched here unless
-    the caller fetched it ahead; one opening phase."""
+def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: Triple, tag: str = "and.open") -> BinShare:
+    """Bitwise AND over XOR shares with a boolean triple t of their shape,
+    which the caller fetched; one opening phase."""
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
-    t = ctx.triples.bool_(x.shape) if triple is None else triple
     e, f = open_values(ctx, tag, [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)])
     z = t.c ^ (t.b & e) ^ (t.a & f)
     if ctx.role is Role.P0:
@@ -208,31 +209,19 @@ def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, tag: str = "and.open",
     return ctx.bin(z)
 
 
-def _stack_bin(parts: list) -> BinShare:
-    owner = parts[0].owner
-    return BinShare(owner, RingTensor(np.stack([p.t.data for p in parts])))
-
-
-def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, tag: str) -> BinShare:
+def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, tag: str) -> BinShare:
     """r + d mod 2^64 over XOR shares of r with d public: carry-lookahead with
-    local generate/propagate and exactly log2(64) interactive AND levels."""
-    g = r.and_public(d)  # generate: r & d, local against a public word
+    local generate/propagate and exactly log2(64) interactive AND levels, one
+    dealt (2, *shape) boolean triple per level."""
     p = r.xor_public(d)  # propagate: r ^ d
-    G, P = g, p
-    for k in range(6):  # Kogge-Stone distances 1, 2, 4, 8, 16, 32
+    G, P = r.and_public(d), p  # generate: r & d, local against a public word
+    for k, t in enumerate(levels):  # Kogge-Stone distances 1, 2, 4, 8, 16, 32
         dist = 1 << k
-        pair = and_gate(
-            ctx,
-            _stack_bin([P, P]),
-            _stack_bin([G.shift_left(dist), P.shift_left(dist)]),
-            tag=tag,
-        )
-        pg = BinShare(pair.owner, RingTensor(pair.t.data[0]))
-        pp = BinShare(pair.owner, RingTensor(pair.t.data[1]))
-        G = G ^ pg
-        P = pp
-    carry = G.shift_left(1)
-    return p ^ carry
+        z = and_gate(ctx, ctx.bin(RingTensor(np.stack([P.t.data] * 2))),
+                     ctx.bin(RingTensor(np.stack([G.shift_left(dist).t.data, P.shift_left(dist).t.data]))),
+                     t, tag).t.data
+        G, P = G ^ ctx.bin(RingTensor(z[0])), ctx.bin(RingTensor(z[1]))
+    return p ^ G.shift_left(1)
 
 
 def _mask_open(ctx: ProtocolCtx, x: ArithShare, pairs: MaskPairs, tag: str,
@@ -256,9 +245,12 @@ def a2b(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
 
     Opens x - r for a dealer-issued word r known in both sharings, then adds
     the public difference onto the XOR-shared r in the boolean adder.
-    1 opening round + 6 AND phases."""
-    r, d = _mask_open(ctx, x, ctx.triples.maskpairs(x.shape), "a2b.mask")
-    return _carry_add_public(ctx, r, d, tag="a2b.and")
+    1 opening round + 6 AND phases, with the word pair and every level's
+    triple fetched in one dealer round trip."""
+    pairs, *levels = ctx.triples.take_many(
+        [TripleSpec("maskpair", x.shape)] + [TripleSpec("bool", (2, *x.shape))] * 6)
+    r, d = _mask_open(ctx, x, pairs, "a2b.mask")
+    return _carry_add_public(ctx, r, d, levels, "a2b.and")
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +316,8 @@ def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, 
             ctx,
             BinShare(r.owner, RingTensor(np.concatenate([P[0 : 2 * h - 1 : 2], P[2 : 2 * h - 1 : 2]]))),
             BinShare(r.owner, RingTensor(np.concatenate([G[0 : 2 * h : 2], P[1 : 2 * h - 2 : 2]]))),
-            tag=tag,
-            triple=t,
+            t,
+            tag,
         ).t.data
         G_next, P_next = G[1 : 2 * h : 2] ^ z[:h], z[h:]
         if m % 2:
@@ -369,7 +361,7 @@ def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.op
                         f"and {type(x).__name__}")
     if bit.shape != x.shape:
         raise ShapeMismatch(f"{bit.shape} vs {x.shape}")
-    t = ctx.triples.select(x.shape)
+    t = ctx.triples.take(TripleSpec("select", x.shape))
     e, z = open_values(ctx, tag, [x - ctx.arith(t.a)], bits=bit ^ ctx.bin(t.r_bin))
     sign = RingTensor(np.uint64(1) - np.uint64(2) * z.data)  # 1 - 2z: 1 or -1
     return ctx.arith(z * x.t + sign * (e * t.r + t.ar))

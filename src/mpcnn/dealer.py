@@ -4,14 +4,21 @@ This is the trusted-third-party provider of CrypTen (Knott et al., NeurIPS
 2021). The dealer gives each party one 32-byte seed per session,
 PRG(master_seed, "seed:{session}:{role}"), and each party expands its share
 of correlation i from PRG(seed, "deal:{i}"). P1 expands its whole half and
-never asks the dealer again. P0 expands all of its half but the corrected
-part: the product share c0 of a triple, the arithmetic half a0 of a mask
-pair, or the arithmetic shares of r and of a*r of a select correlation. It
-asks for those corrections by index and spec, one dealer round trip per
-request, and one request may carry several specs at consecutive indices
-(gtz asks for its mask pair and all of its AND levels' triples at once). A
-correction is masked by P1's expansion, which P0 cannot compute without
-P1's seed.
+never asks the dealer again. P0 expands the leading fields of its half and
+gets the rest, its corrections, from the dealer: the product share c0 of a
+triple, the arithmetic half a0 of a mask pair, or the arithmetic shares of r
+and of a*r of a select correlation. It asks for them by index and spec, one
+dealer round trip per request, and one request may carry several specs at
+consecutive indices (gtz and a2b each ask for their mask pair and all of
+their AND levels' triples at once). A correction is masked by P1's
+expansion, which P0 cannot compute without P1's seed.
+
+Each kind is defined once, as one `Kind` entry of `HALVES`: its half class,
+the shape of each field of either role's half and whether that field is
+drawn as words or as bits, how many leading fields P0 draws, and the
+algebra by which the dealer derives P0's corrections. `expand`,
+`derive_correlation` and `TripleSource` only read that entry, so a new kind
+is one new entry.
 
 The linear-layer kinds ('conv', 'matmul') are held correlations: P1 holds
 the weight in the clear, so only P0's input is masked there. P0 expands the
@@ -41,6 +48,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +61,6 @@ TAG_SEED_RSP = "SEED_RSP"
 TAG_TRIPLE_RSP = "TRIPLE_RSP"  # the corrections of one request, in spec order
 TAG_ERROR_RSP = "DEALER_ERR"  # a refused request; the payload says why
 
-HELD_KINDS = ("conv", "matmul")  # dealt as HeldTriples
 SEED_INDEX = -1  # the seed request's place in the dealer's re-request audit
 POLL_S = 0.2  # how often a service thread looks for `stop`
 
@@ -64,18 +71,9 @@ class RandomnessReused(DealerError):
 
 @dataclass(frozen=True)
 class TripleSpec:
-    """What one correlation is.
-
-    kind: 'arith' | 'bool' (elementwise, shape applies to a, b, c),
-          'conv'  (held: a0 input shape at P0, b kernel shape at P1,
-                   c0 + c1 = ring conv of a0 by b),
-          'matmul' (held: a0 (m,k) at P0, b (k,n) at P1, c0 + c1 = a0 @ b),
-          'maskpair' (one uniform 64-bit word per element of shape, in an
-                      additive and a XOR sharing: the a2b and gtz mask),
-          'select' (per element of shape a uniform word a, additively
-                    shared, a uniform bit r, XOR-shared, and additive
-                    shares of r and of a*r).
-    """
+    """What one correlation is: `kind` names an entry of `HALVES`; a 'conv'
+    also has its geometry (shape is the input's) and a 'matmul' its (m, k,
+    n) (shape is (m, k))."""
 
     kind: str
     shape: tuple
@@ -97,26 +95,10 @@ class TripleSpec:
         mat = tuple(body["mat"]) if "mat" in body else None
         return TripleSpec(body["kind"], tuple(body["shape"]), geom, mat)
 
-    def part_shapes(self) -> tuple:
-        """(a_shape, b_shape, c_shape) for a triple or held correlation."""
-        if self.kind in ("arith", "bool"):
-            return self.shape, self.shape, self.shape
-        if self.kind == "conv":
-            g = self.geom
-            oh, ow = g.out_hw(self.shape[1], self.shape[2])
-            return self.shape, g.weight_shape(), (g.out_channels, oh, ow)
-        if self.kind == "matmul":
-            m, k, n = self.mat
-            return (m, k), (k, n), (m, n)
-        raise DealerError(f"{self.kind!r} is not a triple kind")
-
-    def correction_shapes(self) -> tuple:
+    def correction_shapes(self) -> list:
         """The shapes of P0's corrections, in the order the dealer sends them."""
-        if self.kind == "select":
-            return self.shape, self.shape
-        if self.kind == "maskpair":
-            return (self.shape,)
-        return (self.part_shapes()[2],)
+        kind = kind_of(self)
+        return kind.shapes(self)[0][kind.p0_draws :]
 
 
 def encode_request(first: int, specs: list) -> bytes:
@@ -172,8 +154,59 @@ class SelectTriple:
     ar: RingTensor
 
 
-HALVES = {"arith": Triple, "bool": Triple, "conv": HeldTriple, "matmul": HeldTriple,
-          "maskpair": MaskPairs, "select": SelectTriple}
+@dataclass(frozen=True)
+class Kind:
+    """How one kind of correlation is dealt. `shapes(spec)` gives the shape
+    of each field of P0's half and of P1's, in the order of the `half`
+    class; the fields numbered in `bits` are drawn as bits, the rest as
+    words. P1 draws every field; P0 draws its first `p0_draws` and gets the
+    rest, its corrections, from the dealer, which computes them as
+    `correct(spec, *P0's draws, *P1's fields)`."""
+
+    half: type
+    shapes: Callable
+    p0_draws: int
+    correct: Callable
+    bits: tuple = ()
+
+
+def _elementwise(n: int) -> Callable:  # n fields of the spec's shape at either party
+    return lambda spec: ([spec.shape] * n,) * 2
+
+
+def _conv_shapes(spec) -> tuple:  # (a0, c0) at P0 and (b, c1) at P1
+    g = spec.geom
+    out = (g.out_channels, *g.out_hw(spec.shape[1], spec.shape[2]))
+    return [spec.shape, out], [g.weight_shape(), out]
+
+
+def _matmul_shapes(spec) -> tuple:
+    m, k, n = spec.mat
+    return [(m, k), (m, n)], [(k, n), (m, n)]
+
+
+HALVES = {
+    # Beaver triples c = a * b over additive halves, and over XOR halves
+    "arith": Kind(Triple, _elementwise(3), 2, lambda spec, a0, b0, a1, b1, c1: ((a0 + a1) * (b0 + b1) - c1,)),
+    "bool": Kind(Triple, _elementwise(3), 2, lambda spec, a0, b0, a1, b1, c1: (((a0 ^ a1) & (b0 ^ b1)) ^ c1,)),
+    # held: c0 + c1 = f(a0, b) for P0's input mask a0 and P1's weight mask b
+    "conv": Kind(HeldTriple, _conv_shapes, 1, lambda spec, a0, b, c1: (conv2d_ring(a0, b, spec.geom) - c1,)),
+    "matmul": Kind(HeldTriple, _matmul_shapes, 1, lambda spec, a0, b, c1: (matmul_ring(a0, b) - c1,)),
+    # a uniform word per element, XOR-shared (m) and additively shared: the
+    # a2b and gtz mask
+    "maskpair": Kind(MaskPairs, _elementwise(2), 1, lambda spec, m0, m1, a1: ((m0 ^ m1) - a1,)),
+    # a word a and a bit r = r0 ^ r1 per element, and additive shares of r
+    # and of a*r
+    "select": Kind(SelectTriple, _elementwise(4), 2,
+                   lambda spec, a0, r0, a1, r1, rho1, c1: ((r0 ^ r1) - rho1, (a0 + a1) * (r0 ^ r1) - c1), bits=(1,)),
+}
+
+
+def kind_of(spec: TripleSpec) -> Kind:
+    try:
+        return HALVES[spec.kind]
+    except KeyError:
+        raise DealerError(f"unknown kind {spec.kind!r}") from None
 
 
 def session_seed(master_seed: bytes, session_id: int, role: Role) -> bytes:
@@ -182,51 +215,22 @@ def session_seed(master_seed: bytes, session_id: int, role: Role) -> bytes:
 
 
 def expand(seed: bytes, index: int, spec: TripleSpec, role: Role) -> tuple:
-    """The parts of correlation `index` that `role` expands from its session
-    seed, in the field order of its half. P1 gets its whole half: (a1, b1,
-    c1), (b, c1) for a held kind, (m1, a1) for a mask pair or (a1, r1, rho1,
-    c1) for a select. P0 gets its half but the corrected parts: (a0, b0),
-    (a0,), (m0,) or (a0, r0)."""
+    """The fields of correlation `index` that `role` draws from its session
+    seed, in the field order of its half: all of them at P1, the first
+    `p0_draws` at P0."""
+    kind = kind_of(spec)
+    p0, p1 = kind.shapes(spec)
     prg = Prg(seed, f"deal:{index}".encode())
-    if spec.kind == "maskpair":
-        m = prg.draw_words(spec.shape)
-        return (m,) if role is Role.P0 else (m, prg.draw_words(spec.shape))
-    if spec.kind == "select":
-        a, r = prg.draw_words(spec.shape), prg.draw_bits(spec.shape)
-        return (a, r) if role is Role.P0 else (a, r, prg.draw_words(spec.shape), prg.draw_words(spec.shape))
-    a_shape, b_shape, c_shape = spec.part_shapes()
-    if spec.kind in HELD_KINDS:
-        if role is Role.P0:
-            return (prg.draw_words(a_shape),)
-        return prg.draw_words(b_shape), prg.draw_words(c_shape)
-    parts = prg.draw_words(a_shape), prg.draw_words(b_shape)
-    return parts if role is Role.P0 else parts + (prg.draw_words(c_shape),)
+    return tuple(prg.draw_bits(shape) if i in kind.bits else prg.draw_words(shape)
+                 for i, shape in enumerate(p1 if role is Role.P1 else p0[: kind.p0_draws]))
 
 
-def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec) -> RingTensor:
-    """P0's corrections for correlation `index` of a session, derived
-    deterministically from both parties' expansions: c0 = a * b - c1 with
-    a = a0 + a1 and b = b0 + b1 for 'arith', c0 = (a & b) ^ c1 with XOR
-    halves for 'bool', c0 = f(a0, b) - c1 for a held kind,
-    a0 = (m0 ^ m1) - a1 for a mask pair, and for a select rho0 = r - rho1
-    and c0 = a * r - c1 with r = r0 ^ r1, stacked in that order."""
+def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec) -> tuple:
+    """P0's corrections for correlation `index` of a session, one tensor per
+    corrected field, derived deterministically from both parties' draws."""
     mine = expand(session_seed(master_seed, session_id, Role.P0), index, spec, Role.P0)
     theirs = expand(session_seed(master_seed, session_id, Role.P1), index, spec, Role.P1)
-    if spec.kind == "maskpair":
-        (m0,), (m1, a1) = mine, theirs
-        return (m0 ^ m1) - a1
-    if spec.kind == "select":
-        (a0, r0), (a1, r1, rho1, c1) = mine, theirs
-        r = r0 ^ r1
-        return RingTensor(np.stack([(r - rho1).data, ((a0 + a1) * r - c1).data]))
-    if spec.kind in HELD_KINDS:
-        (a0,), (b, c1) = mine, theirs
-        c = conv2d_ring(a0, b, spec.geom) if spec.kind == "conv" else matmul_ring(a0, b)
-        return c - c1
-    (a0, b0), (a1, b1, c1) = mine, theirs
-    if spec.kind == "bool":
-        return ((a0 ^ a1) & (b0 ^ b1)) ^ c1
-    return (a0 + a1) * (b0 + b1) - c1
+    return kind_of(spec).correct(spec, *mine, *theirs)
 
 
 class DealerService:
@@ -272,8 +276,8 @@ class DealerService:
             return (), TAG_ERROR_RSP, b"P1 expands its whole half and gets no corrections"
         try:
             first, specs = decode_request(payload)
-            corrs = b"".join(words_to_bytes(derive_correlation(self.master_seed, sid, first + i, spec))
-                             for i, spec in enumerate(specs))
+            corrs = b"".join(words_to_bytes(c) for i, spec in enumerate(specs)
+                             for c in derive_correlation(self.master_seed, sid, first + i, spec))
         except Exception as e:  # any request P0 can send must be answered, or P0 waits out its timeout
             return (), TAG_ERROR_RSP, f"{type(e).__name__}: {e}".encode()
         return range(first, first + len(specs)), TAG_TRIPLE_RSP, corrs
@@ -332,10 +336,7 @@ class TripleSource:
 
     def take_many(self, specs: list) -> list:
         """Correlations for `specs`, at consecutive indices."""
-        try:
-            halves = [HALVES[spec.kind] for spec in specs]
-        except KeyError as e:
-            raise DealerError(f"unknown kind {e}") from None
+        kinds = [kind_of(spec) for spec in specs]
         first = self.next_index
         self.next_index += len(specs)
         indexed = list(enumerate(specs, first))
@@ -344,42 +345,26 @@ class TripleSource:
             if first <= self._expanded:
                 raise RandomnessReused(f"index {first} after {self._expanded} was already expanded")
             self._expanded = self.next_index - 1
-            return [half(*expand(self.seed(), i, spec, role)) for half, (i, spec) in zip(halves, indexed)]
+            return [kind.half(*expand(self.seed(), i, spec, role)) for kind, (i, spec) in zip(kinds, indexed)]
         self.session.send_to_dealer(TAG_REQ, encode_request(first, specs))
         parts = [expand(self.seed(), i, spec, role) for i, spec in indexed]  # while the dealer derives
         got = self.session.recv_from_dealer(TAG_TRIPLE_RSP, error_tag=TAG_ERROR_RSP)
-        want = sum(8 * int(np.prod(shape)) for spec in specs for shape in spec.correction_shapes())
+        shapes = [spec.correction_shapes() for spec in specs]
+        want = sum(8 * int(np.prod(shape)) for ss in shapes for shape in ss)
         if len(got) != want:
             raise DealerError(f"{len(got)} correction bytes for a request of {want}")
         out, off = [], 0
-        for half, mine, spec in zip(halves, parts, specs):
+        for kind, mine, ss in zip(kinds, parts, shapes):
             corrs = []
-            for shape in spec.correction_shapes():
+            for shape in ss:
                 n = 8 * int(np.prod(shape))
                 corrs.append(bytes_to_words(got[off : off + n], shape))
                 off += n
-            out.append(half(*mine, *corrs))
+            out.append(kind.half(*mine, *corrs))
         return out
 
     def take(self, spec: TripleSpec):
         return self.take_many([spec])[0]
 
-    # -- convenience constructors --
-
     def arith(self, shape) -> Triple:
         return self.take(TripleSpec("arith", tuple(shape)))
-
-    def bool_(self, shape) -> Triple:
-        return self.take(TripleSpec("bool", tuple(shape)))
-
-    def conv(self, x_shape, geom: ConvGeometry) -> HeldTriple:
-        return self.take(TripleSpec("conv", tuple(x_shape), geom=geom))
-
-    def matmul(self, m: int, k: int, n: int) -> HeldTriple:
-        return self.take(TripleSpec("matmul", (m, k), mat=(m, k, n)))
-
-    def maskpairs(self, shape) -> MaskPairs:
-        return self.take(TripleSpec("maskpair", tuple(shape)))
-
-    def select(self, shape) -> SelectTriple:
-        return self.take(TripleSpec("select", tuple(shape)))

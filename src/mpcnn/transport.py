@@ -130,37 +130,46 @@ class Transcript:
 
 class Mailbox:
     """Received frames in FIFO queues keyed by (session, source,
-    destination); a frame to the dealer goes under SERVICE. Once the mailbox
-    is closed, every `get` raises PeerDisconnected."""
+    destination); a frame to the dealer goes under SERVICE. Each key has one
+    reader. A `get` that leaves its queue empty drops it, so a finished
+    session leaves no queue behind; `put` enqueues under the lock, so no
+    frame lands in a dropped queue. Once the mailbox is closed, every `get`
+    raises PeerDisconnected."""
 
     def __init__(self):
         self._queues: dict = {}
         self._lock = threading.Lock()
         self.closed = False
 
-    def _queue(self, key) -> queue.Queue:
-        with self._lock:
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = queue.Queue()
-                if self.closed:
-                    q.put(None)
-            return q
+    def _queue(self, key) -> queue.SimpleQueue:
+        """The queue of `key`, made if missing; called under the lock."""
+        q = self._queues.get(key)
+        if q is None:
+            q = self._queues[key] = queue.SimpleQueue()
+            if self.closed:
+                q.put(None)
+        return q
 
     def put(self, src: Role, dst: Role, msg: Message):
-        if self.closed:
-            raise PeerDisconnected("mailbox closed")
         sid = SERVICE if dst is Role.DEALER else msg.session_id
-        self._queue((sid, src, dst)).put(msg)
+        with self._lock:
+            if self.closed:
+                raise PeerDisconnected("mailbox closed")
+            self._queue((sid, src, dst)).put(msg)
 
     def get(self, session_id: int, src: Role, dst: Role, timeout: float | None = None) -> Message:
-        q = self._queue((session_id, src, dst))
+        key = (session_id, src, dst)
+        with self._lock:
+            q = self._queue(key)
         try:
             msg = q.get(timeout=timeout if timeout is not None else timeout_seconds())
         except queue.Empty:
             raise SessionTimeout(f"recv from {src} timed out (session {session_id})") from None
-        if msg is None:
-            q.put(None)  # the next get fails at once too
+        finally:
+            with self._lock:
+                if q.empty() and self._queues.get(key) is q:
+                    del self._queues[key]
+        if msg is None:  # closed: the next get's new queue starts with None too
             raise PeerDisconnected(f"channel from {src} closed")
         return msg
 
@@ -334,13 +343,13 @@ class TcpFabric(Fabric):
             raise
 
     def _connect(self, to: Role, addr):
-        deadline = time.time() + timeout_seconds()
+        deadline = time.monotonic() + timeout_seconds()
         while True:
             try:
                 sock = socket.create_connection(addr, timeout=timeout_seconds())
                 break
             except OSError as e:  # peer may not be listening yet
-                if time.time() >= deadline:
+                if time.monotonic() >= deadline:
                     raise TransportError(f"cannot connect to {to} at {addr}: {e}") from None
                 time.sleep(0.05)
         try:

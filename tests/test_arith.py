@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpcnn import arith
-from mpcnn.dealer import DealerService
+from mpcnn.dealer import DealerService, TripleSpec
 from mpcnn.engine import (
     PlainEngine,
     SecureEngine,
@@ -353,9 +353,10 @@ class TestConversions:
         vals = rt.run_session(fn, fn, cfg=CFG)
         # the arith half of one word pair per element, then the c of 6 AND
         # levels on (G, P) lane pairs
-        assert vals[Role.P0] == [(["maskpair"], 8 * n)] + [(["bool"], 8 * 2 * n)] * 6
-        assert sum(b for _, b in vals[Role.P0]) / n == 104
-        assert vals[Role.P1] == [(["maskpair"], 0)] + [(["bool"], 0)] * 6  # P1 expands its half from its seed
+        kinds = ["maskpair"] + ["bool"] * 6
+        assert vals[Role.P0] == [(kinds, 8 * n + 6 * 8 * 2 * n)]  # one dealer round trip
+        assert vals[Role.P0][0][1] / n == 104
+        assert vals[Role.P1] == [(kinds, 0)]  # P1 expands its half from its seed
 
     def test_b2a_single_bits(self, rt):
         # a XOR-shared bit selecting the public word 1 is its additive sharing
@@ -374,7 +375,7 @@ class TestConversions:
         # the z = bit xor r that select opens, over 10^4 trials of a fixed
         # bit, is indistinguishable from fair coins
         def fn_probe(ctx):
-            t = ctx.triples.select((10_000,))
+            t = ctx.triples.take(TripleSpec("select", (10_000,)))
             sh = BinShare(ctx.role, zeros((10_000,)))
             (z,) = arith.open_values(ctx, "z", [], bits=sh ^ ctx.bin(t.r_bin))
             return float(z.data.mean())
@@ -766,7 +767,8 @@ class TestAndGate:
 
             xs = BinShare(ctx.role, x ^ mx if ctx.role is Role.P0 else mx)
             ys = BinShare(ctx.role, y ^ my if ctx.role is Role.P1 else my)
-            return reveal_bin(ctx.session, arith.and_gate(ctx, xs, ys))
+            t = ctx.triples.take(TripleSpec("bool", (4,)))
+            return reveal_bin(ctx.session, arith.and_gate(ctx, xs, ys, t))
 
         assert run_secure(rt, fn) == from_words([0, 0, 0, 1])
 
@@ -781,8 +783,9 @@ class TestAndGate:
             ones = BinShare(ctx.role, from_words(np.full(16, (1 << 64) - 1, dtype=np.uint64))
                             if ctx.role is Role.P0 else zeros((16,)))
             zero = BinShare(ctx.role, zeros((16,)))
-            a = reveal_bin(ctx.session, arith.and_gate(ctx, xs, ones))
-            b = reveal_bin(ctx.session, arith.and_gate(ctx, xs, zero))
+            t0, t1 = ctx.triples.take_many([TripleSpec("bool", (16,))] * 2)
+            a = reveal_bin(ctx.session, arith.and_gate(ctx, xs, ones, t0))
+            b = reveal_bin(ctx.session, arith.and_gate(ctx, xs, zero, t1))
             return a, b
 
         a, b = run_secure(rt, fn)

@@ -51,7 +51,7 @@ class TestTripleCorrectness:
         assert c == a * b
 
     def test_bool_triple(self, rt):
-        vals = fetch_both(rt, lambda src: src.bool_((64,)))
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("bool", (64,))))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         a, b, c = t0.a ^ t1.a, t0.b ^ t1.b, t0.c ^ t1.c
         assert c == (a & b)
@@ -60,7 +60,7 @@ class TestTripleCorrectness:
         # CompactCNN geometry: 1x64 kernels over a 1x384 signal; a held
         # correlation: P0 holds the input mask a0, P1 the kernel mask b
         geom = ConvGeometry(1, 32, 1, 64)
-        vals = fetch_both(rt, lambda src: src.conv((1, 1, 384), geom))
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("conv", (1, 1, 384), geom=geom)))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         assert t0.mask.shape == (1, 1, 384) and t1.mask.shape == (32, 1, 1, 64)
         c = t0.c + t1.c
@@ -68,7 +68,7 @@ class TestTripleCorrectness:
         assert c == conv2d_ring(t0.mask, t1.mask, geom)
 
     def test_matmul_triple(self, rt):
-        vals = fetch_both(rt, lambda src: src.matmul(5, 7, 3))
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("matmul", (5, 7), mat=(5, 7, 3))))
         t0, t1 = vals[Role.P0], vals[Role.P1]
         assert t0.mask.shape == (5, 7) and t1.mask.shape == (7, 3)
         assert (t0.c + t1.c) == matmul_ring(t0.mask, t1.mask)
@@ -77,7 +77,7 @@ class TestTripleCorrectness:
 class TestBitPairs:
     # the bit r of a select correlation, in its additive and XOR sharings
     def test_arith_and_bin_agree(self, rt):
-        vals = fetch_both(rt, lambda src: src.select((10_000,)))
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("select", (10_000,))))
         p0, p1 = vals[Role.P0], vals[Role.P1]
         r_arith = (p0.r + p1.r).data
         r_bin = (p0.r_bin ^ p1.r_bin).data
@@ -87,7 +87,7 @@ class TestBitPairs:
 
     def test_bit_frequency(self, rt):
         # binomial bound at 10^4 samples
-        vals = fetch_both(rt, lambda src: src.select((10_000,)))
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("select", (10_000,))))
         p0, p1 = vals[Role.P0], vals[Role.P1]
         freq = float((p0.r + p1.r).data.mean())
         assert 0.48 <= freq <= 0.52
@@ -95,13 +95,13 @@ class TestBitPairs:
 
 class TestMaskPairs:
     def test_arith_and_bin_agree(self, rt):
-        vals = fetch_both(rt, lambda src: src.maskpairs((10_000,)))
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("maskpair", (10_000,))))
         p0, p1 = vals[Role.P0], vals[Role.P1]
         assert (p0.arith + p1.arith) == (p0.bin ^ p1.bin)
 
     def test_top_bit_frequency(self, rt):
         # binomial bound at 10^4 samples
-        vals = fetch_both(rt, lambda src: src.maskpairs((10_000,)))
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("maskpair", (10_000,))))
         r = (vals[Role.P0].arith + vals[Role.P1].arith).data
         freq = float((r >> np.uint64(63)).mean())
         assert 0.48 <= freq <= 0.52
@@ -147,13 +147,15 @@ def halves(master, sid, index, spec):
     dealer's correction."""
     p0 = expand(session_seed(master, sid, Role.P0), index, spec, Role.P0)
     p1 = expand(session_seed(master, sid, Role.P1), index, spec, Role.P1)
-    corr = derive_correlation(master, sid, index, spec)
-    corrs = [RingTensor(c) for c in corr.data] if spec.kind == "select" else [corr]
-    half = HALVES[spec.kind]
-    return half(*p0, *corrs), half(*p1)
+    half = HALVES[spec.kind].half
+    return half(*p0, *derive_correlation(master, sid, index, spec)), half(*p1)
 
 
 class TestDerivation:
+    def test_specs_cover_every_kind(self):
+        # so that no kind skips the reconstruction test below
+        assert set(SPECS) == set(HALVES)
+
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_each_role_half_reconstructs(self, kind):
         spec = SPECS[kind]
@@ -164,7 +166,8 @@ class TestDerivation:
         # no weight-shaped tensor is ever dealt to P0; P1 gets the weight
         # mask and its output share, and no input-shaped part
         spec = SPECS[kind]
-        a_shape, b_shape, c_shape = spec.part_shapes()
+        a_shape, b_shape, c_shape = {"conv": ((2, 5, 4), (3, 2, 2, 2), (3, 4, 3)),
+                                     "matmul": ((4, 6), (6, 3), (4, 3))}[kind]
         master = fresh_seed()
         s0, s1 = session_seed(master, 9, Role.P0), session_seed(master, 9, Role.P1)
         assert [p.shape for p in expand(s0, 3, spec, Role.P0)] == [a_shape]
@@ -209,8 +212,8 @@ class TestSeeds:
         def fn(ctx):
             src = ctx.triples
             src.arith((8,))
-            src.bool_((8,))
-            src.maskpairs((8,))
+            src.take(TripleSpec("bool", (8,)))
+            src.take(TripleSpec("maskpair", (8,)))
             d = ctx.session.dealer_transcript
             return src.seed(), d.tags[TAG_REQ].phases, d.tags[TAG_SEED_RSP].bytes_recv, d.bytes_recv
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -12,9 +13,11 @@ from mpcnn import arith
 from mpcnn.engine import PlainEngine
 from mpcnn.ring import FixedPointConfig, RingTensor, encode
 from mpcnn.dealer import DealerService
-from mpcnn.runtime import LocalRuntime
+from mpcnn.runtime import LocalRuntime, establish
 from mpcnn.sharing import reveal, share_input
-from mpcnn.transport import SERVICE, InProcFabric, Mailbox, Role
+from mpcnn.transport import SERVICE, InProcFabric, Mailbox, Role, Session, TcpFabric
+
+from conftest import free_port
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "securebench")
 
@@ -34,6 +37,30 @@ class TestSessionRelease:
             sessions = {sid for sid, _, _ in rt.mailbox._queues}
             assert sessions <= {SERVICE}
             assert rt.dealer._served == {}
+
+    def test_tcp_sessions_leave_no_mailbox_state(self):
+        # nothing calls Mailbox.release over TCP: each get that drains its
+        # queue drops it, so 50 sessions over one set of connections leave
+        # no session's queue in any connection's mailbox
+        host, p0_port, dealer_port = "127.0.0.1", free_port(), free_port()
+        addrs = {Role.DEALER: dict(listen_addr=(host, dealer_port)),
+                 Role.P0: dict(listen_addr=(host, p0_port), dealer_addr=(host, dealer_port)),
+                 Role.P1: dict(peer_addr=(host, p0_port), dealer_addr=(host, dealer_port))}
+        with ThreadPoolExecutor(3) as pool:
+            fabs = dict(zip(addrs, pool.map(lambda role: TcpFabric(role, **addrs[role]), addrs)))
+        svc = DealerService(fabs[Role.DEALER]).start()
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                for sid in range(1, 51):
+                    out = list(pool.map(lambda role: one_mul(establish(Session(fabs[role], sid, role))),
+                                        (Role.P0, Role.P1)))
+                    assert out[0] == RingTensor(np.arange(4, dtype=np.uint64) ** 2)
+            keys = [key for fab in fabs.values() for conn in fab._conns.values() for key in conn.mailbox._queues]
+            assert {sid for sid, _, _ in keys} <= {SERVICE}
+        finally:
+            svc.stop()
+            for fab in fabs.values():
+                fab.close()
 
     def test_rerequest_counted_after_release(self):
         def rerequest(ctx):

@@ -1,8 +1,10 @@
 """Channel semantics: byte counting, round counting, backend equivalence."""
 
 import socket
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from mpcnn import transport
 from mpcnn.transport import (
     InProcFabric,
     Mailbox,
+    Message,
     PeerDisconnected,
     ProtocolError,
     Role,
@@ -194,8 +197,38 @@ class TestDisconnect:
         mailbox = Mailbox()
         sess = Session(InProcFabric(mailbox, Role.P0), 1, Role.P0)
         mailbox.close()
-        with pytest.raises(PeerDisconnected):
-            sess.recv_from_peer("t")
+        for _ in range(2):  # and again: a closed mailbox never blocks a get
+            with pytest.raises(PeerDisconnected):
+                sess.recv_from_peer("t")
+
+
+class TestMailbox:
+    def test_dropping_drained_queues_loses_no_frame(self):
+        # eight sessions, each with four writers and one reader on one
+        # mailbox, and a thread switch every microsecond: a get drops its
+        # queue whenever it drains it, yet every frame arrives, each writer's
+        # in order, and no queue is left. A put that enqueued after releasing
+        # the mailbox lock lost frames here in 3 of 9 runs
+        mailbox, n, writers = Mailbox(), 2000, 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def write(sid, k):
+                for i in range(k * n, (k + 1) * n):
+                    mailbox.put(Role.P0, Role.P1, Message(sid, i, 0, b""))
+
+            def read(sid):
+                got = [mailbox.get(sid, Role.P0, Role.P1, timeout=10).seq for _ in range(writers * n)]
+                return all([s for s in got if s // n == k] == list(range(k * n, (k + 1) * n)) for k in range(writers))
+
+            with ThreadPoolExecutor(8 * (1 + writers)) as pool:
+                reads = [pool.submit(read, sid) for sid in range(8)]
+                writes = [pool.submit(write, sid, k) for sid in range(8) for k in range(writers)]
+                assert all(f.result(timeout=60) for f in reads)
+                assert all(f.result(timeout=60) is None for f in writes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mailbox._queues == {}
 
 
 def random_script(seed):
