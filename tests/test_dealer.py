@@ -21,7 +21,7 @@ from mpcnn.dealer import (
     expand,
     session_seed,
 )
-from mpcnn.ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
+from mpcnn.ring import ConvGeometry, conv2d_ring, matmul_ring
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import fresh_seed
 from mpcnn.transport import Role

@@ -208,7 +208,7 @@ class TestMailbox:
         # mailbox, and a thread switch every microsecond: a get drops its
         # queue whenever it drains it, yet every frame arrives, each writer's
         # in order, and no queue is left. A put that enqueued after releasing
-        # the mailbox lock lost frames here in 3 of 9 runs
+        # the mailbox lock lost frames in 3 of 9 runs of this test
         mailbox, n, writers = Mailbox(), 2000, 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
