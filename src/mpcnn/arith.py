@@ -21,6 +21,12 @@ Round structure (one round = one parallel phase, independent of tensor size):
 A ReLU is select(gtz(x), x), 7 rounds; `models.ReLU` writes it on the engine
 surface as mul_raw(x, gtz(x)).
 
+Every opening goes through `sharing.open_shares` with its width: whole 8 B
+words (Beaver products, AND levels, a2b's masked word, the select's masked
+word), the 4 B comparison masks of gtz (l + 1 bits, below), and the select's
+masked bit, packed 8 per byte. Only the held linear layers' swap, in which
+the two parties send different tensors, frames its own exchange.
+
 conv2d and matmul are the client-server linear layer of Delphi (Mishra et
 al., USENIX Security 2020), with the dealer in place of homomorphic
 encryption: the weight is P1's own input, used in the clear at P1, so only
@@ -60,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dealer import HeldTriple, MaskPairs, Triple, TripleSource, TripleSpec
+from .dealer import HeldTriple, Triple, TripleSource, TripleSpec
 from .ring import (
     ConvGeometry,
     FixedPointConfig,
@@ -70,7 +76,7 @@ from .ring import (
     conv2d_ring,
     matmul_ring,
 )
-from .sharing import ArithShare, BinShare, PrzsStream, bytes_to_words, words_to_bytes
+from .sharing import ArithShare, BinShare, PrzsStream, bytes_to_words, open_shares, words_to_bytes
 from .transport import Role, Session
 
 
@@ -93,30 +99,6 @@ class ProtocolCtx:
 
     def bin(self, t: RingTensor) -> BinShare:
         return BinShare(self.role, t)
-
-
-def open_values(ctx: ProtocolCtx, tag: str, tensors: list, bits: BinShare | None = None) -> list:
-    """Open several share tensors in one phase; returns public RingTensors.
-    `bits`, a XOR share of 0/1 words, opens in the same phase with only its
-    low bits sent, packed 8 per byte, and comes back last as 0/1 words."""
-    payload = b"".join(words_to_bytes(t.t) for t in tensors)
-    if bits is not None:
-        low = (bits.t.data & np.uint64(1)).astype(np.uint8).reshape(-1)
-        payload += np.packbits(low, bitorder="little").tobytes()
-    got = ctx.session.exchange(tag, payload)
-    out, off = [], 0
-    for t in tensors:
-        n = 8 * t.t.size
-        other = bytes_to_words(got[off : off + n], t.shape)
-        if isinstance(t, BinShare):
-            out.append(t.t ^ other)
-        else:
-            out.append(t.t + other)
-        off += n
-    if bits is not None:
-        theirs = np.unpackbits(np.frombuffer(got[off:], dtype=np.uint8), count=low.size, bitorder="little")
-        out.append(RingTensor((low ^ theirs).astype(np.uint64).reshape(bits.shape)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +124,7 @@ def beaver_mul(ctx: ProtocolCtx, x: ArithShare, y: ArithShare) -> ArithShare:
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
     t = ctx.triples.arith(x.shape)
-    e, d = open_values(ctx, "mul.open", [x - ctx.arith(t.a), y - ctx.arith(t.b)])
+    e, d = open_shares(ctx.session, "mul.open", [x - ctx.arith(t.a), y - ctx.arith(t.b)])
     z = t.c + (e * t.b) + (t.a * d)
     if ctx.role is Role.P0:
         z = z + (e * d)
@@ -185,14 +167,6 @@ def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare) -> ArithShare:
     return _held_linear(ctx, x, w, t, matmul_ring, "matmul.open")
 
 
-def trunc_share(ctx: ProtocolCtx, x: ArithShare, bits: int | None = None) -> ArithShare:
-    """Local fixed-point rescale: each party arithmetic-shifts its own share.
-    Known additive error of at most 1 LSB per party; a wrap-scale error occurs
-    with probability |value| / 2^64 and is accepted (documented)."""
-    s = ctx.cfg.frac_bits if bits is None else bits
-    return ctx.arith(x.t.shift_right_arith(s))
-
-
 # ---------------------------------------------------------------------------
 # boolean ops
 
@@ -202,7 +176,7 @@ def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: Triple, tag: str = "
     which the caller fetched; one opening phase."""
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
-    e, f = open_values(ctx, tag, [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)])
+    e, f = open_shares(ctx.session, tag, [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)])
     z = t.c ^ (t.b & e) ^ (t.a & f)
     if ctx.role is Role.P0:
         z = z ^ (e & f)
@@ -224,22 +198,6 @@ def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list
     return p ^ G.shift_left(1)
 
 
-def _mask_open(ctx: ProtocolCtx, x: ArithShare, pairs: MaskPairs, tag: str,
-               bits: int = WORD_BITS) -> tuple[BinShare, RingTensor]:
-    """Open the low `bits` bits of d = x - r for one dealt mask pair r
-    (uniform, so the opening is noise); returns the XOR share of r and the
-    public d, reduced mod 2^bits. Additive shares reduce mod 2^bits too, so
-    each party sends only the low bits / 8 bytes of its share. One round."""
-    mine = (x - ctx.arith(pairs.arith)).t
-    width = bits // 8
-    low = np.frombuffer(words_to_bytes(mine), dtype=np.uint8).reshape(-1, 8)[:, :width]
-    got = ctx.session.exchange(tag, low.tobytes())
-    theirs = np.zeros((mine.size, 8), dtype=np.uint8)
-    theirs[:, :width] = np.frombuffer(got, dtype=np.uint8).reshape(-1, width)
-    d = mine + bytes_to_words(theirs.tobytes(), mine.shape)
-    return ctx.bin(pairs.bin), RingTensor(d.data & np.uint64((1 << bits) - 1))
-
-
 def a2b(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     """Arithmetic share -> XOR share of the same 64-bit pattern.
 
@@ -249,8 +207,8 @@ def a2b(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     triple fetched in one dealer round trip."""
     pairs, *levels = ctx.triples.take_many(
         [TripleSpec("maskpair", x.shape)] + [TripleSpec("bool", (2, *x.shape))] * 6)
-    r, d = _mask_open(ctx, x, pairs, "a2b.mask")
-    return _carry_add_public(ctx, r, d, levels, "a2b.and")
+    (d,) = open_shares(ctx.session, "a2b.mask", [x - ctx.arith(pairs.arith)])
+    return _carry_add_public(ctx, ctx.bin(pairs.bin), d, levels, "a2b.and")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +301,8 @@ def gtz(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     lanes = ctx.cfg.cmp_bits
     pairs, *levels = ctx.triples.take_many(
         [TripleSpec("maskpair", x.shape)] + [TripleSpec("bool", s) for s in _tree_shapes(x.t.size, lanes)])
-    r, d = _mask_open(ctx, -x, pairs, "gtz.mask", bits=lanes + 1)
-    return _msb_add_public(ctx, r, d, levels, lanes, tag="gtz.and")
+    (d,) = open_shares(ctx.session, "gtz.mask", [-x - ctx.arith(pairs.arith)], [lanes + 1])
+    return _msb_add_public(ctx, ctx.bin(pairs.bin), d, levels, lanes, tag="gtz.and")
 
 
 def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.open") -> ArithShare:
@@ -362,7 +320,7 @@ def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.op
     if bit.shape != x.shape:
         raise ShapeMismatch(f"{bit.shape} vs {x.shape}")
     t = ctx.triples.take(TripleSpec("select", x.shape))
-    e, z = open_values(ctx, tag, [x - ctx.arith(t.a)], bits=bit ^ ctx.bin(t.r_bin))
+    e, z = open_shares(ctx.session, tag, [x - ctx.arith(t.a), bit ^ ctx.bin(t.r_bin)], [WORD_BITS, 1])
     sign = RingTensor(np.uint64(1) - np.uint64(2) * z.data)  # 1 - 2z: 1 or -1
     return ctx.arith(z * x.t + sign * (e * t.r + t.ar))
 

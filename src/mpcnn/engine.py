@@ -8,9 +8,9 @@ only by the local-truncation noise of shared products.
 
 Each executor defines only its primitives: `raw` and `wrap_like` (the ring
 words of a value, and a value of the same kind around new words), `const`,
-`mul_raw`, `trunc`, `gtz`, `mux`, `conv2d`, `matmul` and `pool_windows`.
-Their base `Engine` writes the local ops once over those primitives: `add`,
-`sub`, `fmul`, `add_const`, `mul_const` and `mul_const_int`.
+`mul_raw`, `gtz`, `mux`, `conv2d`, `matmul` and `pool_windows`. Their base
+`Engine` writes the local ops once over those primitives: `add`, `sub`,
+`trunc` (the rescale), `fmul`, `add_const`, `mul_const` and `mul_const_int`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ class Engine:
     def sub(self, a, b):
         return a - b
 
+    def trunc(self, a, bits: int | None = None):
+        """The fixed-point rescale by `bits` (frac_bits by default). On shares
+        each party arithmetic-shifts its own share: a known additive error of
+        at most 1 LSB per party, and a wrap-scale error with probability
+        |value| / 2^64, accepted (documented)."""
+        return self.wrap_like(a, trunc(self.raw(a), self.cfg.frac_bits if bits is None else bits).data)
+
     def fmul(self, a, b):
         return self.trunc(self.mul_raw(a, b))
 
@@ -82,9 +89,6 @@ class PlainEngine(Engine):
     # arithmetic
     def mul_raw(self, a, b):
         return a * b
-
-    def trunc(self, a, bits: int | None = None):
-        return trunc(a, self.cfg.frac_bits if bits is None else bits)
 
     # comparison / selection
     def gtz(self, a):
@@ -135,9 +139,6 @@ class SecureEngine(Engine):
         if isinstance(b, BinShare):
             return arith.select(self.ctx, b, a)
         return arith.beaver_mul(self.ctx, a, b)
-
-    def trunc(self, a, bits: int | None = None):
-        return arith.trunc_share(self.ctx, a, bits)
 
     def gtz(self, a):
         return arith.gtz(self.ctx, a)

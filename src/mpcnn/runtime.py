@@ -10,7 +10,6 @@ benchmark harness hosts its agents.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from .arith import ProtocolCtx
 from .dealer import DealerService, TripleSource
@@ -35,35 +34,29 @@ def establish(session: Session, cfg: FixedPointConfig | None = None) -> Protocol
     )
 
 
-@dataclass
-class PairOutcome:
-    values: dict
-    errors: dict
-
-
 def run_pair_raw(make_fabric, fn_by_role, session_id=1):
     """Run one function per role on its own thread; propagate the first error."""
-    outcome = PairOutcome({}, {})
+    values, errors = {}, {}
 
     def runner(role):
         try:
             fabric = make_fabric(role)
             try:
                 sess = Session(fabric, session_id, role)
-                outcome.values[role] = fn_by_role[role](sess)
+                values[role] = fn_by_role[role](sess)
             finally:
                 fabric.close()
         except Exception as e:
-            outcome.errors[role] = e
+            errors[role] = e
 
     threads = [threading.Thread(target=runner, args=(r,)) for r in fn_by_role]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    if outcome.errors:
-        raise next(iter(outcome.errors.values()))
-    return outcome.values
+    if errors:
+        raise next(iter(errors.values()))
+    return values
 
 
 class LocalRuntime:

@@ -8,6 +8,11 @@ draws -r. Sharing an input is then non-interactive: the holder adds
 the value onto its zero share, and its share also keeps the value itself, so
 that protocols which take one party's input in the clear (the model holder's
 weights in `arith.conv2d` / `arith.matmul`) can use it.
+
+`open_shares` is the one codec by which both parties open shares: one
+exchange in which each share sends only its low w bits (whole words, low
+bytes, or single bits packed 8 per byte) and comes back reconstructed by its
+own algebra, mod 2^w. A symmetric `reveal` is one call of it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from .ring import RingTensor, ShapeMismatch
+from .ring import WORD_BITS, RingTensor, ShapeMismatch
 from .transport import Role, Session
 
 SEED_BYTES = 32
@@ -120,9 +125,6 @@ class ArithShare:
     def __neg__(self) -> "ArithShare":
         return ArithShare(self.owner, -self.t)
 
-    def reshape(self, *shape) -> "ArithShare":
-        return ArithShare(self.owner, self.t.reshape(*shape))
-
 
 @dataclass
 class BinShare:
@@ -174,12 +176,48 @@ def share_public(value: RingTensor, role: Role) -> ArithShare:
     return ArithShare(role, value if role is Role.P0 else zeros(value.shape))
 
 
-def reveal(session: Session, share: ArithShare, to: str = "both", tag: str = "reveal") -> RingTensor | None:
-    """Reconstruct a shared tensor. to='both' is one symmetric round; a directed
-    reveal (to='p0' or 'p1') sends only the counterpart's share."""
+def open_shares(session: Session, tag: str, shares: list, widths: list | None = None) -> list:
+    """Open shares in one exchange; returns their public RingTensors, each
+    reconstructed by its own algebra (+ for an ArithShare, ^ for a BinShare)
+    and reduced mod 2^w. Both reduce mod any power of two, so each share
+    sends only its low w bits, w its entry in `widths` (64 by default): the
+    whole word at 64, the low w / 8 bytes of each word at any other multiple
+    of 8, and at w = 1 one bit per element, packed 8 per byte."""
+    widths = widths or [WORD_BITS] * len(shares)
+    parts = []
+    for s, w in zip(shares, widths, strict=True):
+        if w == 1:
+            parts.append(np.packbits((s.t.data & np.uint64(1)).astype(np.uint8), bitorder="little").tobytes())
+        elif w % 8 or not 8 <= w <= WORD_BITS:
+            raise ValueError(f"cannot open {w} bits: expected 1 or a multiple of 8 up to 64")
+        else:
+            buf = words_to_bytes(s.t)
+            parts.append(buf if w == WORD_BITS else np.frombuffer(buf, np.uint8).reshape(-1, 8)[:, : w // 8].tobytes())
+    got = session.exchange(tag, b"".join(parts))
+    out, off = [], 0
+    for s, w, part in zip(shares, widths, parts):
+        theirs, off = got[off : off + len(part)], off + len(part)
+        if w == 1:  # mod 2, + is ^: xor the packed bits
+            bits = np.frombuffer(part, np.uint8) ^ np.frombuffer(theirs, np.uint8)
+            out.append(RingTensor(np.unpackbits(bits, count=s.t.size, bitorder="little").reshape(s.shape)))
+            continue
+        if w < WORD_BITS:
+            padded = np.zeros((s.t.size, 8), np.uint8)
+            padded[:, : w // 8] = np.frombuffer(theirs, np.uint8).reshape(-1, w // 8)
+            theirs = padded.tobytes()
+        other = bytes_to_words(theirs, s.shape)
+        v = s.t ^ other if isinstance(s, BinShare) else s.t + other
+        out.append(v if w == WORD_BITS else RingTensor(v.data & np.uint64((1 << w) - 1)))
+    return out
+
+
+def reveal(session: Session, share: ArithShare | BinShare, to: str = "both",
+           tag: str = "reveal") -> RingTensor | None:
+    """Reconstruct a shared tensor. to='both' opens an ArithShare or a
+    BinShare in one symmetric round; a directed reveal (to='p0' or 'p1') of
+    an ArithShare sends only the counterpart's share."""
     if to == "both":
-        other = session.exchange(tag, words_to_bytes(share.t))
-        return share.t + bytes_to_words(other, share.shape)
+        return open_shares(session, tag, [share])[0]
     if to not in ("p0", "p1"):
         raise ValueError(f"reveal to {to!r}: expected 'both', 'p0' or 'p1'")
     target = Role.P0 if to == "p0" else Role.P1
@@ -188,8 +226,3 @@ def reveal(session: Session, share: ArithShare, to: str = "both", tag: str = "re
         return share.t + bytes_to_words(other, share.shape)
     session.send_to_peer(tag, words_to_bytes(share.t))
     return None
-
-
-def reveal_bin(session: Session, share: BinShare) -> RingTensor:
-    other = session.exchange("reveal.bin", words_to_bytes(share.t))
-    return share.t ^ bytes_to_words(other, share.shape)

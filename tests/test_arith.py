@@ -34,7 +34,7 @@ from mpcnn.ring import (
     zeros,
 )
 from mpcnn.runtime import LocalRuntime, establish, run_pair_raw
-from mpcnn.sharing import ArithShare, BinShare, reveal, reveal_bin, share_input, share_public
+from mpcnn.sharing import ArithShare, BinShare, open_shares, reveal, share_input, share_public
 from mpcnn.transport import Role, TcpFabric
 
 from conftest import free_port
@@ -136,7 +136,7 @@ class TestBeaverMul:
             x = shared_pair(ctx, encode(2.0, CFG))
             y = shared_pair(ctx, encode(3.0, CFG), holder=Role.P1)
             raw = arith.beaver_mul(ctx, x, y)
-            out = arith.trunc_share(ctx, raw)
+            out = SecureEngine(ctx).trunc(raw)
             return reveal(ctx.session, raw), reveal(ctx.session, out)
 
         raw, out = run_secure(rt, fn)
@@ -299,14 +299,14 @@ class TestConversions:
     def test_a2b_of_zero(self, rt):
         def fn(ctx):
             x = shared_pair(ctx, zeros((4,)))
-            return reveal_bin(ctx.session, arith.a2b(ctx, x))
+            return reveal(ctx.session, arith.a2b(ctx, x))
 
         assert run_secure(rt, fn) == zeros((4,))
 
     def test_a2b_minus_one_pattern(self, rt):
         def fn(ctx):
             x = shared_pair(ctx, encode(-1.0, CFG).reshape(1))
-            return reveal_bin(ctx.session, arith.a2b(ctx, x))
+            return reveal(ctx.session, arith.a2b(ctx, x))
 
         got = run_secure(rt, fn)
         assert int(got.data[0]) == (2**64 - 65536)  # all-ones above the fraction
@@ -316,7 +316,7 @@ class TestConversions:
 
         def fn(ctx):
             xs = shared_pair(ctx, x)
-            return reveal_bin(ctx.session, arith.a2b(ctx, xs))
+            return reveal(ctx.session, arith.a2b(ctx, xs))
 
         assert run_secure(rt, fn) == x
 
@@ -377,7 +377,7 @@ class TestConversions:
         def fn_probe(ctx):
             t = ctx.triples.take(TripleSpec("select", (10_000,)))
             sh = BinShare(ctx.role, zeros((10_000,)))
-            (z,) = arith.open_values(ctx, "z", [], bits=sh ^ ctx.bin(t.r_bin))
+            (z,) = open_shares(ctx.session, "z", [sh ^ ctx.bin(t.r_bin)], [1])
             return float(z.data.mean())
 
         freq = run_secure(rt, fn_probe)
@@ -399,7 +399,7 @@ class TestGtz:
     def test_examples(self, rt):
         def fn(ctx):
             x = shared_pair(ctx, encode([5.0, -5.0, 0.0], CFG))
-            return reveal_bin(ctx.session, arith.gtz(ctx, x))
+            return reveal(ctx.session, arith.gtz(ctx, x))
 
         assert run_secure(rt, fn) == from_words([1, 0, 0])
 
@@ -469,7 +469,7 @@ class TestGtz:
             cases.append(x)
 
         def fn(ctx):
-            return [reveal_bin(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
+            return [reveal(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
 
         for x, got in zip(cases, run_secure(rt, fn, FULL)):
             assert got == gtz_plain(x)
@@ -492,7 +492,7 @@ class TestGtz:
 
         def fn(ctx):
             xs = shared_pair(ctx, x)
-            return reveal_bin(ctx.session, arith.gtz(ctx, xs))
+            return reveal(ctx.session, arith.gtz(ctx, xs))
 
         got = run_secure(rt, fn, FULL)
         assert np.array_equal(got.data.astype(bool), ks > 0)
@@ -507,7 +507,7 @@ class TestGtz:
         def fn(ctx):
             xs = shared_pair(ctx, x)
             bit = arith.gtz(ctx, xs)
-            return reveal_bin(ctx.session, bit), reveal(ctx.session, arith.select(ctx, bit, xs))
+            return reveal(ctx.session, bit), reveal(ctx.session, arith.select(ctx, bit, xs))
 
         bit, relu = run_secure(rt, fn)
         plain = PlainEngine(CFG)
@@ -522,7 +522,7 @@ class TestGtz:
         cases = [RingTensor(domain_words(n).view(np.uint64)) for n in (5, 64, 65, 1000)]
 
         def fn(ctx):
-            bits = [reveal_bin(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
+            bits = [reveal(ctx.session, arith.gtz(ctx, shared_pair(ctx, x))) for x in cases]
             return bits, ctx.session.measure().counters(), ctx.session.dealer_transcript.counters()
 
         tcp = run_tcp_with_dealer(fn)
@@ -669,7 +669,7 @@ class TestShareTypes:
             assert all(isinstance(m, BinShare) for m in moved)
             with pytest.raises(TypeError):
                 e_sum(e, bits, axis=0)
-            return [reveal_bin(ctx.session, m) for m in moved]
+            return [reveal(ctx.session, m) for m in moved]
 
         stacked, taken, reshaped = run_secure(rt, fn, FULL)
         want = gtz_plain(v).data
@@ -768,7 +768,7 @@ class TestAndGate:
             xs = BinShare(ctx.role, x ^ mx if ctx.role is Role.P0 else mx)
             ys = BinShare(ctx.role, y ^ my if ctx.role is Role.P1 else my)
             t = ctx.triples.take(TripleSpec("bool", (4,)))
-            return reveal_bin(ctx.session, arith.and_gate(ctx, xs, ys, t))
+            return reveal(ctx.session, arith.and_gate(ctx, xs, ys, t))
 
         assert run_secure(rt, fn) == from_words([0, 0, 0, 1])
 
@@ -784,8 +784,8 @@ class TestAndGate:
                             if ctx.role is Role.P0 else zeros((16,)))
             zero = BinShare(ctx.role, zeros((16,)))
             t0, t1 = ctx.triples.take_many([TripleSpec("bool", (16,))] * 2)
-            a = reveal_bin(ctx.session, arith.and_gate(ctx, xs, ones, t0))
-            b = reveal_bin(ctx.session, arith.and_gate(ctx, xs, zero, t1))
+            a = reveal(ctx.session, arith.and_gate(ctx, xs, ones, t0))
+            b = reveal(ctx.session, arith.and_gate(ctx, xs, zero, t1))
             return a, b
 
         a, b = run_secure(rt, fn)

@@ -21,7 +21,7 @@ from mpcnn.dealer import (
     expand,
     session_seed,
 )
-from mpcnn.ring import ConvGeometry, conv2d_ring, matmul_ring
+from mpcnn.ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
 from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import fresh_seed
 from mpcnn.transport import Role
@@ -298,6 +298,20 @@ class TestBatch:
             return ctx.session.dealer_transcript.rounds, ctx.triples.next_index
 
         assert rt.run_session(fn, fn)[Role.P0] == (1, 0)  # the seed request only
+
+    def test_short_answer_is_refused(self, rt, monkeypatch):
+        # an answer one word short of the request is refused by its length
+        # check, before any correction is decoded from it
+        derive = dealer.derive_correlation
+        monkeypatch.setattr(dealer, "derive_correlation",
+                            lambda *args: [RingTensor(c.data.reshape(-1)[1:]) for c in derive(*args)])
+
+        def fn(ctx):
+            if ctx.role is Role.P0:
+                with pytest.raises(DealerError, match="correction bytes for a request of 32"):
+                    ctx.triples.take_many([TripleSpec("arith", (4,))])
+
+        rt.run_session(fn, fn)
 
 
 class TestAccountingSeparation:

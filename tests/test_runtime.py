@@ -135,6 +135,27 @@ def test_tracer_hooks_resolve():
     metrics, problems = tracing.per_layer_metrics(tracing.aggregate(tracer.spans, walls), walls, walls)
     assert problems == []
     assert metrics["arith.gtz.calls_per_inf"] > 0
+    # per-layer counts of one inference, as in test_compactcnn_inference_end_to_end:
+    # online bytes are P0's sent plus received, and calls count both parties
+    n, w = 32 * 321, -(-32 * 321 // 64)
+    corrections = 8 * (n + n + 55 * w + 2 * n + 2)  # conv, gtz's mask and ANDs, select, linear
+    # codec bytes: each party encodes the words it sends and decodes those it
+    # receives (`opened` each), gtz's 4 B masks as whole words; the dealer's
+    # corrections are encoded at the dealer and decoded at P0
+    opened = 8 * (384 + 2048 + 32 + 64) + 2 * 8 * n + 2 * (gtz_bytes(n) - 4 * n) + 2 * 8 * n + 16
+    assert metrics["sharing.codec_bytes_per_inf"] == 2 * opened + 2 * corrections == 2_063_728
+    # przs setup, conv, gtz's mask and 5 AND levels, select, linear
+    assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 1 + 1 + 5 + 1 + 1) == 20
+    assert metrics["arith.and_gate.calls_per_inf"] == 2 * 5
+    assert metrics["arith.and_gate.online_bytes_per_inf"] == 2 * (gtz_bytes(n) - 4 * n) == 283_360
+    assert metrics["arith.gtz.online_bytes_per_inf"] == 2 * gtz_bytes(n) == 365_536
+    # dealer bytes are P0's corrections plus its JSON requests
+    kinds = ("rounds", "online_bytes", "dealer_bytes")
+    layers = {layer: tuple(metrics[f"model.{layer}.{k}_per_inf"] for k in kinds) for layer in ("conv", "relu", "linear")}
+    assert layers == {"conv": (1, 8 * (384 + 2048), 82_254),
+                      "relu": (7, 2 * (gtz_bytes(n) + select_bytes(n)), 317_648),
+                      "linear": (1, 8 * (32 + 64), 85)}
+    assert layers["relu"][1] == 532_456
 
 
 def one_benchmark_inference(model_name):

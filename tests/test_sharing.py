@@ -1,4 +1,4 @@
-"""Secret sharing: PRZS, input sharing, reveal, local share algebra."""
+"""Secret sharing: PRZS, input sharing, opening and reveal, local share algebra."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from mpcnn.sharing import (
     Prg,
     PrzsStream,
     fresh_seed,
+    open_shares,
     przs_setup,
     reveal,
-    reveal_bin,
     share_input,
 )
 from mpcnn.runtime import run_pair_raw
@@ -96,7 +96,7 @@ class TestShareInput:
         assert sh0.held_by is Role.P1 and sh1.held_by is Role.P1
         assert sh1.clear is w and sh0.clear is None
         # anything computed from them is no longer anyone's input
-        assert (sh1 + sh1).held_by is None and sh1.reshape(-1).clear is None
+        assert (sh1 + sh1).held_by is None
 
     def test_nonholder_share_pseudorandom(self):
         sp = seeds()
@@ -149,6 +149,38 @@ class TestReveal:
                              Role.P0, (8,))
             with pytest.raises(ValueError, match="reveal to"):
                 reveal(sess, sh, to=to)
+            return sess.measure().counters()
+
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
+        assert vals[Role.P0] == vals[Role.P1] == (0, 0, 0, ())
+
+
+class TestOpenShares:
+    def test_widths_share_one_frame(self):
+        # an additive share at 32 bits, a XOR share at 64 and a bit at 1 open
+        # in one exchange of 4 + 8 B and one packed bit per element, each
+        # reconstructed by its own algebra mod 2^w
+        n = 50
+        x, y, b, m = rand_words((n,)), rand_words((n,)), rand_words((n,)), rand_words((3, n)).data
+
+        def fn(sess):
+            p0 = sess.role is Role.P0
+            shares = [ArithShare(sess.role, x - RingTensor(m[0]) if p0 else RingTensor(m[0])),
+                      BinShare(sess.role, RingTensor(y.data ^ m[1] if p0 else m[1])),
+                      BinShare(sess.role, RingTensor(b.data ^ m[2] if p0 else m[2]))]
+            return open_shares(sess, "open", shares, [32, 64, 1]), sess.measure()
+
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
+        for (xo, yo, bo), t in vals.values():
+            assert xo == RingTensor(x.data & np.uint64(0xFFFFFFFF))
+            assert yo == y and bo == RingTensor(b.data & np.uint64(1))
+            assert t.rounds == 1 and t.bytes_sent == t.bytes_recv == 12 * n + -(-n // 8)
+
+    @pytest.mark.parametrize("w", [0, 4, 12, 72])
+    def test_other_widths_refused_before_traffic(self, w):
+        def fn(sess):
+            with pytest.raises(ValueError, match="cannot open"):
+                open_shares(sess, "open", [ArithShare(sess.role, rand_words((8,)))], [w])
             return sess.measure().counters()
 
         vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
