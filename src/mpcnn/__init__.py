@@ -9,8 +9,10 @@ select correlations that multiply a XOR-shared comparison bit into a word
 in one round. Each kind is defined once, in the dealer's `HALVES` table.
 Only P0 asks for more: the corrections, in one dealer round trip per batch
 (a comparison or an a2b conversion fetches its mask pair and all of its AND
-triples at once). Every protocol run produces an exact transcript of
-payload bytes and communication rounds.
+triples at once). A comparison keeps its openings in flight, so they share
+rounds with the session's later openings until its bit is read. Every
+protocol run produces an exact transcript of payload bytes and
+communication rounds.
 """
 
 __version__ = "0.1.0"

@@ -10,22 +10,28 @@ Round structure (one round = one parallel phase, independent of tensor size):
                                       fetched)
   a2b                            7   (1 masked-word opening + 6 AND phases
                                       of the carry-lookahead prefix tree)
-  gtz                            6   (1 masked-word opening + 5 AND phases
+  gtz                        <= 6   (1 masked-word opening + 5 AND phases
                                       of the carry-out tree, at the default
                                       comparison domain cmp_bits = 31;
-                                      7 with 6 phases at cmp_bits = 63)
+                                      7 with 6 phases at cmp_bits = 63.
+                                      Each phase rides the session's next
+                                      opening, adding no round; those left
+                                      when the bit is read run alone)
   select                         1   (the masked word and the masked bit
                                       open together)
   mux                            1   (one select)
 
-A ReLU is select(gtz(x), x), 7 rounds; `models.ReLU` writes it on the engine
-surface as mul_raw(x, gtz(x)).
+A ReLU is select(gtz(x), x), 7 rounds: the select reads the bit at once, so
+all 6 of gtz's phases run alone. `models.ReLU` writes it on the engine
+surface as mul_raw(x, gtz(x)). A SiLU is 7 rounds too: gtz's phases ride
+its 4 products (see `approx.sec_silu`).
 
 Every opening goes through `sharing.open_shares` with its width: whole 8 B
 words (Beaver products, AND levels, a2b's masked word, the select's masked
 word), the 4 B comparison masks of gtz (l + 1 bits, below), and the select's
 masked bit, packed 8 per byte. Only the held linear layers' swap, in which
-the two parties send different tensors, frames its own exchange.
+the two parties send different tensors, frames its own exchange, and so
+carries no phase of a comparison in flight.
 
 conv2d and matmul are the client-server linear layer of Delphi (Mishra et
 al., USENIX Security 2020), with the dealer in place of homomorphic
@@ -51,7 +57,13 @@ carry into bit l: a bit-sliced prefix tree over lanes 0..l-1 whose groups
 halve at each level (55 bit-ANDs per element in 5 levels at l = 31, 118 in
 6 at l = 63, against a2b's 768). At l = 63 this is msb(-x), exact on every
 word. It fetches its mask pair and all levels' triples in one dealer round
-trip and returns the bit XOR-shared.
+trip and returns the bit XOR-shared, with its openings still in flight
+(`sharing.PendingBit`): the comparison is written as steps, one per
+opening, and each later `open_shares` of the session carries its next step
+in the same frame. This is circuit-depth scheduling as in ABY (Demmler et
+al., NDSS 2015) and MP-SPDZ (Keller, CCS 2020), confined to the one op whose
+rounds have independent work to hide behind: nothing else changes, and the
+masks, shares and outputs are those of running each opening alone.
 
 select multiplies a shared word by a XOR-shared bit in one round: ABY3's
 bit injection (Mohassel-Rindal, CCS 2018) fused with the product, with the
@@ -76,7 +88,7 @@ from .ring import (
     conv2d_ring,
     matmul_ring,
 )
-from .sharing import ArithShare, BinShare, PrzsStream, bytes_to_words, open_shares, words_to_bytes
+from .sharing import ArithShare, BinShare, PendingBit, PrzsStream, bytes_to_words, open_shares, words_to_bytes
 from .transport import Role, Session
 
 
@@ -171,16 +183,25 @@ def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare) -> ArithShare:
 # boolean ops
 
 
-def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: Triple, tag: str = "and.open") -> BinShare:
-    """Bitwise AND over XOR shares with a boolean triple t of their shape,
-    which the caller fetched; one opening phase."""
+def _and_open(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: Triple) -> list:
+    """The shares an AND opens: x ^ a and y ^ b."""
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
-    e, f = open_shares(ctx.session, tag, [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)])
+    return [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)]
+
+
+def _and_close(ctx: ProtocolCtx, t: Triple, e: RingTensor, f: RingTensor) -> BinShare:
+    """x & y from the opened e = x ^ a and f = y ^ b."""
     z = t.c ^ (t.b & e) ^ (t.a & f)
     if ctx.role is Role.P0:
         z = z ^ (e & f)
     return ctx.bin(z)
+
+
+def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: Triple, tag: str = "and.open") -> BinShare:
+    """Bitwise AND over XOR shares with a boolean triple t of their shape,
+    which the caller fetched; one opening phase."""
+    return _and_close(ctx, t, *open_shares(ctx.session, tag, _and_open(ctx, x, y, t)))
 
 
 def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, tag: str) -> BinShare:
@@ -250,10 +271,10 @@ def _tree_shapes(n: int, lanes: int) -> list:
     return shapes
 
 
-def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, lanes: int,
-                    tag: str) -> BinShare:
-    """XOR share (0/1 words) of bit `lanes` of r + d, d public, with one
-    dealt boolean triple per level (shapes from `_tree_shapes`).
+def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, lanes: int, tag: str):
+    """Steps (see `sharing.PendingBit`) that return the XOR share (0/1
+    words) of bit `lanes` of r + d, d public, with one dealt boolean triple
+    per level (shapes from `_tree_shapes`) and one AND opening each.
 
     That bit is r_l ^ d_l ^ c_l, where c_l is the carry out of lanes
     0..l-1 (l = lanes). Lanes are bit-sliced 64 elements per word (XOR
@@ -270,13 +291,13 @@ def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, 
     G, P = gs[:lanes], ps[1:lanes]  # P[i] belongs to group i + 1
     for t in levels:
         m, h = len(G), len(G) // 2
-        z = and_gate(
+        e, f = yield tag, _and_open(
             ctx,
             BinShare(r.owner, RingTensor(np.concatenate([P[0 : 2 * h - 1 : 2], P[2 : 2 * h - 1 : 2]]))),
             BinShare(r.owner, RingTensor(np.concatenate([G[0 : 2 * h : 2], P[1 : 2 * h - 2 : 2]]))),
             t,
-            tag,
-        ).t.data
+        ), None
+        z = _and_close(ctx, t, e, f).t.data
         G_next, P_next = G[1 : 2 * h : 2] ^ z[:h], z[h:]
         if m % 2:
             G_next = np.concatenate([G_next, G[m - 1 :]])
@@ -296,13 +317,23 @@ def gtz(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     (This is Catrina and de Hoogh's NOT of bit l of 2^l - x: adding 2^l
     flips exactly bit l mod 2^(l+1), so the offset and the NOT cancel.)
     One opening of the low l + 1 bits of -x - r, then the carry-out tree on
-    l lanes, with the mask pair and every level's triple fetched in one
-    dealer round trip. 6 rounds at l = 31, 7 at l = 63."""
+    l lanes, with the mask pair (its correction in l + 1 bits) and every
+    level's triple fetched in one dealer round trip now. The openings stay
+    in flight: the bit comes back as a `sharing.PendingBit`, each of the
+    session's later openings carries the next one, and reading the bit runs
+    those left alone. 6 rounds if it is read at once at l = 31, 7 at
+    l = 63."""
     lanes = ctx.cfg.cmp_bits
     pairs, *levels = ctx.triples.take_many(
-        [TripleSpec("maskpair", x.shape)] + [TripleSpec("bool", s) for s in _tree_shapes(x.t.size, lanes)])
-    (d,) = open_shares(ctx.session, "gtz.mask", [-x - ctx.arith(pairs.arith)], [lanes + 1])
-    return _msb_add_public(ctx, ctx.bin(pairs.bin), d, levels, lanes, tag="gtz.and")
+        [TripleSpec("maskpair", x.shape, width=lanes + 1)]
+        + [TripleSpec("bool", s) for s in _tree_shapes(x.t.size, lanes)])
+    return PendingBit(ctx.session, x.shape, _gtz_steps(ctx, x, pairs, levels, lanes))
+
+
+def _gtz_steps(ctx: ProtocolCtx, x: ArithShare, pairs, levels: list, lanes: int):
+    """gtz's openings as steps: the mask, then one per level of the tree."""
+    (d,) = yield "gtz.mask", [-x - ctx.arith(pairs.arith)], [lanes + 1]
+    return (yield from _msb_add_public(ctx, ctx.bin(pairs.bin), d, levels, lanes, "gtz.and"))
 
 
 def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.open") -> ArithShare:
@@ -319,6 +350,7 @@ def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.op
                         f"and {type(x).__name__}")
     if bit.shape != x.shape:
         raise ShapeMismatch(f"{bit.shape} vs {x.shape}")
+    bit = ctx.bin(bit.t)  # a comparison in flight finishes first and frees its triples
     t = ctx.triples.take(TripleSpec("select", x.shape))
     e, z = open_shares(ctx.session, tag, [x - ctx.arith(t.a), bit ^ ctx.bin(t.r_bin)], [WORD_BITS, 1])
     sign = RingTensor(np.uint64(1) - np.uint64(2) * z.data)  # 1 - 2z: 1 or -1

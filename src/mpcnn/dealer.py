@@ -11,7 +11,10 @@ and of a*r of a select correlation. It asks for them by index and spec, one
 dealer round trip per request, and one request may carry several specs at
 consecutive indices (gtz and a2b each ask for their mask pair and all of
 their AND levels' triples at once). A correction is masked by P1's
-expansion, which P0 cannot compute without P1's seed.
+expansion, which P0 cannot compute without P1's seed. A spec may ask for
+only the low `width` bits of its corrections, and the dealer sends only
+those bytes: gtz reads its mask pair's arithmetic half only mod
+2^(cmp_bits + 1), so it asks for 4 B per element at cmp_bits = 31.
 
 Each kind is defined once, as one `Kind` entry of `HALVES`: its half class,
 the shape of each field of either role's half and whether that field is
@@ -52,8 +55,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
-from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, words_to_bytes
+from .ring import WORD_BITS, ConvGeometry, RingTensor, conv2d_ring, matmul_ring
+from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, narrow, widen, words_to_bytes
 from .transport import SERVICE, DealerError, Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout, tag_hash
 
 TAG_REQ = "TRIPLE_REQ"  # an empty request asks for the session seed
@@ -73,12 +76,18 @@ class RandomnessReused(DealerError):
 class TripleSpec:
     """What one correlation is: `kind` names an entry of `HALVES`; a 'conv'
     also has its geometry (shape is the input's) and a 'matmul' its (m, k,
-    n) (shape is (m, k))."""
+    n) (shape is (m, k)). P0 reads only the low `width` bits of its
+    corrections (a multiple of 8), and the dealer sends only those."""
 
     kind: str
     shape: tuple
     geom: ConvGeometry | None = None
     mat: tuple | None = None  # (m, k, n)
+    width: int = WORD_BITS
+
+    def __post_init__(self):
+        if self.width % 8 or not 8 <= self.width <= WORD_BITS:
+            raise ValueError(f"correction width {self.width}: expected a multiple of 8 up to 64")
 
     def to_json(self) -> dict:
         body = {"kind": self.kind, "shape": list(self.shape)}
@@ -87,13 +96,15 @@ class TripleSpec:
             body["geom"] = [g.in_channels, g.out_channels, g.kernel_h, g.kernel_w, g.stride, g.padding]
         if self.mat is not None:
             body["mat"] = list(self.mat)
+        if self.width != WORD_BITS:
+            body["width"] = self.width
         return body
 
     @staticmethod
     def from_json(body: dict) -> "TripleSpec":
         geom = ConvGeometry(*body["geom"]) if "geom" in body else None
         mat = tuple(body["mat"]) if "mat" in body else None
-        return TripleSpec(body["kind"], tuple(body["shape"]), geom, mat)
+        return TripleSpec(body["kind"], tuple(body["shape"]), geom, mat, body.get("width", WORD_BITS))
 
     def correction_shapes(self) -> list:
         """The shapes of P0's corrections, in the order the dealer sends them."""
@@ -276,7 +287,7 @@ class DealerService:
             return (), TAG_ERROR_RSP, b"P1 expands its whole half and gets no corrections"
         try:
             first, specs = decode_request(payload)
-            corrs = b"".join(words_to_bytes(c) for i, spec in enumerate(specs)
+            corrs = b"".join(narrow(words_to_bytes(c), spec.width) for i, spec in enumerate(specs)
                              for c in derive_correlation(self.master_seed, sid, first + i, spec))
         except Exception as e:  # any request P0 can send must be answered, or P0 waits out its timeout
             return (), TAG_ERROR_RSP, f"{type(e).__name__}: {e}".encode()
@@ -350,15 +361,15 @@ class TripleSource:
         parts = [expand(self.seed(), i, spec, role) for i, spec in indexed]  # while the dealer derives
         got = self.session.recv_from_dealer(TAG_TRIPLE_RSP, error_tag=TAG_ERROR_RSP)
         shapes = [spec.correction_shapes() for spec in specs]
-        want = sum(8 * int(np.prod(shape)) for ss in shapes for shape in ss)
+        want = sum(spec.width // 8 * int(np.prod(shape)) for spec, ss in zip(specs, shapes) for shape in ss)
         if len(got) != want:
             raise DealerError(f"{len(got)} correction bytes for a request of {want}")
         out, off = [], 0
-        for kind, mine, ss in zip(kinds, parts, shapes):
+        for kind, spec, mine, ss in zip(kinds, specs, parts, shapes):
             corrs = []
             for shape in ss:
-                n = 8 * int(np.prod(shape))
-                corrs.append(bytes_to_words(got[off : off + n], shape))
+                n = spec.width // 8 * int(np.prod(shape))
+                corrs.append(bytes_to_words(widen(got[off : off + n], spec.width), shape))
                 off += n
             out.append(kind.half(*mine, *corrs))
         return out

@@ -128,7 +128,7 @@ class SecureEngine(Engine):
         return v.t
 
     def wrap_like(self, v, data: np.ndarray):
-        return type(v)(v.owner, RingTensor(data))
+        return (BinShare if isinstance(v, BinShare) else ArithShare)(v.owner, RingTensor(data))
 
     def const(self, shape, value: float) -> ArithShare:
         return share_public(encode(np.full(shape, value, dtype=np.float64), self.cfg), self.ctx.role)

@@ -12,7 +12,9 @@ weights in `arith.conv2d` / `arith.matmul`) can use it.
 `open_shares` is the one codec by which both parties open shares: one
 exchange in which each share sends only its low w bits (whole words, low
 bytes, or single bits packed 8 per byte) and comes back reconstructed by its
-own algebra, mod 2^w. A symmetric `reveal` is one call of it.
+own algebra, mod 2^w. A symmetric `reveal` is one call of it. A protocol
+kept in flight (`PendingBit`, the comparison's bit) puts its next opening
+into the frame of each later call, so independent openings share rounds.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .ring import WORD_BITS, RingTensor, ShapeMismatch
 from .transport import Role, Session
 
 SEED_BYTES = 32
+_ZEROS = memoryview(bytes(1 << 20))  # read-only plaintext of the keystream, 1 MB per update
 
 
 def words_to_bytes(t: RingTensor) -> bytes:
@@ -52,9 +55,16 @@ class Prg:
         return self._enc.update(bytes(n))
 
     def draw_words(self, shape) -> RingTensor:
+        """The next 8 bytes of the stream per word, little-endian: zeros from
+        the shared `_ZEROS` encrypted straight into the output array, so
+        the array is the one allocation and nothing is copied."""
         n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(self.draw_bytes(8 * n), dtype="<u8").astype(np.uint64)
-        return RingTensor(arr.reshape(shape))
+        arr = np.empty(n, dtype="<u8")
+        buf = arr.view(np.uint8)
+        for off in range(0, buf.size, len(_ZEROS)):
+            part = buf[off : off + len(_ZEROS)]
+            self._enc.update_into(_ZEROS[: part.size], part)
+        return RingTensor(arr.astype(np.uint64, copy=False).reshape(shape))
 
     def draw_bits(self, shape) -> RingTensor:
         return RingTensor(self.draw_words(shape).data & np.uint64(1))
@@ -176,13 +186,35 @@ def share_public(value: RingTensor, role: Role) -> ArithShare:
     return ArithShare(role, value if role is Role.P0 else zeros(value.shape))
 
 
-def open_shares(session: Session, tag: str, shares: list, widths: list | None = None) -> list:
-    """Open shares in one exchange; returns their public RingTensors, each
-    reconstructed by its own algebra (+ for an ArithShare, ^ for a BinShare)
-    and reduced mod 2^w. Both reduce mod any power of two, so each share
-    sends only its low w bits, w its entry in `widths` (64 by default): the
-    whole word at 64, the low w / 8 bytes of each word at any other multiple
-    of 8, and at w = 1 one bit per element, packed 8 per byte."""
+_CASTS = {8: "<u1", 16: "<u2", 32: "<u4"}  # widths with a numpy dtype, which a cast handles at once
+
+
+def narrow(buf: bytes, w: int) -> bytes:
+    """The low w / 8 bytes of each little-endian word of buf (w a multiple
+    of 8)."""
+    if w == WORD_BITS:
+        return buf
+    if w in _CASTS:  # a narrowing cast keeps the low bits
+        return np.frombuffer(buf, "<u8").astype(_CASTS[w]).tobytes()
+    return np.frombuffer(buf, np.uint8).reshape(-1, 8)[:, : w // 8].tobytes()
+
+
+def widen(buf: bytes, w: int) -> bytes:
+    """Whole little-endian words from their low w / 8 bytes each,
+    zero-extended: the inverse of `narrow` mod 2^w."""
+    if w == WORD_BITS:
+        return buf
+    if w in _CASTS:
+        return np.frombuffer(buf, _CASTS[w]).astype("<u8").tobytes()
+    padded = np.zeros((len(buf) // (w // 8), 8), np.uint8)
+    padded[:, : w // 8] = np.frombuffer(buf, np.uint8).reshape(-1, w // 8)
+    return padded.tobytes()
+
+
+def _opening(tag: str, shares: list, widths: list | None) -> tuple:
+    """(tag, shares, widths, parts): an opening with each share's low w bits
+    packed as it goes on the wire. Packing reads every share, and refuses a
+    width other than 1 or a multiple of 8 up to 64 before anything is sent."""
     widths = widths or [WORD_BITS] * len(shares)
     parts = []
     for s, w in zip(shares, widths, strict=True):
@@ -191,24 +223,85 @@ def open_shares(session: Session, tag: str, shares: list, widths: list | None = 
         elif w % 8 or not 8 <= w <= WORD_BITS:
             raise ValueError(f"cannot open {w} bits: expected 1 or a multiple of 8 up to 64")
         else:
-            buf = words_to_bytes(s.t)
-            parts.append(buf if w == WORD_BITS else np.frombuffer(buf, np.uint8).reshape(-1, 8)[:, : w // 8].tobytes())
-    got = session.exchange(tag, b"".join(parts))
+            parts.append(narrow(words_to_bytes(s.t), w))
+    return tag, shares, widths, parts
+
+
+def _exchange(session: Session, openings: list) -> list:
+    """Open every opening in one exchange, a merged frame if there are
+    several; returns each one's public RingTensors."""
+    got = session.exchange([tag for tag, _, _, _ in openings], [b"".join(parts) for _, _, _, parts in openings])
     out, off = [], 0
-    for s, w, part in zip(shares, widths, parts):
-        theirs, off = got[off : off + len(part)], off + len(part)
-        if w == 1:  # mod 2, + is ^: xor the packed bits
-            bits = np.frombuffer(part, np.uint8) ^ np.frombuffer(theirs, np.uint8)
-            out.append(RingTensor(np.unpackbits(bits, count=s.t.size, bitorder="little").reshape(s.shape)))
-            continue
-        if w < WORD_BITS:
-            padded = np.zeros((s.t.size, 8), np.uint8)
-            padded[:, : w // 8] = np.frombuffer(theirs, np.uint8).reshape(-1, w // 8)
-            theirs = padded.tobytes()
-        other = bytes_to_words(theirs, s.shape)
-        v = s.t ^ other if isinstance(s, BinShare) else s.t + other
-        out.append(v if w == WORD_BITS else RingTensor(v.data & np.uint64((1 << w) - 1)))
+    for _, shares, widths, parts in openings:
+        opened = []
+        for s, w, part in zip(shares, widths, parts):
+            theirs, off = got[off : off + len(part)], off + len(part)
+            if w == 1:  # mod 2, + is ^: xor the packed bits
+                bits = np.frombuffer(part, np.uint8) ^ np.frombuffer(theirs, np.uint8)
+                opened.append(RingTensor(np.unpackbits(bits, count=s.t.size, bitorder="little").reshape(s.shape)))
+                continue
+            other = bytes_to_words(widen(theirs, w), s.shape)
+            v = s.t ^ other if isinstance(s, BinShare) else s.t + other
+            opened.append(v if w == WORD_BITS else RingTensor(v.data & np.uint64((1 << w) - 1)))
+        out.append(opened)
     return out
+
+
+def open_shares(session: Session, tag: str, shares: list, widths: list | None = None) -> list:
+    """Open shares in one exchange; returns their public RingTensors, each
+    reconstructed by its own algebra (+ for an ArithShare, ^ for a BinShare)
+    and reduced mod 2^w. Both reduce mod any power of two, so each share
+    sends only its low w bits, w its entry in `widths` (64 by default): the
+    whole word at 64, the low w / 8 bytes of each word at any other multiple
+    of 8, and at w = 1 one bit per element, packed 8 per byte.
+
+    The next opening of every protocol in flight in the session (see
+    `PendingBit`) rides in the same frame and round."""
+    mine = _opening(tag, shares, widths)  # a pending bit among the shares runs its own openings first
+    riders = list(session.in_flight)
+    opened = _exchange(session, [mine] + [r.step for r in riders])
+    for r, got in zip(riders, opened[1:]):
+        r.advance(got)
+    return opened[0]
+
+
+class PendingBit(BinShare):
+    """A XOR-shared bit (0/1 words) whose protocol is still in flight.
+
+    `steps` is a generator that yields one opening at a time as (tag,
+    shares, widths), receives the opened tensors, and returns the bit's
+    BinShare. Its first opening waits in the session's `in_flight` list,
+    and each later `open_shares` of the session carries its next one, so
+    its rounds ride work that does not read the bit. Reading `t`, as
+    `select`, `reveal` and every share op do, first runs the openings left
+    alone, one round each. Both parties run the same program, so they agree
+    on which openings share a frame; if they do not, the exchange raises
+    ProtocolError."""
+
+    def __init__(self, session: Session, shape, steps):
+        self.owner, self._shape = session.role, tuple(shape)
+        self._session, self._steps, self._bit = session, steps, None
+        self.step = _opening(*next(steps))
+        session.in_flight.append(self)
+
+    @property
+    def shape(self):
+        return self._shape
+
+    @property
+    def t(self) -> RingTensor:
+        while self._bit is None:
+            self.advance(_exchange(self._session, [self.step])[0])
+        return self._bit.t
+
+    def advance(self, opened: list):
+        """Hand the protocol its opened tensors; it prepares its next
+        opening, or finishes and leaves the session's `in_flight` list."""
+        try:
+            self.step = _opening(*self._steps.send(opened))
+        except StopIteration as done:
+            self._bit, self.step = done.value, None
+            self._session.in_flight.remove(self)
 
 
 def reveal(session: Session, share: ArithShare | BinShare, to: str = "both",

@@ -1,8 +1,9 @@
 """Party-to-party and dealer channels with exact byte and round accounting.
 
 A round is one parallel communication phase: everything that may legally fly
-concurrently counts once, no matter how many bytes it carries. The ledger
-counts payload bytes only. A frame carries its tag as the tag's CRC-32, so
+concurrently counts once, no matter how many bytes it carries, and openings
+that share a round share one frame. The ledger counts payload bytes only. A
+frame carries its tag (a merged frame, its composition) as the CRC-32, so
 both backends check tags alike. Received frames wait in a `Mailbox` keyed by
 (session, source, destination), where every frame to the dealer goes under
 the one `SERVICE` key. The in-process roles share one mailbox; each TCP
@@ -106,9 +107,11 @@ class Transcript:
         self.bytes_recv += n
         self._tag(tag).bytes_recv += n
 
-    def note_round(self, tag: str):
+    def note_round(self, *tags: str):
+        """One round, and one phase under each tag whose part rode in it."""
         self.rounds += 1
-        self._tag(tag).phases += 1
+        for tag in tags:
+            self._tag(tag).phases += 1
 
     def snapshot(self) -> "Transcript":
         tags = {k: TagStats(v.bytes_sent, v.bytes_recv, v.phases) for k, v in self.tags.items()}
@@ -399,6 +402,7 @@ class Session:
         self.dealer_transcript = Transcript()
         self._send_seq: dict = {}
         self._recv_seq: dict = {}
+        self.in_flight: list = []  # protocols whose openings ride this session's later ones (sharing.PendingBit)
 
     # -- framing helpers --
 
@@ -425,23 +429,35 @@ class Session:
 
     # -- party-to-party, transcript-counted --
 
-    def exchange(self, tag: str, payload: bytes, peer_len: int | None = None) -> bytes:
+    def exchange(self, tag, payload, peer_len: int | None = None) -> bytes:
         """One-round swap: both parties send at once, then each receives the
         other's payload. The peer's payload must be `peer_len` bytes long,
         by default as long as this party's own (a symmetric opening); the two
         sides of an asymmetric swap each pass the length they expect from the
-        other. A swap of two empty payloads produces no traffic and no round."""
+        other. A swap of two empty payloads produces no traffic and no round.
+
+        `tag` and `payload` may also be lists, of the parts of symmetric
+        openings that share one frame and one round (one part is a plain
+        swap); the peer's parts come back concatenated in the same order.
+        Each part's bytes and one phase are recorded under its own tag, and
+        a frame of several is tagged with its composition (every part's tag
+        and length), so peers that disagree on it raise ProtocolError."""
+        tags, parts = ([tag], [payload]) if isinstance(tag, str) else (tag, payload)
+        frame_tag = tags[0] if len(tags) == 1 else " + ".join(
+            f"{t}[{len(p)}]" for t, p in zip(tags, parts, strict=True))
+        payload = b"".join(parts)
         expect = len(payload) if peer_len is None else peer_len
         if len(payload) == 0 and expect == 0:
             return b""
         peer = self.role.peer
-        self._raw_send(peer, tag, payload)
-        got = self._raw_recv(peer, tag)
+        self._raw_send(peer, frame_tag, payload)
+        got = self._raw_recv(peer, frame_tag)
         if len(got) != expect:
             raise ProtocolError(f"exchange length mismatch: expected {expect}, got {len(got)}")
-        self.transcript.note_send(tag, len(payload))
-        self.transcript.note_recv(tag, len(got))
-        self.transcript.note_round(tag)
+        for t, p in zip(tags, parts):
+            self.transcript.note_send(t, len(p))
+            self.transcript.note_recv(t, len(got) if len(parts) == 1 else len(p))
+        self.transcript.note_round(*tags)
         return got
 
     def send_to_peer(self, tag: str, payload: bytes):

@@ -95,20 +95,23 @@ def _costs(rt, fn, n):
 def test_exact_cost(rt, n):
     # derived from the circuit: one gtz on the 2n stacked [x + T, x - T]
     # (at the default domain cmp_bits = 31: the low 4 bytes of the masked
-    # word, then 55 bit-ANDs per element bit-sliced 64 to a word; 6 rounds),
-    # then ring products on n (u), n (T_2), 2n (T_3, T_4) and 4n (T_5..T_8)
-    # elements, and the select on the 2n stacked pieces (1 round). Each
-    # product element opens two words and costs P0 one dealt correction
-    # word; each selected element opens one word and one packed bit and
-    # costs P0 two correction words; P1 expands its halves from its seed.
+    # word, then 55 bit-ANDs per element bit-sliced 64 to a word; 6
+    # openings), ring products on n (u), n (T_2), 2n (T_3, T_4) and 4n
+    # (T_5..T_8) elements, and the select on the 2n stacked pieces. Rounds:
+    # gtz's mask rides u's product and its AND levels 1-3 the three
+    # Chebyshev products; levels 4-5 and the select run alone, 4 + 2 + 1.
+    # Each product element opens two words and costs P0 one dealt
+    # correction word; gtz's mask costs P0 the low 4 bytes of one; each
+    # selected element opens one word and one packed bit and costs P0 two
+    # correction words; P1 expands its halves from its seed.
     assert CFG.cmp_bits == 31
     m, words, ands = 2 * n, -(-2 * n // 64), 55
     gtz_online = 4 * m + 2 * 8 * ands * words
-    gtz_dealer = 8 * m + 8 * ands * words
+    gtz_dealer = 4 * m + 8 * ands * words
     select_online, select_dealer = 8 * m + -(-m // 8), 16 * m
     products = 8 * n
     online = gtz_online + 16 * products + select_online
     dealer = gtz_dealer + 8 * products + select_dealer
-    assert _costs(rt, approx.sec_silu, n) == ((11, online, dealer), (11, online, 0))
+    assert _costs(rt, approx.sec_silu, n) == ((7, online, dealer), (7, online, 0))
     if n % 64 == 0:  # per element per party
-        assert (online / n, dealer / n) == (179.75, 125.75)
+        assert (online / n, dealer / n) == (179.75, 117.75)

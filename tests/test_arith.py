@@ -1,12 +1,10 @@
 """Interactive share protocols: multiplication, conversions, comparison."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from mpcnn import arith
-from mpcnn.dealer import DealerService, TripleSpec
+from mpcnn.dealer import TripleSpec
 from mpcnn.engine import (
     PlainEngine,
     SecureEngine,
@@ -33,11 +31,11 @@ from mpcnn.ring import (
     pool_windows,
     zeros,
 )
-from mpcnn.runtime import LocalRuntime, establish, run_pair_raw
+from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import ArithShare, BinShare, open_shares, reveal, share_input, share_public
-from mpcnn.transport import Role, TcpFabric
+from mpcnn.transport import Role
 
-from conftest import free_port
+from conftest import run_tcp_with_dealer
 
 CFG = FixedPointConfig(16)  # comparison domain |x| < 2^31
 FULL = FixedPointConfig(16, cmp_bits=63)  # gtz exact on every word
@@ -57,35 +55,6 @@ def shared_pair(ctx, x: RingTensor, holder=Role.P0):
 def bin_shared(ctx, bits: np.ndarray) -> BinShare:
     """A XOR sharing of 0/1 words: P0 holds them, P1 zeros."""
     return BinShare(ctx.role, RingTensor(bits if ctx.role is Role.P0 else np.zeros_like(bits)))
-
-
-def run_tcp_with_dealer(fn, cfg=CFG):
-    """fn(ctx) on both parties, with P0, P1 and a DealerService each on its
-    own TcpFabric over loopback; returns {role: result}."""
-    host, peer, dealer_port = "127.0.0.1", free_port(), free_port()
-    dealer = {}
-
-    def serve():  # the dealer's fabric blocks until both parties connect
-        dealer["fab"] = TcpFabric(Role.DEALER, listen_addr=(host, dealer_port))
-        dealer["svc"] = DealerService(dealer["fab"]).start()
-
-    def make_fabric(role):
-        if role is Role.P0:
-            return TcpFabric(Role.P0, listen_addr=(host, peer), dealer_addr=(host, dealer_port))
-        return TcpFabric(Role.P1, peer_addr=(host, peer), dealer_addr=(host, dealer_port))
-
-    def run(sess):
-        return fn(establish(sess, cfg))
-
-    server = threading.Thread(target=serve)
-    server.start()
-    try:
-        return run_pair_raw(make_fabric, {Role.P0: run, Role.P1: run})
-    finally:
-        server.join(timeout=30)
-        if "svc" in dealer:
-            dealer["svc"].stop()
-            dealer["fab"].close()
 
 
 def run_secure(rt, fn, cfg=CFG):
@@ -404,12 +373,12 @@ class TestGtz:
         assert run_secure(rt, fn) == from_words([1, 0, 0])
 
     def test_rounds_is_6(self, rt):
-        # the mask opening and the 5 AND levels over 31 lanes; the bit stays
-        # XOR-shared
+        # the mask opening and the 5 AND levels over 31 lanes, run alone when
+        # the bit is read at once; the bit stays XOR-shared
         def fn(ctx):
             x = shared_pair(ctx, rand_fixed((100,)))
             before = ctx.session.measure().rounds
-            arith.gtz(ctx, x)
+            arith.gtz(ctx, x).t  # reading the bit runs its openings
             return ctx.session.measure().rounds - before
 
         assert run_secure(rt, fn) == 6
@@ -426,7 +395,7 @@ class TestGtz:
             before = ctx.session.measure()
             d = ctx.session.dealer_transcript
             dealt, requests = d.bytes_recv, d.rounds
-            op(ctx, x)
+            op(ctx, x).t  # read the result: a comparison's openings run now
             after = ctx.session.measure()
             return (after.bytes_sent - before.bytes_sent, after.rounds - before.rounds,
                     d.bytes_recv - dealt, d.rounds - requests)
@@ -435,15 +404,15 @@ class TestGtz:
             vals = rt.run_session(lambda ctx: fn(ctx, op), lambda ctx: fn(ctx, op), cfg=cfg)
             return vals[Role.P0], vals[Role.P1]
 
-        for cfg, ands, rounds, per_elem in ((CFG, 55, 6, (17.75, 14.875, 25.875, 30.875)),
+        for cfg, ands, rounds, per_elem in ((CFG, 55, 6, (17.75, 10.875, 25.875, 26.875)),
                                             (FULL, 118, 7, (37.5, 22.75, 45.625, 38.75))):
             assert _carry_tree_ands(cfg.cmp_bits) == ands
             # the low l + 1 bits of the masked word, then the AND openings
             gtz_online = (cfg.cmp_bits + 1) // 8 * n + 2 * 8 * ands * words
-            # P0 receives one correction word per mask pair and bool triple,
-            # all in one request; P1 expands its halves from its seed and
-            # receives nothing
-            gtz_dealer = 8 * n + 8 * ands * words
+            # P0 receives the low l + 1 bits of one correction word per mask
+            # pair and one word per bool triple, all in one request; P1
+            # expands its halves from its seed and receives nothing
+            gtz_dealer = (cfg.cmp_bits + 1) // 8 * n + 8 * ands * words
             # relu adds one select: a masked word and a packed masked bit
             # open, and P0 receives two correction words per element in one
             # more request
@@ -581,10 +550,11 @@ def select_cases(shape):
 
 def select_vs_oracle(ctx, cases):
     """[(x * bit revealed, party transcript counters of the selects)] with
-    bit = gtz(v), for every (v, x) case."""
+    bit = gtz(v), read before the select, for every (v, x) case."""
     out = []
     for v, x in cases:
         bit = arith.gtz(ctx, shared_pair(ctx, v))
+        bit.t  # the comparison's openings run here, outside the select's count
         xs = shared_pair(ctx, x, holder=Role.P1)
         before = ctx.session.measure()
         z = arith.select(ctx, bit, xs)

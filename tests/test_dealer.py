@@ -266,6 +266,37 @@ class TestBudget:
         assert vals[Role.P0] == vals[Role.P1] == 5
 
 
+class TestNarrowCorrections:
+    @pytest.mark.parametrize("width", [8, 32, 56])
+    def test_low_bits_reconstruct(self, rt, width):
+        # a mask pair whose correction P0 reads mod 2^width, as gtz's at
+        # width = cmp_bits + 1: P0 receives width / 8 bytes per element,
+        # zero-extended, and both sharings agree mod 2^width
+        n = 1000
+        spec = TripleSpec("maskpair", (n,), width=width)
+
+        def fn(ctx):
+            d = ctx.session.dealer_transcript
+            before = d.bytes_recv
+            return ctx.triples.take(spec), d.bytes_recv - before
+
+        vals = rt.run_session(fn, fn)
+        (h0, got0), (h1, got1) = vals[Role.P0], vals[Role.P1]
+        low = np.uint64((1 << width) - 1)
+        assert np.array_equal((h0.arith + h1.arith).data & low, (h0.bin ^ h1.bin).data & low)
+        assert not np.any(h0.arith.data >> np.uint64(width))
+        assert (got0, got1) == (width // 8 * n, 0)
+        assert TripleSpec.from_json(spec.to_json()) == spec
+
+    def test_full_width_request_names_no_width(self):
+        assert "width" not in TripleSpec("maskpair", (4,)).to_json()
+
+    @pytest.mark.parametrize("width", [0, 4, 12, 72])
+    def test_other_widths_refused(self, width):
+        with pytest.raises(ValueError, match="correction width"):
+            TripleSpec("maskpair", (4,), width=width)
+
+
 class TestBatch:
     def test_take_many_is_one_round_trip(self, rt):
         # every kind at consecutive indices: P0 sends one request whose body

@@ -107,14 +107,12 @@ def import_bench():
     return infer, tracing
 
 
-def test_tracer_hooks_resolve():
-    # every name the benchmark's tracer wraps still exists, and traced
-    # CompactCNN inferences reach them: their spans nest and cover the
-    # inference, and the comparison op is seen. One untraced inference warms
-    # the runtime first, and the tracer's coverage check takes the median of
-    # three, as a benchmark run does over many.
+def traced_metrics(model_name, runs):
+    """Per-layer metrics and the tracer's problems over `runs` traced
+    inferences of a benchmark network at seed 5, after one untraced
+    inference warms the runtime."""
     infer, tracing = import_bench()
-    prep = infer.prepare("compactcnn", seed=5)
+    prep = infer.prepare(model_name, seed=5)
 
     def party_fns():
         return (infer.party_fn(prep.model, x=prep.inputs[0]),
@@ -125,14 +123,27 @@ def test_tracer_hooks_resolve():
         rt.run_session(*party_fns())
         tracer.install()
         try:
-            for _ in range(3):
+            for _ in range(runs):
                 sid = rt.new_session_id()
                 t0 = time.perf_counter()
                 rt.run_session(*map(tracer.party_root, party_fns()), session_id=sid)
                 walls[sid] = (time.perf_counter() - t0) * 1e3
         finally:
             tracer.uninstall()
-    metrics, problems = tracing.per_layer_metrics(tracing.aggregate(tracer.spans, walls), walls, walls)
+    return tracing.per_layer_metrics(tracing.aggregate(tracer.spans, walls), walls, walls)
+
+
+def layer_counts(metrics, layers):
+    kinds = ("rounds", "online_bytes", "dealer_bytes")
+    return {layer: tuple(metrics[f"model.{layer}.{k}_per_inf"] for k in kinds) for layer in layers}
+
+
+def test_tracer_hooks_resolve():
+    # every name the benchmark's tracer wraps still exists, and traced
+    # CompactCNN inferences reach them: their spans nest and cover the
+    # inference, and the comparison op is seen. The tracer's coverage check
+    # takes the median of three inferences, as a benchmark run does over many.
+    metrics, problems = traced_metrics("compactcnn", 3)
     assert problems == []
     assert metrics["arith.gtz.calls_per_inf"] > 0
     # per-layer counts of one inference, as in test_compactcnn_inference_end_to_end:
@@ -141,21 +152,44 @@ def test_tracer_hooks_resolve():
     corrections = 8 * (n + n + 55 * w + 2 * n + 2)  # conv, gtz's mask and ANDs, select, linear
     # codec bytes: each party encodes the words it sends and decodes those it
     # receives (`opened` each), gtz's 4 B masks as whole words; the dealer's
-    # corrections are encoded at the dealer and decoded at P0
+    # corrections are encoded at the dealer and decoded at P0, also gtz's 4 B
+    # mask corrections as whole words
     opened = 8 * (384 + 2048 + 32 + 64) + 2 * 8 * n + 2 * (gtz_bytes(n) - 4 * n) + 2 * 8 * n + 16
     assert metrics["sharing.codec_bytes_per_inf"] == 2 * opened + 2 * corrections == 2_063_728
     # przs setup, conv, gtz's mask and 5 AND levels, select, linear
     assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 1 + 1 + 5 + 1 + 1) == 20
-    assert metrics["arith.and_gate.calls_per_inf"] == 2 * 5
-    assert metrics["arith.and_gate.online_bytes_per_inf"] == 2 * (gtz_bytes(n) - 4 * n) == 283_360
-    assert metrics["arith.gtz.online_bytes_per_inf"] == 2 * gtz_bytes(n) == 365_536
-    # dealer bytes are P0's corrections plus its JSON requests
-    kinds = ("rounds", "online_bytes", "dealer_bytes")
-    layers = {layer: tuple(metrics[f"model.{layer}.{k}_per_inf"] for k in kinds) for layer in ("conv", "relu", "linear")}
-    assert layers == {"conv": (1, 8 * (384 + 2048), 82_254),
-                      "relu": (7, 2 * (gtz_bytes(n) + select_bytes(n)), 317_648),
-                      "linear": (1, 8 * (32 + 64), 85)}
-    assert layers["relu"][1] == 532_456
+    # gtz's openings run when the select reads its bit, inside the select's
+    # call, and its AND levels are steps of the comparison, not and_gate calls
+    assert metrics["arith.gtz.online_bytes_per_inf"] == 0
+    assert metrics["arith.and_gate.calls_per_inf"] == metrics["arith.and_gate.online_bytes_per_inf"] == 0
+    # dealer bytes are P0's corrections, gtz's mask in 4 B, plus its JSON
+    # requests
+    assert layer_counts(metrics, ("conv", "relu", "linear")) == {
+        "conv": (1, 8 * (384 + 2048), 82_254),
+        "relu": (7, 2 * (gtz_bytes(n) + select_bytes(n)), 276_571),
+        "linear": (1, 8 * (32 + 64), 85)}
+    assert metrics["model.relu.online_bytes_per_inf"] == 532_456
+
+
+def test_traced_detector_layers():
+    # one traced detector inference: each SiLU layer takes 7 rounds (gtz's
+    # mask and first 3 AND levels ride its 4 products), each max-pool level 7
+    # and each conv 1, so the party exchanges fall by 8 each from the 42
+    # rounds of comparisons run alone. SiLU's gtz mask and levels 1-3 land
+    # in beaver_mul's calls and the max-pool levels' whole gtz in mux's
+    metrics, _ = traced_metrics("detector", 1)
+    assert {k: metrics[f"model.{k}.rounds_per_inf"] for k in ("conv", "silu", "maxpool")} == {
+        "conv": 5, "silu": 2 * 7, "maxpool": 2 * 7}
+    assert metrics["approx.silu.rounds_per_inf"] == 14
+    # przs setup, 5 convs, 4 + 2 + 1 per SiLU, 7 per max-pool level; the
+    # reveal to P0 is no exchange
+    assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 5 + 2 * 7 + 2 * 7) == 68
+    silu, lvl13 = 2 * 1024, sum(2 * h - 1 for h in (15, 8, 4))  # AND rows of levels 1-3 at 31 lanes
+    assert metrics["arith.beaver_mul.online_bytes_per_inf"] == 2 * 2 * (
+        16 * 8 * 1024 + 4 * silu + 2 * 8 * lvl13 * silu // 64) == 661_504
+    assert metrics["arith.mux.online_bytes_per_inf"] == 2 * sum(
+        gtz_bytes(n) + select_bytes(n) for n in (512, 256)) == 39_744
+    assert metrics["arith.gtz.online_bytes_per_inf"] == 0
 
 
 def one_benchmark_inference(model_name):
@@ -193,8 +227,10 @@ def tag_bytes(led0):
 
 def test_detector_inference_end_to_end():
     # the output lies within the float64 reference's a-priori bound. Rounds:
-    # 5 convs, 2 SiLU layers at 11 (gtz 6, t 1, Chebyshev terms 3, select 1),
-    # 2 max-pool levels at 7 (gtz 6, mux 1) and the reveal. Bytes: the five
+    # 5 convs, 2 SiLU layers at 7 (t 1 and Chebyshev terms 3, carrying gtz's
+    # mask and AND levels 1-3, then levels 4-5 and the select 3), 2 max-pool
+    # levels at 7 (gtz 6, mux 1) and the reveal; every tag still counts one
+    # phase per opening, so the phases add up to 42. Bytes: the five
     # convs move their input-shaped masks (223,232 B) from P0 and their
     # weight-shaped masks (2,186,592 B) from P1; each SiLU runs gtz and the
     # select on the 2 x 1,024 stacked [x + T, x - T] and 8 x 1,024 Beaver
@@ -211,7 +247,7 @@ def test_detector_inference_end_to_end():
         "mux.open": (select_bytes(512) + select_bytes(256),) * 2 + (2,),
         "reveal": (0, 8 * 512, 1),
     }
-    assert led0["rounds"] == 5 + 2 * 11 + 2 * 7 + 1 == 42
+    assert led0["rounds"] == 5 + 2 * 7 + 2 * 7 + 1 == 34
     online = 223_232 + 2_186_592 + 2 * (2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu))
                                         + sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256))) + 8 * 512
     assert led0["sent"] + led0["recv"] == online == 3_189_920

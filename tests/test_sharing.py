@@ -1,7 +1,10 @@
 """Secret sharing: PRZS, input sharing, opening and reveal, local share algebra."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from mpcnn.ring import RingTensor, FixedPointConfig, encode, from_words, zeros
 from mpcnn.sharing import (
@@ -9,11 +12,15 @@ from mpcnn.sharing import (
     BinShare,
     Prg,
     PrzsStream,
+    bytes_to_words,
     fresh_seed,
+    narrow,
     open_shares,
     przs_setup,
     reveal,
     share_input,
+    widen,
+    words_to_bytes,
 )
 from mpcnn.runtime import run_pair_raw
 from mpcnn.transport import Role
@@ -176,6 +183,15 @@ class TestOpenShares:
             assert yo == y and bo == RingTensor(b.data & np.uint64(1))
             assert t.rounds == 1 and t.bytes_sent == t.bytes_recv == 12 * n + -(-n // 8)
 
+    @pytest.mark.parametrize("w", range(8, 72, 8))
+    def test_narrow_widen_keep_the_low_bits(self, w):
+        # by a cast at 8, 16 and 32 bits, by byte slices at the other widths
+        words = rand_words((37,))
+        buf = narrow(words_to_bytes(words), w)
+        assert len(buf) == 37 * w // 8
+        back = bytes_to_words(widen(buf, w), (37,))
+        assert back == RingTensor(words.data & np.uint64((1 << w) - 1))
+
     @pytest.mark.parametrize("w", [0, 4, 12, 72])
     def test_other_widths_refused_before_traffic(self, w):
         def fn(sess):
@@ -282,3 +298,22 @@ class TestPrg:
     def test_bits_are_bits(self):
         bits = Prg(fresh_seed(), b"bits").draw_bits((4096,))
         assert set(np.unique(bits.data)) <= {0, 1}
+
+    def test_draws_are_the_keystream(self):
+        # words are encrypted straight into their array; consecutive draws
+        # of mixed shapes, with byte draws between them and one past the
+        # 1 MB zero buffer, still read the ChaCha20 stream as little-endian
+        # words, as encrypting a fresh zero buffer per draw did
+        seed = fresh_seed()
+        draws = [(5,), 3, (), (0,), (3, 7), 8, (1,), (2, 2, 2), (140_000,), (4096,)]
+        prg = Prg(seed, b"words")
+        got = [prg.draw_bytes(d) if isinstance(d, int) else prg.draw_words(d) for d in draws]
+        nonce = hashlib.blake2b(b"words", digest_size=8).digest() + bytes(8)
+        stream = Cipher(algorithms.ChaCha20(seed, nonce), mode=None).encryptor()
+        for d, out in zip(draws, got):
+            if isinstance(d, int):
+                assert out == stream.update(bytes(d))
+                continue
+            want = np.frombuffer(stream.update(bytes(8 * int(np.prod(d)))), dtype="<u8").astype(np.uint64)
+            assert out.shape == d and out.data.dtype == np.uint64
+            assert np.array_equal(out.data, want.reshape(d))

@@ -99,6 +99,32 @@ class TestExchange:
         assert vals[Role.P0] == (b"b" * 24, (8, 24, 1, (("t", 8, 24, 1),)))
         assert vals[Role.P1] == (b"a" * 8, (24, 8, 1, (("t", 24, 8, 1),)))
 
+    @pytest.mark.parametrize("fabrics", [inproc_fabrics, tcp_fabrics], ids=["inproc", "tcp"])
+    def test_merged_parts_share_one_frame_and_round(self, fabrics):
+        # two symmetric parts in one frame: one round, and each part's bytes
+        # and one phase under its own tag
+        def fn(sess):
+            mine = [bytes([sess.role.value]) * 8, bytes([2 + sess.role.value]) * 3]
+            return sess.exchange(["a", "b"], mine), sess.measure().counters()
+
+        vals = run_pair_raw(fabrics(), {Role.P0: fn, Role.P1: fn})
+        assert vals[Role.P0] == (b"\x01" * 8 + b"\x03" * 3, (11, 11, 1, (("a", 8, 8, 1), ("b", 3, 3, 1))))
+        assert vals[Role.P1] == (b"\x00" * 8 + b"\x02" * 3, (11, 11, 1, (("a", 8, 8, 1), ("b", 3, 3, 1))))
+
+    def test_merged_composition_mismatch_raises(self, monkeypatch):
+        # the same tags and total length, split differently: each side
+        # refuses the other's frame at once
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "5000")
+
+        def fn(sess):
+            sizes = (8, 3) if sess.role is Role.P0 else (3, 8)
+            return sess.exchange(["a", "b"], [bytes(k) for k in sizes])
+
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError, match="tag mismatch"):
+            run_pair_raw(tcp_fabrics(), {Role.P0: fn, Role.P1: fn})
+        assert time.perf_counter() - t0 < 5.0
+
     @pytest.mark.parametrize("sent", [16, 32])
     def test_asymmetric_wrong_peer_length_raises(self, monkeypatch, sent):
         # over TCP, P0 expects 24 bytes and gets `sent`: it raises at once,
