@@ -88,7 +88,8 @@ from .ring import (
     conv2d_ring,
     matmul_ring,
 )
-from .sharing import ArithShare, BinShare, PendingBit, PrzsStream, bytes_to_words, open_shares, words_to_bytes
+from .sharing import (ArithShare, BinShare, PendingBit, PrzsStream, bytes_to_words, open_shares, packed_len,
+                      words_to_bytes)
 from .transport import Role, Session
 
 
@@ -152,9 +153,9 @@ def _held_linear(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, t: HeldTriple, 
     """f(x, W) for shared x and P1's weight W, from one held correlation t
     (a0 and c0 at P0, b and c1 at P1); no truncation. One round."""
     if ctx.role is Role.P0:
-        got = ctx.session.exchange(tag, words_to_bytes(x.t - t.mask), 8 * w.t.size)
+        got = ctx.session.exchange(tag, words_to_bytes(x.t - t.mask), packed_len(w.shape))
         return ctx.arith(f(t.mask, bytes_to_words(got, w.shape)) + t.c)
-    got = ctx.session.exchange(tag, words_to_bytes(w.clear - t.mask), 8 * x.t.size)
+    got = ctx.session.exchange(tag, words_to_bytes(w.clear - t.mask), packed_len(x.shape))
     return ctx.arith(f(bytes_to_words(got, x.shape) + x.t, w.clear) + t.c)
 
 

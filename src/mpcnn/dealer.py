@@ -12,8 +12,8 @@ dealer round trip per request, and one request may carry several specs at
 consecutive indices (gtz and a2b each ask for their mask pair and all of
 their AND levels' triples at once). A correction is masked by P1's
 expansion, which P0 cannot compute without P1's seed. A spec may ask for
-only the low `width` bits of its corrections, and the dealer sends only
-those bytes: gtz reads its mask pair's arithmetic half only mod
+only the low `width` bits of its corrections, which the `sharing` codec
+packs at that width: gtz reads its mask pair's arithmetic half only mod
 2^(cmp_bits + 1), so it asks for 4 B per element at cmp_bits = 31.
 
 Each kind is defined once, as one `Kind` entry of `HALVES`: its half class,
@@ -36,14 +36,15 @@ XOR-shared bit b costs one opening (see `arith.select`).
 
 The dealer keeps no correlation state: it derives each correction from its
 master seed and the (session, index) of the request, so serving is
-idempotent. It remembers only which (session, role, index) it has served,
-to count re-requests. It answers each request once, under the request's
-own seq, so only the parties' sessions number dealer traffic. A request it
-cannot serve is answered at once on an error tag, which the party's source
-raises as `DealerError`; so is any request of P1's for corrections. Dealer
-traffic rides the transport layer under tags TRIPLE_REQ / SEED_RSP /
-TRIPLE_RSP / DEALER_ERR and is accounted separately from the party-to-party
-transcript.
+idempotent. To count re-requests it keeps one number per session and
+role, the next index due: a party's indices only go up, from its seed
+request (`SEED_INDEX`) on, so any index below it is asked for again. It
+answers each request once, under the request's own seq, so only the
+parties' sessions number dealer traffic. A request it cannot serve is
+answered at once on an error tag, which the party's source raises as
+`DealerError`; so is any request of P1's for corrections. Dealer traffic
+rides the transport layer under tags TRIPLE_REQ / SEED_RSP / TRIPLE_RSP /
+DEALER_ERR and is accounted separately from the party-to-party transcript.
 """
 
 from __future__ import annotations
@@ -53,10 +54,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .ring import WORD_BITS, ConvGeometry, RingTensor, conv2d_ring, matmul_ring
-from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, narrow, widen, words_to_bytes
+from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, packed_len, words_to_bytes
 from .transport import SERVICE, DealerError, Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout, tag_hash
 
 TAG_REQ = "TRIPLE_REQ"  # an empty request asks for the session seed
@@ -251,7 +250,7 @@ class DealerService:
         self.fabric = fabric
         self.master_seed = fresh_seed()
         self._lock = threading.Lock()
-        self._served: dict = {}  # sid -> {(role, index)} served, for the re-request audit
+        self._served: dict = {}  # sid -> {role: next index due}, for the re-request audit
         self._rerequests = 0
         self._stop = threading.Event()
         self._threads = []
@@ -273,11 +272,11 @@ class DealerService:
     def _note_served(self, role: Role, sid: int, indices):
         """Records the indices one request served, counting re-requests."""
         with self._lock:
-            served = self._served.setdefault(sid, set())
+            due = self._served.setdefault(sid, {})
             for index in indices:
-                if (role, index) in served:
+                if index < due.get(role, SEED_INDEX):
                     self._rerequests += 1
-                served.add((role, index))
+                due[role] = max(due.get(role, SEED_INDEX), index + 1)
 
     def _answer(self, role: Role, payload: bytes, sid: int) -> tuple:
         """(indices served, response tag, response payload) for one request."""
@@ -287,7 +286,7 @@ class DealerService:
             return (), TAG_ERROR_RSP, b"P1 expands its whole half and gets no corrections"
         try:
             first, specs = decode_request(payload)
-            corrs = b"".join(narrow(words_to_bytes(c), spec.width) for i, spec in enumerate(specs)
+            corrs = b"".join(words_to_bytes(c, spec.width) for i, spec in enumerate(specs)
                              for c in derive_correlation(self.master_seed, sid, first + i, spec))
         except Exception as e:  # any request P0 can send must be answered, or P0 waits out its timeout
             return (), TAG_ERROR_RSP, f"{type(e).__name__}: {e}".encode()
@@ -359,17 +358,15 @@ class TripleSource:
             return [kind.half(*expand(self.seed(), i, spec, role)) for kind, (i, spec) in zip(kinds, indexed)]
         self.session.send_to_dealer(TAG_REQ, encode_request(first, specs))
         parts = [expand(self.seed(), i, spec, role) for i, spec in indexed]  # while the dealer derives
-        got = self.session.recv_from_dealer(TAG_TRIPLE_RSP, error_tag=TAG_ERROR_RSP)
-        shapes = [spec.correction_shapes() for spec in specs]
-        want = sum(spec.width // 8 * int(np.prod(shape)) for spec, ss in zip(specs, shapes) for shape in ss)
-        if len(got) != want:
+        got = memoryview(self.session.recv_from_dealer(TAG_TRIPLE_RSP, error_tag=TAG_ERROR_RSP))
+        sizes = [[(shape, packed_len(shape, spec.width)) for shape in spec.correction_shapes()] for spec in specs]
+        if len(got) != (want := sum(n for ss in sizes for _, n in ss)):
             raise DealerError(f"{len(got)} correction bytes for a request of {want}")
         out, off = [], 0
-        for kind, spec, mine, ss in zip(kinds, specs, parts, shapes):
+        for kind, spec, mine, ss in zip(kinds, specs, parts, sizes):
             corrs = []
-            for shape in ss:
-                n = spec.width // 8 * int(np.prod(shape))
-                corrs.append(bytes_to_words(widen(got[off : off + n], spec.width), shape))
+            for shape, n in ss:
+                corrs.append(bytes_to_words(got[off : off + n], shape, spec.width))
                 off += n
             out.append(kind.half(*mine, *corrs))
         return out

@@ -166,9 +166,9 @@ def from_words(words) -> RingTensor:
 def encode(x, cfg: FixedPointConfig = DEFAULT_CFG) -> RingTensor:
     """Embed reals into the ring: round(x * scale) mod 2^64."""
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(arr) >= cfg.max_abs):
+    if not np.all(np.abs(arr) < cfg.max_abs):  # NaN fails <, where it would pass a test of >=
         raise RingRangeError(
-            f"value exceeds representable range +-{cfg.max_abs} at frac_bits={cfg.frac_bits}"
+            f"value is NaN or exceeds representable range +-{cfg.max_abs} at frac_bits={cfg.frac_bits}"
         )
     scaled = np.rint(arr * cfg.scale).astype(np.int64)
     return RingTensor(scaled.view(np.uint64).reshape(arr.shape))

@@ -1,25 +1,32 @@
 """Additive and XOR secret shares with pseudorandom zero-sharing.
 
 Share material comes from a ChaCha20 keystream used as a counter-mode PRG
-(32-byte key, 16-byte nonce = 8-byte domain tag || 8-byte stream id). The two
-parties swap session seeds once and both key one stream with a hash of the
-pair, so their zero shares cancel: P0 draws r = PRG(H(s0 || s1)) and P1
-draws -r. Sharing an input is then non-interactive: the holder adds
-the value onto its zero share, and its share also keeps the value itself, so
-that protocols which take one party's input in the clear (the model holder's
-weights in `arith.conv2d` / `arith.matmul`) can use it.
+(32-byte key; 16-byte nonce = 8-byte domain hash || 8 zero bytes, which
+`cryptography` reads as a 4-byte little-endian block counter || 12-byte
+nonce, so the hash's first 4 bytes set the stream's starting block; kept,
+as any other layout would change every mask). The two parties swap session
+seeds once and both key one stream with a hash of the pair, so their zero
+shares cancel: P0 draws r = PRG(H(s0 || s1)) and P1 draws -r. Sharing an
+input is then non-interactive: the holder adds the value onto its zero
+share, and its share also keeps the value itself, so that protocols which
+take one party's input in the clear (the model holder's weights in
+`arith.conv2d` / `arith.matmul`) can use it.
 
-`open_shares` is the one codec by which both parties open shares: one
-exchange in which each share sends only its low w bits (whole words, low
-bytes, or single bits packed 8 per byte) and comes back reconstructed by its
-own algebra, mod 2^w. A symmetric `reveal` is one call of it. A protocol
-kept in flight (`PendingBit`, the comparison's bit) puts its next opening
-into the frame of each later call, so independent openings share rounds.
+`words_to_bytes(t, w)` / `bytes_to_words(buf, shape, w)` are the one wire
+codec, for parties and dealer alike: whole words at w = 64, each word's low
+w / 8 bytes at other multiples of 8, one bit per element packed 8 per byte
+at w = 1; a buffer not `packed_len(shape, w)` long raises `ProtocolError`.
+`open_shares` opens shares in one exchange, each at its width, rebuilt by
+its own algebra (^ for a BinShare, + for an ArithShare) mod 2^w, as is a
+directed `reveal`. A protocol kept in flight (`PendingBit`, the comparison's
+bit) puts its next opening into the frame of each later call, so
+independent openings share rounds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
 from dataclasses import dataclass
 
@@ -27,19 +34,47 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .ring import WORD_BITS, RingTensor, ShapeMismatch
-from .transport import Role, Session
+from .transport import ProtocolError, Role, Session
 
 SEED_BYTES = 32
 _ZEROS = memoryview(bytes(1 << 20))  # read-only plaintext of the keystream, 1 MB per update
+_CASTS = {8: "<u1", 16: "<u2", 32: "<u4", WORD_BITS: "<u8"}  # wire widths that one numpy cast packs
 
 
-def words_to_bytes(t: RingTensor) -> bytes:
-    return t.data.astype("<u8").tobytes()
+def packed_len(shape, w: int = WORD_BITS) -> int:
+    """Bytes of a tensor of `shape` on the wire at width w."""
+    if w != 1 and (w % 8 or not 8 <= w <= WORD_BITS):
+        raise ValueError(f"cannot open {w} bits: expected 1 or a multiple of 8 up to 64")
+    n = math.prod(shape)
+    return -(-n // 8) if w == 1 else w // 8 * n
 
 
-def bytes_to_words(buf: bytes, shape) -> RingTensor:
-    arr = np.frombuffer(buf, dtype="<u8").astype(np.uint64)
-    return RingTensor(arr.reshape(shape))
+def words_to_bytes(t: RingTensor, w: int = WORD_BITS) -> bytes:
+    """The low w bits of each word of t, as they go on the wire."""
+    packed_len((), w)  # refuses a width the codec cannot pack
+    if w == 1:
+        return np.packbits(t.data.astype(np.uint8) & 1, bitorder="little").tobytes()
+    if w in _CASTS:  # a narrowing cast keeps the low bits
+        return t.data.astype(_CASTS[w], copy=False).tobytes()
+    return np.ascontiguousarray(t.data, "<u8").view(np.uint8).reshape(-1, 8)[:, : w // 8].tobytes()
+
+
+def bytes_to_words(buf, shape, w: int = WORD_BITS) -> RingTensor:
+    """Words of `shape` from buf as `words_to_bytes(t, w)` packed them,
+    zero-extended; ProtocolError unless buf is packed_len(shape, w) bytes."""
+    want = packed_len(shape, w)
+    if len(buf) != want:
+        raise ProtocolError(f"{len(buf)} bytes for {w}-bit words of shape {shape}: expected {want}")
+    n = math.prod(shape)
+    if w == 1:
+        arr = np.unpackbits(np.frombuffer(buf, np.uint8), count=n, bitorder="little")
+    elif w in _CASTS:
+        arr = np.frombuffer(buf, _CASTS[w])
+    else:
+        arr = np.zeros((n, 8), np.uint8)
+        arr[:, : w // 8] = np.frombuffer(buf, np.uint8).reshape(n, w // 8)
+        arr = arr.view("<u8")
+    return RingTensor(arr.astype(np.uint64).reshape(shape))
 
 
 class Prg:
@@ -186,64 +221,32 @@ def share_public(value: RingTensor, role: Role) -> ArithShare:
     return ArithShare(role, value if role is Role.P0 else zeros(value.shape))
 
 
-_CASTS = {8: "<u1", 16: "<u2", 32: "<u4"}  # widths with a numpy dtype, which a cast handles at once
-
-
-def narrow(buf: bytes, w: int) -> bytes:
-    """The low w / 8 bytes of each little-endian word of buf (w a multiple
-    of 8)."""
-    if w == WORD_BITS:
-        return buf
-    if w in _CASTS:  # a narrowing cast keeps the low bits
-        return np.frombuffer(buf, "<u8").astype(_CASTS[w]).tobytes()
-    return np.frombuffer(buf, np.uint8).reshape(-1, 8)[:, : w // 8].tobytes()
-
-
-def widen(buf: bytes, w: int) -> bytes:
-    """Whole little-endian words from their low w / 8 bytes each,
-    zero-extended: the inverse of `narrow` mod 2^w."""
-    if w == WORD_BITS:
-        return buf
-    if w in _CASTS:
-        return np.frombuffer(buf, _CASTS[w]).astype("<u8").tobytes()
-    padded = np.zeros((len(buf) // (w // 8), 8), np.uint8)
-    padded[:, : w // 8] = np.frombuffer(buf, np.uint8).reshape(-1, w // 8)
-    return padded.tobytes()
-
-
 def _opening(tag: str, shares: list, widths: list | None) -> tuple:
-    """(tag, shares, widths, parts): an opening with each share's low w bits
-    packed as it goes on the wire. Packing reads every share, and refuses a
-    width other than 1 or a multiple of 8 up to 64 before anything is sent."""
+    """(tag, shares, widths, parts): an opening, each share packed at its
+    width. Packing reads every share and refuses a bad width before sending."""
     widths = widths or [WORD_BITS] * len(shares)
-    parts = []
-    for s, w in zip(shares, widths, strict=True):
-        if w == 1:
-            parts.append(np.packbits((s.t.data & np.uint64(1)).astype(np.uint8), bitorder="little").tobytes())
-        elif w % 8 or not 8 <= w <= WORD_BITS:
-            raise ValueError(f"cannot open {w} bits: expected 1 or a multiple of 8 up to 64")
-        else:
-            parts.append(narrow(words_to_bytes(s.t), w))
-    return tag, shares, widths, parts
+    return tag, shares, widths, [words_to_bytes(s.t, w) for s, w in zip(shares, widths, strict=True)]
+
+
+def _reconstruct(share: ArithShare | BinShare, theirs, w: int) -> RingTensor:
+    """`share` opened with the peer's share packed at width w: ^ for a
+    BinShare (so a PendingBit too), + for an ArithShare, mod 2^w."""
+    other = bytes_to_words(theirs, share.shape, w)
+    v = share.t ^ other if isinstance(share, BinShare) else share.t + other
+    return v if w == WORD_BITS else RingTensor(v.data & np.uint64((1 << w) - 1))
 
 
 def _exchange(session: Session, openings: list) -> list:
     """Open every opening in one exchange, a merged frame if there are
     several; returns each one's public RingTensors."""
-    got = session.exchange([tag for tag, _, _, _ in openings], [b"".join(parts) for _, _, _, parts in openings])
+    got = memoryview(session.exchange([tag for tag, _, _, _ in openings],
+                                      [b"".join(parts) for _, _, _, parts in openings]))
     out, off = [], 0
     for _, shares, widths, parts in openings:
-        opened = []
+        out.append([])
         for s, w, part in zip(shares, widths, parts):
-            theirs, off = got[off : off + len(part)], off + len(part)
-            if w == 1:  # mod 2, + is ^: xor the packed bits
-                bits = np.frombuffer(part, np.uint8) ^ np.frombuffer(theirs, np.uint8)
-                opened.append(RingTensor(np.unpackbits(bits, count=s.t.size, bitorder="little").reshape(s.shape)))
-                continue
-            other = bytes_to_words(widen(theirs, w), s.shape)
-            v = s.t ^ other if isinstance(s, BinShare) else s.t + other
-            opened.append(v if w == WORD_BITS else RingTensor(v.data & np.uint64((1 << w) - 1)))
-        out.append(opened)
+            out[-1].append(_reconstruct(s, got[off : off + len(part)], w))
+            off += len(part)
     return out
 
 
@@ -251,9 +254,7 @@ def open_shares(session: Session, tag: str, shares: list, widths: list | None = 
     """Open shares in one exchange; returns their public RingTensors, each
     reconstructed by its own algebra (+ for an ArithShare, ^ for a BinShare)
     and reduced mod 2^w. Both reduce mod any power of two, so each share
-    sends only its low w bits, w its entry in `widths` (64 by default): the
-    whole word at 64, the low w / 8 bytes of each word at any other multiple
-    of 8, and at w = 1 one bit per element, packed 8 per byte.
+    crosses the wire packed at w, its entry in `widths` (64 by default).
 
     The next opening of every protocol in flight in the session (see
     `PendingBit`) rides in the same frame and round."""
@@ -306,16 +307,15 @@ class PendingBit(BinShare):
 
 def reveal(session: Session, share: ArithShare | BinShare, to: str = "both",
            tag: str = "reveal") -> RingTensor | None:
-    """Reconstruct a shared tensor. to='both' opens an ArithShare or a
-    BinShare in one symmetric round; a directed reveal (to='p0' or 'p1') of
-    an ArithShare sends only the counterpart's share."""
+    """Reconstruct a shared tensor, an ArithShare or a BinShare, by its own
+    algebra. to='both' opens it in one symmetric round; a directed reveal
+    (to='p0' or 'p1') sends only the counterpart's share."""
     if to == "both":
         return open_shares(session, tag, [share])[0]
     if to not in ("p0", "p1"):
         raise ValueError(f"reveal to {to!r}: expected 'both', 'p0' or 'p1'")
-    target = Role.P0 if to == "p0" else Role.P1
-    if session.role is target:
-        other = session.recv_from_peer(tag)
-        return share.t + bytes_to_words(other, share.shape)
-    session.send_to_peer(tag, words_to_bytes(share.t))
+    mine = share.t  # a pending bit finishes its own openings first
+    if session.role is (Role.P0 if to == "p0" else Role.P1):
+        return _reconstruct(share, session.recv_from_peer(tag), WORD_BITS)
+    session.send_to_peer(tag, words_to_bytes(mine))
     return None

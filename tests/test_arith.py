@@ -372,6 +372,21 @@ class TestGtz:
 
         assert run_secure(rt, fn) == from_words([1, 0, 0])
 
+    def test_directed_reveal_of_a_pending_bit(self, rt):
+        # the bit is XOR-shared and still in flight: revealed to either party
+        # it finishes its openings first and reconstructs with ^, so it
+        # equals the symmetric reveal
+        x = rand_fixed((100,))
+
+        def fn(ctx):
+            xs = shared_pair(ctx, x)
+            return [reveal(ctx.session, arith.gtz(ctx, xs), to=to) for to in ("both", "p0", "p1")]
+
+        vals = rt.run_session(fn, fn)
+        (both0, to_p0, none1), (both1, none0, to_p1) = vals[Role.P0], vals[Role.P1]
+        assert both0 == both1 == to_p0 == to_p1 == gtz_plain(x)
+        assert none0 is None and none1 is None
+
     def test_rounds_is_6(self, rt):
         # the mask opening and the 5 AND levels over 31 lanes, run alone when
         # the bit is read at once; the bit stays XOR-shared

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from mpcnn import dealer
+from mpcnn import arith, dealer
 from mpcnn.dealer import (
     HALVES,
     TAG_ERROR_RSP,
@@ -21,9 +21,9 @@ from mpcnn.dealer import (
     expand,
     session_seed,
 )
-from mpcnn.ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring
+from mpcnn.ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring, zeros
 from mpcnn.runtime import LocalRuntime
-from mpcnn.sharing import fresh_seed
+from mpcnn.sharing import fresh_seed, share_public
 from mpcnn.transport import Role
 
 
@@ -253,6 +253,21 @@ class TestSeeds:
 
         vals = rt.run_session(fn, fn)
         assert vals[Role.P1] == (True, False, True)
+
+
+class TestAudit:
+    def test_one_number_per_session_and_role(self, rt):
+        # one gtz takes its mask pair and 5 AND levels at indices 0-5 after
+        # P0's seed, and P1 asks only for its seed: the re-request audit
+        # keeps each role's next index due, and forgets the session at its end
+        def fn(ctx):
+            arith.gtz(ctx, share_public(zeros((4,)), ctx.role)).t  # read the bit: every opening has run
+            sid = ctx.session.session_id
+            return sid, dict(rt.dealer._served[sid])
+
+        vals = rt.run_session(fn, fn)
+        assert vals[Role.P0] == vals[Role.P1] == (vals[Role.P0][0], {Role.P0: 6, Role.P1: 0})
+        assert rt.dealer._served == {} and rt.dealer.rerequest_count() == 0
 
 
 class TestBudget:

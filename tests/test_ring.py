@@ -54,6 +54,12 @@ class TestEncode:
         with pytest.raises(RingRangeError):
             encode(2.0**47, CFG)
 
+    @pytest.mark.parametrize("x", [np.nan, [1.0, np.nan], [[np.inf, 0.0]], -np.inf])
+    def test_non_finite_refused(self, x):
+        # NaN compares False with the bound; it once encoded as the word 2^63
+        with pytest.raises(RingRangeError, match="NaN"):
+            encode(x, CFG)
+
     def test_round_trip_exact_on_grid(self):
         ks = RNG.integers(-(1 << 40), 1 << 40, size=2000)
         xs = ks.astype(np.float64) / CFG.scale

@@ -149,13 +149,13 @@ def test_tracer_hooks_resolve():
     # per-layer counts of one inference, as in test_compactcnn_inference_end_to_end:
     # online bytes are P0's sent plus received, and calls count both parties
     n, w = 32 * 321, -(-32 * 321 // 64)
-    corrections = 8 * (n + n + 55 * w + 2 * n + 2)  # conv, gtz's mask and ANDs, select, linear
-    # codec bytes: each party encodes the words it sends and decodes those it
-    # receives (`opened` each), gtz's 4 B masks as whole words; the dealer's
-    # corrections are encoded at the dealer and decoded at P0, also gtz's 4 B
-    # mask corrections as whole words
-    opened = 8 * (384 + 2048 + 32 + 64) + 2 * 8 * n + 2 * (gtz_bytes(n) - 4 * n) + 2 * 8 * n + 16
-    assert metrics["sharing.codec_bytes_per_inf"] == 2 * opened + 2 * corrections == 2_063_728
+    # codec bytes are wire bytes: every online byte is encoded by its sender
+    # and decoded by its receiver, and so is every byte of P0's corrections
+    # (TRIPLE_RSP), at the dealer and at P0; seeds bypass the codec
+    online = 8 * (384 + 2048) + 2 * (gtz_bytes(n) + select_bytes(n)) + 8 * (32 + 64) + 16  # conv, relu, linear, output
+    dealt = 8 * (n + 55 * w + 2 * n + 2) + 4 * n  # conv, gtz's ANDs, select, linear, gtz's 4 B mask
+    assert (online, dealt) == (552_696, 358_472)
+    assert metrics["sharing.codec_bytes_per_inf"] == 2 * online + 2 * dealt == 1_822_336
     # przs setup, conv, gtz's mask and 5 AND levels, select, linear
     assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 1 + 1 + 5 + 1 + 1) == 20
     # gtz's openings run when the select reads its bit, inside the select's

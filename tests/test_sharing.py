@@ -14,16 +14,15 @@ from mpcnn.sharing import (
     PrzsStream,
     bytes_to_words,
     fresh_seed,
-    narrow,
     open_shares,
+    packed_len,
     przs_setup,
     reveal,
     share_input,
-    widen,
     words_to_bytes,
 )
 from mpcnn.runtime import run_pair_raw
-from mpcnn.transport import Role
+from mpcnn.transport import ProtocolError, Role
 
 from conftest import inproc_fabrics
 
@@ -146,6 +145,33 @@ class TestReveal:
         assert t1.tags["output"].bytes_sent == 8 * 8
         assert t0.rounds == 1 and t1.rounds == 1
 
+    def test_directed_reveal_of_xor_shares(self):
+        # a XOR share reconstructs with ^ in every direction: shares 5 and 3
+        # reveal 6 (with + they would read 8), and random patterns in full
+        x, m = rand_words((50,)), rand_words((50,))
+
+        def fn(sess):
+            p0 = sess.role is Role.P0
+            shares = [BinShare(sess.role, from_words([5 if p0 else 3])),
+                      BinShare(sess.role, x ^ m if p0 else m)]
+            return [(reveal(sess, sh), reveal(sess, sh, to="p0"), reveal(sess, sh, to="p1")) for sh in shares]
+
+        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
+        for want, (both0, to_p0, none1), (both1, none0, to_p1) in zip([from_words([6]), x], *vals.values()):
+            assert both0 == both1 == to_p0 == to_p1 == want
+            assert none0 is None and none1 is None
+
+    def test_directed_reveal_refuses_a_wrong_length(self):
+        # a payload one word short is refused as ProtocolError, not read as
+        # words or left to numpy's ValueError
+        def fn(sess):
+            if sess.role is Role.P1:
+                return sess.send_to_peer("output", bytes(7 * 8))
+            with pytest.raises(ProtocolError, match="expected 64"):
+                reveal(sess, ArithShare(sess.role, rand_words((8,))), to="p0", tag="output")
+
+        run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
+
     @pytest.mark.parametrize("to", ["P0", "p2", ""])
     def test_unknown_target_refused_before_traffic(self, to):
         # anything but 'both', 'p0' or 'p1' used to reveal to P1
@@ -183,14 +209,27 @@ class TestOpenShares:
             assert yo == y and bo == RingTensor(b.data & np.uint64(1))
             assert t.rounds == 1 and t.bytes_sent == t.bytes_recv == 12 * n + -(-n // 8)
 
-    @pytest.mark.parametrize("w", range(8, 72, 8))
+    @pytest.mark.parametrize("w", [1, *range(8, 72, 8)])
     def test_narrow_widen_keep_the_low_bits(self, w):
-        # by a cast at 8, 16 and 32 bits, by byte slices at the other widths
+        # the codec narrows each word to its low w bits on the wire (one bit
+        # per element packed 8 per byte at 1, a cast at 8, 16, 32 and 64,
+        # byte slices at the other widths) and widens them back, zero-extended
         words = rand_words((37,))
-        buf = narrow(words_to_bytes(words), w)
-        assert len(buf) == 37 * w // 8
-        back = bytes_to_words(widen(buf, w), (37,))
+        buf = words_to_bytes(words, w)
+        assert len(buf) == packed_len((37,), w) == (5 if w == 1 else 37 * w // 8)
+        back = bytes_to_words(buf, (37,), w)
         assert back == RingTensor(words.data & np.uint64((1 << w) - 1))
+        grid = rand_words((3, 5))  # any shape, the empty one too
+        assert bytes_to_words(words_to_bytes(grid, w), (3, 5), w) == RingTensor(grid.data & np.uint64((1 << w) - 1))
+        assert words_to_bytes(zeros((0,)), w) == b"" and bytes_to_words(b"", (0,), w) == zeros((0,))
+
+    @pytest.mark.parametrize("w", [1, *range(8, 72, 8)])
+    def test_wrong_length_is_refused(self, w):
+        # a buffer one byte short or one byte long is never read as words
+        buf = words_to_bytes(rand_words((37,)), w)
+        for bad in (buf[:-1], buf + b"\0"):
+            with pytest.raises(ProtocolError, match=f"{w}-bit words"):
+                bytes_to_words(bad, (37,), w)
 
     @pytest.mark.parametrize("w", [0, 4, 12, 72])
     def test_other_widths_refused_before_traffic(self, w):
