@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 WORD_BITS = 64
 
@@ -220,17 +221,6 @@ class ConvGeometry:
         return (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
 
 
-def _window_indices(h, w, kh, kw, stride, padding):
-    """Index arrays mapping a padded C x H x W image to (kh*kw, oh*ow) patches."""
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    ky, kx = np.meshgrid(np.arange(kh), np.arange(kw), indexing="ij")
-    oy, ox = np.meshgrid(np.arange(oh) * stride, np.arange(ow) * stride, indexing="ij")
-    rows = ky.reshape(-1, 1) + oy.reshape(1, -1)
-    cols = kx.reshape(-1, 1) + ox.reshape(1, -1)
-    return rows, cols, oh, ow
-
-
 def _pad_chw(data: np.ndarray, padding: int, fill: int) -> np.ndarray:
     if padding == 0:
         return data
@@ -241,14 +231,26 @@ def _pad_chw(data: np.ndarray, padding: int, fill: int) -> np.ndarray:
 
 
 def im2col(x: RingTensor, kh: int, kw: int, stride: int, padding: int) -> tuple:
-    """Unfold C x H x W into (C*kh*kw, oh*ow) columns, zero-padded."""
+    """Unfold C x H x W into (oh*ow, C*kh*kw) patch rows, zero-padded. Row p
+    is output cell p's window in the kernel's (C, kh, kw) order, so a patch
+    row and a kernel row both run contiguously along the reduction."""
     if x.data.ndim != 3:
         raise ShapeMismatch(f"expected rank-3 C,H,W tensor, got {x.shape}")
-    c, h, w = x.shape
+    c = x.shape[0]
     padded = _pad_chw(x.data, padding, 0)
-    rows, cols, oh, ow = _window_indices(h, w, kh, kw, stride, padding)
-    patches = padded[:, rows, cols]  # (C, kh*kw, oh*ow)
-    return patches.reshape(c * kh * kw, oh * ow), oh, ow
+    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    oh, ow = win.shape[1:3]
+    return win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw), oh, ow
+
+
+def _ring_product(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """a @ bt.T over Z_2^64 for a (m, k) and bt (n, k): the one ring-product
+    kernel. It wants both operands contiguous along the reduction axis k,
+    where einsum's inner loop streams two rows; numpy's uint64 `@` has no
+    BLAS and walks its right operand down a column. uint64 multiply-add
+    wraps mod 2^64, and that addition is associative and commutative, so
+    every summation order gives the same words."""
+    return np.einsum("ik,jk->ij", a, bt)
 
 
 def conv2d_ring(x: RingTensor, w: RingTensor, geom: ConvGeometry) -> RingTensor:
@@ -257,9 +259,8 @@ def conv2d_ring(x: RingTensor, w: RingTensor, geom: ConvGeometry) -> RingTensor:
         raise ShapeMismatch(f"input {x.shape} does not match geometry {geom}")
     if w.shape != geom.weight_shape():
         raise ShapeMismatch(f"kernel {w.shape} does not match geometry {geom}")
-    cols, oh, ow = im2col(x, geom.kernel_h, geom.kernel_w, geom.stride, geom.padding)
-    kmat = w.data.reshape(geom.out_channels, -1)
-    out = kmat @ cols  # uint64 matmul wraps mod 2^64
+    patches, oh, ow = im2col(x, geom.kernel_h, geom.kernel_w, geom.stride, geom.padding)
+    out = _ring_product(w.data.reshape(geom.out_channels, -1), patches)
     return RingTensor(out.reshape(geom.out_channels, oh, ow))
 
 
@@ -267,14 +268,14 @@ def matmul_ring(a: RingTensor, b: RingTensor) -> RingTensor:
     """Raw ring matrix product."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-    return RingTensor(a.data @ b.data)
+    return RingTensor(_ring_product(a.data, np.ascontiguousarray(b.data.T)))
 
 
 def pool_windows(x: RingTensor, k: int, stride: int, padding: int, fill: int) -> tuple:
     """Unfold each channel into (C, k*k, oh*ow) windows; padded cells hold
     the word `fill` (the config's `pool_sentinel`, which never wins a
     comparison)."""
-    c, h, w = x.shape
-    padded = _pad_chw(x.data, padding, fill)
-    rows, cols, oh, ow = _window_indices(h, w, k, k, stride, padding)
-    return RingTensor(padded[:, rows, cols]), oh, ow
+    c = x.shape[0]
+    win = sliding_window_view(_pad_chw(x.data, padding, fill), (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    oh, ow = win.shape[1:3]
+    return RingTensor(win.transpose(0, 3, 4, 1, 2).reshape(c, k * k, oh * ow)), oh, ow

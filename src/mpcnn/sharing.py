@@ -93,7 +93,7 @@ class Prg:
         """The next 8 bytes of the stream per word, little-endian: zeros from
         the shared `_ZEROS` encrypted straight into the output array, so
         the array is the one allocation and nothing is copied."""
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         arr = np.empty(n, dtype="<u8")
         buf = arr.view(np.uint8)
         for off in range(0, buf.size, len(_ZEROS)):

@@ -17,6 +17,7 @@ from mpcnn.ring import (
     encode,
     from_words,
     gtz_plain,
+    im2col,
     matmul_ring,
     msb,
     trunc,
@@ -30,6 +31,32 @@ fmul = PlainEngine(CFG).fmul
 
 def rand_words(shape):
     return RingTensor(RNG.integers(0, 1 << 64, size=shape, dtype=np.uint64))
+
+
+def conv_cell_oracle(x: RingTensor, w: RingTensor, geom: ConvGeometry, cells) -> list:
+    """Output words of conv2d_ring at `cells` (oc, oy, ox), by direct
+    Python-int accumulation mod 2^64."""
+    xi, wi = x.data.tolist(), w.data.tolist()
+    _, h, wd = x.shape
+    out = []
+    for oc, oy, ox in cells:
+        acc = 0
+        for ic in range(geom.in_channels):
+            for ky in range(geom.kernel_h):
+                for kx in range(geom.kernel_w):
+                    iy = oy * geom.stride + ky - geom.padding
+                    ix = ox * geom.stride + kx - geom.padding
+                    if 0 <= iy < h and 0 <= ix < wd:
+                        acc += xi[ic][iy][ix] * wi[oc][ic][ky][kx]
+        out.append(acc % (1 << 64))
+    return out
+
+
+def matmul_oracle(a: RingTensor, b: RingTensor) -> list:
+    """a @ b by Python-int accumulation mod 2^64, as nested lists."""
+    ai, bi = a.data.tolist(), b.data.tolist()
+    return [[sum(row[k] * bi[k][j] for k in range(len(bi))) % (1 << 64) for j in range(len(bi[0]))]
+            for row in ai]
 
 
 def fixed_mul_oracle(x: Fraction, y: Fraction, f: int) -> int:
@@ -178,29 +205,75 @@ class TestConvMatmul:
         x = rand_words((3, 8, 8))
         w = rand_words(geom.weight_shape())
         out = conv2d_ring(x, w, geom)
-        xi = x.data.tolist()
-        wi = w.data.tolist()
-        for oc in range(4):
-            for oy in range(8):
-                for ox in range(8):
-                    acc = 0
-                    for ic in range(3):
-                        for ky in range(3):
-                            for kx in range(3):
-                                iy, ix = oy + ky - 1, ox + kx - 1
-                                if 0 <= iy < 8 and 0 <= ix < 8:
-                                    acc += xi[ic][iy][ix] * wi[oc][ic][ky][kx]
-                    assert out.data[oc, oy, ox] == np.uint64(acc & ((1 << 64) - 1))
+        cells = list(np.ndindex(out.shape))
+        assert [out.data[c] for c in cells] == conv_cell_oracle(x, w, geom, cells)
+
+    def test_conv_stride2_padded_nonsquare(self):
+        geom = ConvGeometry(3, 5, 3, 2, stride=2, padding=1)
+        x = rand_words((3, 7, 6))
+        w = rand_words(geom.weight_shape())
+        out = conv2d_ring(x, w, geom)
+        assert out.shape == (5, 4, 4)
+        cells = list(np.ndindex(out.shape))
+        assert [out.data[c] for c in cells] == conv_cell_oracle(x, w, geom, cells)
+
+    def test_conv_detector_c4_sampled(self):
+        # the detector's widest conv, inner dimension 272 * 9 = 2448, checked
+        # on 64 sampled output cells
+        geom = ConvGeometry(272, 96, 3, 3, stride=1, padding=1)
+        x = rand_words((272, 8, 8))
+        w = rand_words(geom.weight_shape())
+        out = conv2d_ring(x, w, geom)
+        cells = list(zip(*(RNG.integers(0, n, size=64) for n in out.shape)))
+        assert [out.data[c] for c in cells] == conv_cell_oracle(x, w, geom, cells)
+
+    def test_all_ones_words_wrap(self):
+        # (2^64 - 1)^2 = 1 mod 2^64, so each product and every partial sum
+        # wraps; a conv cell is its count of in-image taps
+        def ones(shape):
+            return from_words(np.full(shape, (1 << 64) - 1, dtype=np.uint64))
+
+        geom = ConvGeometry(2, 3, 3, 3, stride=1, padding=1)
+        x, w = ones((2, 4, 4)), ones(geom.weight_shape())
+        out = conv2d_ring(x, w, geom)
+        cells = list(np.ndindex(out.shape))
+        assert [out.data[c] for c in cells] == conv_cell_oracle(x, w, geom, cells)
+        assert out.data[0, 0, 0] == 2 * 4 and out.data[0, 1, 1] == 2 * 9
+        a, b = ones((3, 40)), ones((40, 2))
+        assert matmul_ring(a, b).data.tolist() == matmul_oracle(a, b) == [[40] * 2] * 3
+
+    @pytest.mark.parametrize("geom, hw", [
+        (ConvGeometry(1, 32, 1, 64), (1, 384)),
+        (ConvGeometry(3, 4, 3, 3, stride=2, padding=1), (32, 32)),
+        (ConvGeometry(4, 16, 3, 3, stride=2, padding=1), (16, 16)),
+        (ConvGeometry(16, 256, 3, 3, stride=1, padding=1), (4, 4)),
+        (ConvGeometry(272, 96, 3, 3, stride=1, padding=1), (8, 8)),
+        (ConvGeometry(96, 8, 1, 1), (8, 8)),
+    ], ids=["compactcnn", "c1", "c2", "c3", "c4", "head"])
+    def test_conv_matches_uint64_matmul(self, geom, hw):
+        # every cell of each benchmark geometry against numpy's uint64 `@`
+        # on the same patch rows
+        x = rand_words((geom.in_channels, *hw))
+        w = rand_words(geom.weight_shape())
+        patches, oh, ow = im2col(x, geom.kernel_h, geom.kernel_w, geom.stride, geom.padding)
+        want = (w.data.reshape(geom.out_channels, -1) @ patches.T).reshape(geom.out_channels, oh, ow)
+        assert np.array_equal(conv2d_ring(x, w, geom).data, want)
 
     def test_matmul_against_python_ints(self):
         a = rand_words((5, 7))
         b = rand_words((7, 3))
-        out = matmul_ring(a, b)
-        ai, bi = a.data.tolist(), b.data.tolist()
-        for i in range(5):
-            for j in range(3):
-                acc = sum(ai[i][k] * bi[k][j] for k in range(7)) & ((1 << 64) - 1)
-                assert out.data[i, j] == np.uint64(acc)
+        assert matmul_ring(a, b).data.tolist() == matmul_oracle(a, b)
+
+    @pytest.mark.parametrize("m, k, n", [(1, 32, 2), (4, 1, 3), (1, 1, 1)])
+    def test_matmul_degenerate_dims(self, m, k, n):
+        a, b = rand_words((m, k)), rand_words((k, n))
+        assert matmul_ring(a, b).data.tolist() == matmul_oracle(a, b)
+
+    def test_matmul_transposed_operands(self):
+        # non-contiguous views: each operand a transpose of a stored array
+        a, b = RingTensor(rand_words((6, 4)).data.T), RingTensor(rand_words((3, 6)).data.T)
+        assert not a.data.flags.c_contiguous and not b.data.flags.c_contiguous
+        assert matmul_ring(a, b).data.tolist() == matmul_oracle(a, b)
 
     def test_bad_geometry(self):
         geom = ConvGeometry(1, 1, 3, 3)

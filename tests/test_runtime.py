@@ -169,6 +169,9 @@ def test_tracer_hooks_resolve():
         "relu": (7, 2 * (gtz_bytes(n) + select_bytes(n)), 276_571),
         "linear": (1, 8 * (32 + 64), 85)}
     assert metrics["model.relu.online_bytes_per_inf"] == 532_456
+    # P0, P1 and the dealer each run the conv and the linear layer's product
+    assert metrics["ring.calls_per_inf"] == 3 * 2 == 6
+    assert metrics["ring.macs_per_inf"] == 3 * (32 * 64 * 321 + 32 * 2) == 1_972_416
 
 
 def test_traced_detector_layers():
@@ -190,6 +193,12 @@ def test_traced_detector_layers():
     assert metrics["arith.mux.online_bytes_per_inf"] == 2 * sum(
         gtz_bytes(n) + select_bytes(n) for n in (512, 256)) == 39_744
     assert metrics["arith.gtz.online_bytes_per_inf"] == 0
+    # each of the 5 convs at P0, P1 and the dealer; a conv's MACs are its
+    # output cells times C * kh * kw
+    convs = [(4 * 16 * 16, 3 * 9), (16 * 8 * 8, 4 * 9), (256 * 4 * 4, 16 * 9), (96 * 8 * 8, 272 * 9),
+             (8 * 8 * 8, 96)]  # c1, c2, c3, c4, head
+    assert metrics["ring.calls_per_inf"] == 3 * len(convs) == 15
+    assert metrics["ring.macs_per_inf"] == 3 * sum(cells * k for cells, k in convs) == 47_232_000
 
 
 def one_benchmark_inference(model_name):
