@@ -41,10 +41,10 @@ role, the next index due: a party's indices only go up, from its seed
 request (`SEED_INDEX`) on, so any index below it is asked for again. It
 answers each request once, under the request's own seq, so only the
 parties' sessions number dealer traffic. A request it cannot serve is
-answered at once on an error tag, which the party's source raises as
-`DealerError`; so is any request of P1's for corrections. Dealer traffic
-rides the transport layer under tags TRIPLE_REQ / SEED_RSP / TRIPLE_RSP /
-DEALER_ERR and is accounted separately from the party-to-party transcript.
+answered at once on transport's refusal tag DEALER_ERR, which every dealer
+read raises as `DealerError`; so is any request of P1's for corrections.
+Dealer traffic rides the transport layer under tags TRIPLE_REQ / SEED_RSP /
+TRIPLE_RSP and is accounted separately from the party-to-party transcript.
 """
 
 from __future__ import annotations
@@ -56,12 +56,13 @@ from typing import Callable
 
 from .ring import WORD_BITS, ConvGeometry, RingTensor, conv2d_ring, matmul_ring
 from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, packed_len, words_to_bytes
-from .transport import SERVICE, DealerError, Fabric, Message, PeerDisconnected, Role, Session, SessionTimeout, tag_hash
+from .transport import (SERVICE, TAG_DEALER_ERR, DealerError, Fabric, Message, PeerDisconnected, Role, Session,
+                        SessionTimeout, tag_hash)
 
 TAG_REQ = "TRIPLE_REQ"  # an empty request asks for the session seed
 TAG_SEED_RSP = "SEED_RSP"
 TAG_TRIPLE_RSP = "TRIPLE_RSP"  # the corrections of one request, in spec order
-TAG_ERROR_RSP = "DEALER_ERR"  # a refused request; the payload says why
+TAG_ERROR_RSP = TAG_DEALER_ERR  # a refused request; the payload says why
 
 SEED_INDEX = -1  # the seed request's place in the dealer's re-request audit
 POLL_S = 0.2  # how often a service thread looks for `stop`
@@ -341,8 +342,13 @@ class TripleSource:
 
     def seed(self) -> bytes:
         if self._seed is None:
-            self._seed = self.session.recv_from_dealer(TAG_SEED_RSP)
+            self._seed = self._recv_answer(TAG_SEED_RSP, "seed", SEED_BYTES)
         return self._seed
+
+    def _recv_answer(self, tag: str, what: str, want: int) -> bytes:
+        if len(got := self.session.recv_from_dealer(tag)) != want:
+            raise DealerError(f"{len(got)} {what} bytes for a request of {want}")
+        return got
 
     def take_many(self, specs: list) -> list:
         """Correlations for `specs`, at consecutive indices."""
@@ -358,10 +364,8 @@ class TripleSource:
             return [kind.half(*expand(self.seed(), i, spec, role)) for kind, (i, spec) in zip(kinds, indexed)]
         self.session.send_to_dealer(TAG_REQ, encode_request(first, specs))
         parts = [expand(self.seed(), i, spec, role) for i, spec in indexed]  # while the dealer derives
-        got = memoryview(self.session.recv_from_dealer(TAG_TRIPLE_RSP, error_tag=TAG_ERROR_RSP))
         sizes = [[(shape, packed_len(shape, spec.width)) for shape in spec.correction_shapes()] for spec in specs]
-        if len(got) != (want := sum(n for ss in sizes for _, n in ss)):
-            raise DealerError(f"{len(got)} correction bytes for a request of {want}")
+        got = memoryview(self._recv_answer(TAG_TRIPLE_RSP, "correction", sum(n for ss in sizes for _, n in ss)))
         out, off = [], 0
         for kind, spec, mine, ss in zip(kinds, specs, parts, sizes):
             corrs = []

@@ -2,15 +2,16 @@
 
 A round is one parallel communication phase: everything that may legally fly
 concurrently counts once, no matter how many bytes it carries, and openings
-that share a round share one frame. The ledger counts payload bytes only. A
-frame carries its tag (a merged frame, its composition) as the CRC-32, so
-both backends check tags alike. Received frames wait in a `Mailbox` keyed by
-(session, source, destination), where every frame to the dealer goes under
-the one `SERVICE` key. The in-process roles share one mailbox; each TCP
-connection's one thread, its reader, fills its own, and senders write whole
-frames under the connection's lock, each send bounded by MPCNN_TIMEOUT_MS.
-A TCP connection opens with one byte naming the connecting role. Both
-backends give byte-identical transcripts for the same protocol run.
+that share a round share one frame; the ledger counts payload bytes. A frame
+carries its tag (a merged frame, its composition) as the CRC-32, so both
+backends check tags alike. A party sends every frame it owes, an empty one
+too, and checks each it reads for seq, then tag; a dealer's refusal raises
+DealerError. Received frames wait in a `Mailbox` keyed by (session, source,
+destination), every frame to the dealer under `SERVICE`. The in-process roles
+share one mailbox; each TCP connection's one thread, its reader, fills its
+own, and senders write whole frames under its lock, each send bounded by
+MPCNN_TIMEOUT_MS. A TCP connection opens with one byte naming the connecting
+role. Both backends give byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ class ProtocolError(TransportError):
 
 class DealerError(TransportError):
     """The dealer refused a request, or a correlation cannot be dealt."""
+
+
+TAG_DEALER_ERR = "DEALER_ERR"  # the dealer's answer to a request it refuses; the payload says why
 
 
 @dataclass
@@ -387,9 +391,11 @@ class Session:
     """One party's endpoint of one protocol session.
 
     Byte counters cover party-to-party payload only; dealer traffic goes to a
-    separate transcript so offline cost is reported apart from online cost.
+    separate transcript, so offline cost is reported apart from online cost.
     Frames to each role are numbered from 0 and must arrive in order; the
-    dealer answers each request under the request's own seq.
+    dealer answers each request under the request's own seq. Every read checks
+    seq, then tag (`_raw_recv`), and a dealer's refusal raises DealerError.
+    Only `exchange` skips a frame, when both sides know it is empty.
     """
 
     def __init__(self, fabric: Fabric, session_id: int, role: Role):
@@ -411,20 +417,21 @@ class Session:
         self._send_seq[to] = s + 1
         return s
 
-    def _check_seq(self, frm: Role, msg: Message, tag: str):
-        expect = self._recv_seq.get(frm, 0)
-        if msg.seq != expect:
-            raise ProtocolError(f"seq {msg.seq} != expected {expect} from {frm}")
-        self._recv_seq[frm] = expect + 1
-        if msg.tag != tag_hash(tag):
-            raise ProtocolError(f"tag mismatch: expected {tag!r}")
-
     def _raw_send(self, to: Role, tag: str, payload: bytes):
         self.fabric.send(to, Message(self.session_id, self._next_seq(to), tag_hash(tag), payload))
 
     def _raw_recv(self, frm: Role, tag: str) -> bytes:
+        """The next frame from `frm`; a dealer's refusal is noted, then raised."""
         msg = self.fabric.recv(frm, self.session_id)
-        self._check_seq(frm, msg, tag)
+        expect = self._recv_seq.get(frm, 0)
+        if msg.seq != expect:
+            raise ProtocolError(f"seq {msg.seq} != expected {expect} from {frm}")
+        self._recv_seq[frm] = expect + 1
+        if frm is Role.DEALER and msg.tag == tag_hash(TAG_DEALER_ERR):
+            self.dealer_transcript.note_recv(TAG_DEALER_ERR, len(msg.payload))
+            raise DealerError(msg.payload.decode(errors="replace"))
+        if msg.tag != tag_hash(tag):
+            raise ProtocolError(f"tag mismatch: expected {tag!r}")
         return msg.payload
 
     # -- party-to-party, transcript-counted --
@@ -462,8 +469,6 @@ class Session:
 
     def send_to_peer(self, tag: str, payload: bytes):
         """Directed phase, sender side. Counts one round for this party."""
-        if len(payload) == 0:
-            return
         self._raw_send(self.role.peer, tag, payload)
         self.transcript.note_send(tag, len(payload))
         self.transcript.note_round(tag)
@@ -482,17 +487,11 @@ class Session:
         self.dealer_transcript.note_send(tag, len(payload))
         self.dealer_transcript.note_round(tag)
 
-    def recv_from_dealer(self, tag: str, error_tag: str | None = None) -> bytes:
-        """The dealer's answer on `tag`. An answer on `error_tag` instead
-        raises DealerError with its payload as the message."""
-        msg = self.fabric.recv(Role.DEALER, self.session_id)
-        refused = error_tag is not None and msg.tag == tag_hash(error_tag)
-        got_tag = error_tag if refused else tag
-        self._check_seq(Role.DEALER, msg, got_tag)
-        self.dealer_transcript.note_recv(got_tag, len(msg.payload))
-        if refused:
-            raise DealerError(msg.payload.decode(errors="replace"))
-        return msg.payload
+    def recv_from_dealer(self, tag: str) -> bytes:
+        """The dealer's answer on `tag`; a refusal raises DealerError."""
+        payload = self._raw_recv(Role.DEALER, tag)
+        self.dealer_transcript.note_recv(tag, len(payload))
+        return payload
 
     def measure(self) -> Transcript:
         return self.transcript.snapshot()

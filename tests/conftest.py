@@ -1,9 +1,11 @@
+import collections
+import contextlib
 import socket
 import threading
 
 from mpcnn.dealer import DealerService
 from mpcnn.runtime import establish, run_pair_raw
-from mpcnn.transport import InProcFabric, Mailbox, Role, TcpFabric
+from mpcnn.transport import InProcFabric, Mailbox, Message, Role, TcpFabric
 
 
 def free_port() -> int:
@@ -29,30 +31,91 @@ def tcp_fabrics():
                          else TcpFabric(Role.P1, peer_addr=addr))
 
 
-def run_tcp_with_dealer(fn, cfg=None):
-    """fn(ctx) on both parties, with P0, P1 and a DealerService each on its
-    own TcpFabric over loopback; returns {role: result}."""
+class Faults:
+    """Corrupts one frame of those a role sends: `arm(to, k, fault)` makes
+    the k-th frame to `to` (from 0) lose its last byte ('truncate') or go
+    out twice ('duplicate'). Mixed in ahead of a fabric class."""
+
+    def arm(self, to: Role, k: int, fault: str):
+        self.to, self.k, self.fault = to, k, fault
+        self._sent, self._lock = collections.Counter(), threading.Lock()
+        return self
+
+    def send(self, to: Role, msg: Message):
+        with self._lock:  # the dealer sends on one thread per party
+            k = self._sent[to]
+            self._sent[to] += 1
+        if (to, k) == (self.to, self.k):
+            if self.fault == "truncate":
+                msg = Message(msg.session_id, msg.seq, msg.tag, msg.payload[:-1])
+            else:
+                super().send(to, msg)
+        super().send(to, msg)
+
+
+class FaultyFabric(Faults, InProcFabric):
+    pass
+
+
+class FaultyTcpFabric(Faults, TcpFabric):
+    pass
+
+
+def fabric_for(role, fault, base, *args, **kwargs):
+    """`base(*args, **kwargs)`, in its faulty form and armed when `fault`, a
+    (sender, to, k, fault) tuple, names `role` as its sender."""
+    if fault is None or fault[0] is not role:
+        return base(*args, **kwargs)
+    return {InProcFabric: FaultyFabric, TcpFabric: FaultyTcpFabric}[base](*args, **kwargs).arm(*fault[1:])
+
+
+@contextlib.contextmanager
+def inproc_with_dealer(fault=None):
+    """`make_fabric` for `runtime.run_pair_raw`: both parties and a
+    DealerService on one in-process mailbox, `fault` armed at its sender."""
+    mailbox = Mailbox()
+    svc = DealerService(fabric_for(Role.DEALER, fault, InProcFabric, mailbox, Role.DEALER)).start()
+    try:
+        yield lambda role: fabric_for(role, fault, InProcFabric, mailbox, role)
+    finally:
+        mailbox.close()  # wakes the service threads at once
+        svc.stop()
+
+
+@contextlib.contextmanager
+def tcp_with_dealer(fault=None):
+    """`make_fabric` for `runtime.run_pair_raw`: P0, P1 and a DealerService
+    each on its own TcpFabric over loopback, `fault` armed at its sender."""
     host, peer, dealer_port = "127.0.0.1", free_port(), free_port()
     dealer = {}
 
     def serve():  # the dealer's fabric blocks until both parties connect
-        dealer["fab"] = TcpFabric(Role.DEALER, listen_addr=(host, dealer_port))
+        dealer["fab"] = fabric_for(Role.DEALER, fault, TcpFabric, Role.DEALER, listen_addr=(host, dealer_port))
         dealer["svc"] = DealerService(dealer["fab"]).start()
 
     def make_fabric(role):
         if role is Role.P0:
-            return TcpFabric(Role.P0, listen_addr=(host, peer), dealer_addr=(host, dealer_port))
-        return TcpFabric(Role.P1, peer_addr=(host, peer), dealer_addr=(host, dealer_port))
-
-    def run(sess):
-        return fn(establish(sess, cfg))
+            return fabric_for(role, fault, TcpFabric, Role.P0, listen_addr=(host, peer),
+                              dealer_addr=(host, dealer_port))
+        return fabric_for(role, fault, TcpFabric, Role.P1, peer_addr=(host, peer), dealer_addr=(host, dealer_port))
 
     server = threading.Thread(target=serve)
     server.start()
     try:
-        return run_pair_raw(make_fabric, {Role.P0: run, Role.P1: run})
+        yield make_fabric
     finally:
         server.join(timeout=30)
         if "svc" in dealer:
+            dealer["fab"].close()  # wakes the service threads at once
             dealer["svc"].stop()
-            dealer["fab"].close()
+
+
+def run_tcp_with_dealer(fn, cfg=None):
+    """fn(ctx) on both parties, with P0, P1 and a DealerService each on its
+    own TcpFabric over loopback; returns {role: result}."""
+
+    def run(sess):
+        return fn(establish(sess, cfg))
+
+    with tcp_with_dealer() as make_fabric:
+        return run_pair_raw(make_fabric, {Role.P0: run, Role.P1: run})

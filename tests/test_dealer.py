@@ -9,7 +9,6 @@ import pytest
 from mpcnn import arith, dealer
 from mpcnn.dealer import (
     HALVES,
-    TAG_ERROR_RSP,
     TAG_REQ,
     TAG_SEED_RSP,
     TAG_TRIPLE_RSP,
@@ -246,7 +245,7 @@ class TestSeeds:
             sess.send_to_dealer(TAG_REQ, encode_request(0, [TripleSpec("arith", (2,))]))
             t0 = time.perf_counter()
             with pytest.raises(DealerError, match="no corrections") as refusal:
-                sess.recv_from_dealer(TAG_TRIPLE_RSP, error_tag=TAG_ERROR_RSP)
+                sess.recv_from_dealer(TAG_TRIPLE_RSP)
             d = sess.dealer_transcript
             return (time.perf_counter() - t0 < 5, TAG_TRIPLE_RSP in d.tags,
                     d.bytes_recv - d.tags[TAG_SEED_RSP].bytes_recv == len(str(refusal.value)))

@@ -181,8 +181,6 @@ def test_traced_detector_layers():
     # rounds of comparisons run alone. SiLU's gtz mask and levels 1-3 land
     # in beaver_mul's calls and the max-pool levels' whole gtz in mux's
     metrics, _ = traced_metrics("detector", 1)
-    assert {k: metrics[f"model.{k}.rounds_per_inf"] for k in ("conv", "silu", "maxpool")} == {
-        "conv": 5, "silu": 2 * 7, "maxpool": 2 * 7}
     assert metrics["approx.silu.rounds_per_inf"] == 14
     # przs setup, 5 convs, 4 + 2 + 1 per SiLU, 7 per max-pool level; the
     # reveal to P0 is no exchange
@@ -193,6 +191,24 @@ def test_traced_detector_layers():
     assert metrics["arith.mux.online_bytes_per_inf"] == 2 * sum(
         gtz_bytes(n) + select_bytes(n) for n in (512, 256)) == 39_744
     assert metrics["arith.gtz.online_bytes_per_inf"] == 0
+    # per-layer counts of one inference, as in test_detector_inference_end_to_end:
+    # online bytes are P0's sent plus received. Dealer bytes are P0's
+    # corrections (each conv's output-shaped c0; per gtz its 4 B mask and one
+    # word per AND row of 64 elements; 2 words per select element and 1 per
+    # product element) plus P0's JSON requests, each as long as its specs
+    # and the digits of its index and shapes: a conv's 76-80 B; per SiLU
+    # layer gtz's 229 B (its mask pair and 5 AND levels in one request),
+    # then 4 products' and the select's 56-60 B; per max-pool level gtz's
+    # 223 B and the select's 58 B
+    conv = 8 * (4 * 16 * 16 + 16 * 8 * 8 + 256 * 4 * 4 + 96 * 8 * 8 + 8 * 8 * 8) + (76 + 78 + 79 + 80 + 77)
+    silu_dealt = 2 * (4 * silu + 8 * 55 * silu // 64 + 8 * 2 * silu + 8 * 8 * 1024) + (
+        (229 + 56 + 58 + 58 + 59 + 60) + (229 + 56 + 58 + 58 + 58 + 59))
+    pool = sum(4 * n + 8 * 55 * n // 64 + 8 * 2 * n + (223 + 58) for n in (512, 256))
+    assert (conv, silu_dealt, pool) == (102_790, 242_190, 21_202)
+    assert layer_counts(metrics, ("conv", "silu", "maxpool")) == {
+        "conv": (5, 223_232 + 2_186_592, conv),
+        "silu": (2 * 7, 2 * 2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu)), silu_dealt),
+        "maxpool": (2 * 7, 2 * sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256)), pool)}
     # each of the 5 convs at P0, P1 and the dealer; a conv's MACs are its
     # output cells times C * kh * kw
     convs = [(4 * 16 * 16, 3 * 9), (16 * 8 * 8, 4 * 9), (256 * 4 * 4, 16 * 9), (96 * 8 * 8, 272 * 9),

@@ -1,6 +1,7 @@
 """Secret sharing: PRZS, input sharing, opening and reveal, local share algebra."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from mpcnn.sharing import (
 from mpcnn.runtime import run_pair_raw
 from mpcnn.transport import ProtocolError, Role
 
-from conftest import inproc_fabrics
+from conftest import inproc_fabrics, tcp_fabrics
 
 CFG = FixedPointConfig(16)
 RNG = np.random.default_rng(7)
@@ -171,6 +172,30 @@ class TestReveal:
                 reveal(sess, ArithShare(sess.role, rand_words((8,))), to="p0", tag="output")
 
         run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
+
+    @pytest.mark.parametrize("fabrics", [inproc_fabrics, tcp_fabrics], ids=["inproc", "tcp"])
+    @pytest.mark.parametrize("to", ["p0", "p1"])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_directed_reveal_is_sent(self, monkeypatch, fabrics, to, shape):
+        # a directed reveal of an empty share still sends its empty frame,
+        # which its receiver waits for: both sides count one round and no
+        # bytes, and the receiver gets the empty tensor at once, not after
+        # the timeout
+        monkeypatch.setenv("MPCNN_TIMEOUT_MS", "2000")
+
+        def fn(sess):
+            t0 = time.perf_counter()
+            got = reveal(sess, ArithShare(sess.role, zeros(shape)), to=to)
+            t = sess.measure()
+            return got, time.perf_counter() - t0, (t.bytes_sent, t.bytes_recv, t.rounds)
+
+        vals = run_pair_raw(fabrics(), {Role.P0: fn, Role.P1: fn})
+        receiver, sender = (Role.P0, Role.P1) if to == "p0" else (Role.P1, Role.P0)
+        got, wall, counts = vals[receiver]
+        assert got == zeros(shape)
+        assert vals[sender][0] is None
+        assert wall < 1 and vals[sender][1] < 1
+        assert counts == vals[sender][2] == (0, 0, 1)
 
     @pytest.mark.parametrize("to", ["P0", "p2", ""])
     def test_unknown_target_refused_before_traffic(self, to):
