@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dealer import HeldTriple, Triple, TripleSource, TripleSpec
+from .dealer import TripleSource, TripleSpec
 from .ring import (
     ConvGeometry,
     FixedPointConfig,
@@ -149,7 +149,7 @@ def _check_held(ctx: ProtocolCtx, w: ArithShare, tag: str):
         raise WeightNotHeld(f"{tag}: the weight must be P1's input, shared with share_input")
 
 
-def _held_linear(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, t: HeldTriple, f, tag: str) -> ArithShare:
+def _held_linear(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, t: tuple, f, tag: str) -> ArithShare:
     """f(x, W) for shared x and P1's weight W, from one held correlation t
     (a0 and c0 at P0, b and c1 at P1); no truncation. One round."""
     if ctx.role is Role.P0:
@@ -184,14 +184,14 @@ def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare) -> ArithShare:
 # boolean ops
 
 
-def _and_open(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: Triple) -> list:
+def _and_open(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: tuple) -> list:
     """The shares an AND opens: x ^ a and y ^ b."""
     if x.shape != y.shape:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
     return [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)]
 
 
-def _and_close(ctx: ProtocolCtx, t: Triple, e: RingTensor, f: RingTensor) -> BinShare:
+def _and_close(ctx: ProtocolCtx, t: tuple, e: RingTensor, f: RingTensor) -> BinShare:
     """x & y from the opened e = x ^ a and f = y ^ b."""
     z = t.c ^ (t.b & e) ^ (t.a & f)
     if ctx.role is Role.P0:
@@ -199,7 +199,7 @@ def _and_close(ctx: ProtocolCtx, t: Triple, e: RingTensor, f: RingTensor) -> Bin
     return ctx.bin(z)
 
 
-def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: Triple, tag: str = "and.open") -> BinShare:
+def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: tuple, tag: str = "and.open") -> BinShare:
     """Bitwise AND over XOR shares with a boolean triple t of their shape,
     which the caller fetched; one opening phase."""
     return _and_close(ctx, t, *open_shares(ctx.session, tag, _and_open(ctx, x, y, t)))

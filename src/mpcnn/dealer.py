@@ -16,12 +16,13 @@ only the low `width` bits of its corrections, which the `sharing` codec
 packs at that width: gtz reads its mask pair's arithmetic half only mod
 2^(cmp_bits + 1), so it asks for 4 B per element at cmp_bits = 31.
 
-Each kind is defined once, as one `Kind` entry of `HALVES`: its half class,
-the shape of each field of either role's half and whether that field is
-drawn as words or as bits, how many leading fields P0 draws, and the
-algebra by which the dealer derives P0's corrections. `expand`,
-`derive_correlation` and `TripleSource` only read that entry, so a new kind
-is one new entry.
+Each kind is defined once, as one `Kind` row of `HALVES`: the names of the
+fields of a half in draw order, the suffix of them that P0 receives, the
+fields drawn as bits, the shape of each field at either role when it is not
+the spec's, and the algebra by which the dealer derives P0's corrections.
+The record a party gets is a namedtuple of the row's fields. `expand`,
+`derive_correlation`, `TripleSpec.correction_shapes` and `TripleSource`
+only read the row, so a new kind is one new row.
 
 The linear-layer kinds ('conv', 'matmul') are held correlations: P1 holds
 the weight in the clear, so only P0's input is masked there. P0 expands the
@@ -51,10 +52,11 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
-from .ring import WORD_BITS, ConvGeometry, RingTensor, conv2d_ring, matmul_ring
+from .ring import WORD_BITS, ConvGeometry, conv2d_ring, matmul_ring
 from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, packed_len, words_to_bytes
 from .transport import (SERVICE, TAG_DEALER_ERR, DealerError, Fabric, Message, PeerDisconnected, Role, Session,
                         SessionTimeout, tag_hash)
@@ -62,7 +64,6 @@ from .transport import (SERVICE, TAG_DEALER_ERR, DealerError, Fabric, Message, P
 TAG_REQ = "TRIPLE_REQ"  # an empty request asks for the session seed
 TAG_SEED_RSP = "SEED_RSP"
 TAG_TRIPLE_RSP = "TRIPLE_RSP"  # the corrections of one request, in spec order
-TAG_ERROR_RSP = TAG_DEALER_ERR  # a refused request; the payload says why
 
 SEED_INDEX = -1  # the seed request's place in the dealer's re-request audit
 POLL_S = 0.2  # how often a service thread looks for `stop`
@@ -109,7 +110,7 @@ class TripleSpec:
     def correction_shapes(self) -> list:
         """The shapes of P0's corrections, in the order the dealer sends them."""
         kind = kind_of(self)
-        return kind.shapes(self)[0][kind.p0_draws :]
+        return kind.field_shapes(self)[0][len(kind.drawn[Role.P0]) :]
 
 
 def encode_request(first: int, specs: list) -> bytes:
@@ -127,62 +128,32 @@ def decode_request(payload: bytes) -> tuple:
 
 
 @dataclass
-class Triple:
-    """One party's halves of (a, b, c)."""
-
-    a: RingTensor
-    b: RingTensor
-    c: RingTensor
-
-
-@dataclass
-class HeldTriple:
-    """One party's half of a held correlation: `mask` is a0 (input-shaped)
-    at P0 and b (weight-shaped) at P1, and c0 + c1 = f(a0, b)."""
-
-    mask: RingTensor
-    c: RingTensor
-
-
-@dataclass
-class MaskPairs:
-    """One party's halves of a uniform word r per element: the XOR share and
-    the additive share agree on r."""
-
-    bin: RingTensor
-    arith: RingTensor
-
-
-@dataclass
-class SelectTriple:
-    """One party's half of a select correlation: an additive share `a` of a
-    uniform word, a XOR share `r_bin` (0/1 words) of a uniform bit r, and
-    additive shares `r` of r and `ar` of a*r."""
-
-    a: RingTensor
-    r_bin: RingTensor
-    r: RingTensor
-    ar: RingTensor
-
-
-@dataclass(frozen=True)
 class Kind:
-    """How one kind of correlation is dealt. `shapes(spec)` gives the shape
-    of each field of P0's half and of P1's, in the order of the `half`
-    class; the fields numbered in `bits` are drawn as bits, the rest as
-    words. P1 draws every field; P0 draws its first `p0_draws` and gets the
-    rest, its corrections, from the dealer, which computes them as
-    `correct(spec, *P0's draws, *P1's fields)`."""
+    """One row of `HALVES`: how one kind of correlation is dealt. It names
+    the `fields` of a half in draw order, the suffix of them that P0
+    `receives` from the dealer, and the fields drawn as `bits` (the rest are
+    words). P1 draws every field and P0 all but those it receives, which the
+    dealer computes as `correct(spec, *P0's draws, *P1's fields)`.
+    `shapes(spec)` gives the shapes of P0's fields and of P1's where they
+    are not all the spec's. A party's half is a `half`: a namedtuple of the
+    fields."""
 
-    half: type
-    shapes: Callable
-    p0_draws: int
+    fields: str
+    receives: str
     correct: Callable
-    bits: tuple = ()
+    bits: str = ""
+    shapes: Callable | None = None
 
+    def __post_init__(self):
+        names, got = self.fields.split(), self.receives.split()
+        if names[len(names) - len(got) :] != got or not set(self.bits.split()) <= set(names):
+            raise ValueError(f"fields {self.fields!r} must end in {self.receives!r} and hold {self.bits!r}")
+        self.half = namedtuple("Half", names)
+        self.drawn = {Role.P0: names[: len(names) - len(got)], Role.P1: names}
 
-def _elementwise(n: int) -> Callable:  # n fields of the spec's shape at either party
-    return lambda spec: ([spec.shape] * n,) * 2
+    def field_shapes(self, spec) -> tuple:
+        """(P0's field shapes, P1's), in field order."""
+        return self.shapes(spec) if self.shapes else ([spec.shape] * len(self.half._fields),) * 2
 
 
 def _conv_shapes(spec) -> tuple:  # (a0, c0) at P0 and (b, c1) at P1
@@ -198,18 +169,18 @@ def _matmul_shapes(spec) -> tuple:
 
 HALVES = {
     # Beaver triples c = a * b over additive halves, and over XOR halves
-    "arith": Kind(Triple, _elementwise(3), 2, lambda spec, a0, b0, a1, b1, c1: ((a0 + a1) * (b0 + b1) - c1,)),
-    "bool": Kind(Triple, _elementwise(3), 2, lambda spec, a0, b0, a1, b1, c1: (((a0 ^ a1) & (b0 ^ b1)) ^ c1,)),
+    "arith": Kind("a b c", "c", lambda spec, a0, b0, a1, b1, c1: ((a0 + a1) * (b0 + b1) - c1,)),
+    "bool": Kind("a b c", "c", lambda spec, a0, b0, a1, b1, c1: (((a0 ^ a1) & (b0 ^ b1)) ^ c1,)),
     # held: c0 + c1 = f(a0, b) for P0's input mask a0 and P1's weight mask b
-    "conv": Kind(HeldTriple, _conv_shapes, 1, lambda spec, a0, b, c1: (conv2d_ring(a0, b, spec.geom) - c1,)),
-    "matmul": Kind(HeldTriple, _matmul_shapes, 1, lambda spec, a0, b, c1: (matmul_ring(a0, b) - c1,)),
-    # a uniform word per element, XOR-shared (m) and additively shared: the
-    # a2b and gtz mask
-    "maskpair": Kind(MaskPairs, _elementwise(2), 1, lambda spec, m0, m1, a1: ((m0 ^ m1) - a1,)),
+    "conv": Kind("mask c", "c", lambda spec, a0, b, c1: (conv2d_ring(a0, b, spec.geom) - c1,), shapes=_conv_shapes),
+    "matmul": Kind("mask c", "c", lambda spec, a0, b, c1: (matmul_ring(a0, b) - c1,), shapes=_matmul_shapes),
+    # a uniform word per element, XOR-shared and additively shared: the a2b
+    # and gtz mask
+    "maskpair": Kind("bin arith", "arith", lambda spec, m0, m1, a1: ((m0 ^ m1) - a1,)),
     # a word a and a bit r = r0 ^ r1 per element, and additive shares of r
     # and of a*r
-    "select": Kind(SelectTriple, _elementwise(4), 2,
-                   lambda spec, a0, r0, a1, r1, rho1, c1: ((r0 ^ r1) - rho1, (a0 + a1) * (r0 ^ r1) - c1), bits=(1,)),
+    "select": Kind("a r_bin r ar", "r ar",
+                   lambda spec, a0, r0, a1, r1, rho1, c1: ((r0 ^ r1) - rho1, (a0 + a1) * (r0 ^ r1) - c1), bits="r_bin"),
 }
 
 
@@ -227,13 +198,13 @@ def session_seed(master_seed: bytes, session_id: int, role: Role) -> bytes:
 
 def expand(seed: bytes, index: int, spec: TripleSpec, role: Role) -> tuple:
     """The fields of correlation `index` that `role` draws from its session
-    seed, in the field order of its half: all of them at P1, the first
-    `p0_draws` at P0."""
+    seed, in field order: all of them at P1, all but those it receives at
+    P0."""
     kind = kind_of(spec)
-    p0, p1 = kind.shapes(spec)
+    p0, p1 = kind.field_shapes(spec)
     prg = Prg(seed, f"deal:{index}".encode())
-    return tuple(prg.draw_bits(shape) if i in kind.bits else prg.draw_words(shape)
-                 for i, shape in enumerate(p1 if role is Role.P1 else p0[: kind.p0_draws]))
+    return tuple(prg.draw_bits(shape) if name in kind.bits.split() else prg.draw_words(shape)
+                 for name, shape in zip(kind.drawn[role], p1 if role is Role.P1 else p0))
 
 
 def derive_correlation(master_seed: bytes, session_id: int, index: int, spec: TripleSpec) -> tuple:
@@ -284,13 +255,13 @@ class DealerService:
         if not payload:
             return (SEED_INDEX,), TAG_SEED_RSP, session_seed(self.master_seed, sid, role)
         if role is Role.P1:  # P0's corrections would unmask P1's half
-            return (), TAG_ERROR_RSP, b"P1 expands its whole half and gets no corrections"
+            return (), TAG_DEALER_ERR, b"P1 expands its whole half and gets no corrections"
         try:
             first, specs = decode_request(payload)
             corrs = b"".join(words_to_bytes(c, spec.width) for i, spec in enumerate(specs)
                              for c in derive_correlation(self.master_seed, sid, first + i, spec))
         except Exception as e:  # any request P0 can send must be answered, or P0 waits out its timeout
-            return (), TAG_ERROR_RSP, f"{type(e).__name__}: {e}".encode()
+            return (), TAG_DEALER_ERR, f"{type(e).__name__}: {e}".encode()
         return range(first, first + len(specs)), TAG_TRIPLE_RSP, corrs
 
     def _serve_party(self, role: Role):
@@ -327,7 +298,7 @@ class TripleSource:
     expands all but the corrected parts of each and receives the
     corrections of one `take_many` in one dealer round trip, or a
     `DealerError` at once if the dealer refuses the request. Each
-    correlation comes back as the half class of its kind (`HALVES`). The
+    correlation comes back as the half record of its kind (`HALVES`). The
     dealer counts re-requests of P0's indices, but nobody sees P1's, so
     P1's source refuses to expand an index at or below one it has already
     used.
@@ -378,5 +349,5 @@ class TripleSource:
     def take(self, spec: TripleSpec):
         return self.take_many([spec])[0]
 
-    def arith(self, shape) -> Triple:
+    def arith(self, shape) -> tuple:
         return self.take(TripleSpec("arith", tuple(shape)))

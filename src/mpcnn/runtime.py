@@ -1,8 +1,9 @@
 """Session establishment and local two-party execution helpers.
 
 A protocol context is established by fetching the party's dealer seed and
-exchanging PRZS seeds; both happen before the transcript starts counting, so
-a fresh session measures zero. The in-process runner drives both
+exchanging PRZS seeds, with a digest of the fixed-point configuration that
+both parties check; all of it happens before the transcript starts
+counting, so a fresh session measures zero. The in-process runner drives both
 parties (and a dealer) on threads of one process, which is also how the
 benchmark harness hosts its agents.
 """
@@ -19,19 +20,19 @@ from .transport import Fabric, InProcFabric, Mailbox, Role, Session
 
 
 def establish(session: Session, cfg: FixedPointConfig | None = None) -> ProtocolCtx:
-    """Dealer seed fetch plus PRZS seed handshake; counters start afterwards.
-    The seed request goes out first, so the dealer answers it while the
-    parties swap PRZS seeds."""
+    """Dealer seed fetch plus PRZS seed handshake, which checks that both
+    parties run the same fixed-point configuration (PlanMismatch if not);
+    counters start afterwards, and read 0 after a failed set-up. The seed
+    request goes out first, so the dealer answers it while the parties swap
+    PRZS seeds."""
+    cfg = cfg or FixedPointConfig()
     triples = TripleSource(session)
-    przs = przs_setup(session)
-    triples.seed()
-    session.transcript.reset()
-    return ProtocolCtx(
-        session=session,
-        triples=triples,
-        przs=przs,
-        cfg=cfg or FixedPointConfig(),
-    )
+    try:
+        przs = przs_setup(session, cfg)
+        triples.seed()
+    finally:
+        session.transcript.reset()
+    return ProtocolCtx(session=session, triples=triples, przs=przs, cfg=cfg)
 
 
 def run_pair_raw(make_fabric, fn_by_role, session_id=1):

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from .ring import WORD_BITS, RingTensor, ShapeMismatch
-from .transport import ProtocolError, Role, Session
+from .ring import WORD_BITS, FixedPointConfig, RingTensor, ShapeMismatch
+from .transport import PlanMismatch, ProtocolError, Role, Session
 
 SEED_BYTES = 32
 _ZEROS = memoryview(bytes(1 << 20))  # read-only plaintext of the keystream, 1 MB per update
@@ -122,11 +122,17 @@ class PrzsStream:
         return r if self.role is Role.P0 else -r
 
 
-def przs_setup(session: Session) -> PrzsStream:
-    """Swap session seeds; both parties key their stream with the hash of
-    the pair, ordered (P0's, P1's)."""
+def przs_setup(session: Session, cfg: FixedPointConfig) -> PrzsStream:
+    """Swap session seeds, each followed by a digest of its party's
+    (frac_bits, cmp_bits), so that parties which disagree on them both raise
+    PlanMismatch; both key their stream with the hash of the seed pair,
+    ordered (P0's, P1's)."""
+    digest = hashlib.blake2b(f"{cfg.frac_bits},{cfg.cmp_bits}".encode(), digest_size=16).digest()
     mine = fresh_seed()
-    theirs = session.exchange("przs.setup", mine)
+    got = session.exchange("przs.setup", mine + digest)
+    theirs = got[:SEED_BYTES]
+    if got[SEED_BYTES:] != digest:
+        raise PlanMismatch(f"the peer set up with a (frac_bits, cmp_bits) other than ({cfg.frac_bits}, {cfg.cmp_bits})")
     pair = mine + theirs if session.role is Role.P0 else theirs + mine
     return PrzsStream(hashlib.blake2b(pair, digest_size=SEED_BYTES).digest(), session.role)
 

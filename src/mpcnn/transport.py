@@ -65,6 +65,10 @@ class ProtocolError(TransportError):
     """Sequence, tag, length or set-up violation."""
 
 
+class PlanMismatch(ProtocolError):
+    """The parties set up with different fixed-point configurations."""
+
+
 class DealerError(TransportError):
     """The dealer refused a request, or a correlation cannot be dealt."""
 

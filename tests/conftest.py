@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import socket
 import threading
 
@@ -33,24 +34,28 @@ def tcp_fabrics():
 
 class Faults:
     """Corrupts one frame of those a role sends: `arm(to, k, fault)` makes
-    the k-th frame to `to` (from 0) lose its last byte ('truncate') or go
-    out twice ('duplicate'). Mixed in ahead of a fabric class."""
+    the k-th frame to `to` (from 0) lose its last byte ('truncate'), go out
+    twice ('duplicate'), never go out ('drop'), or go out right after the
+    next frame to `to` ('reorder'). Mixed in ahead of a fabric class."""
 
     def arm(self, to: Role, k: int, fault: str):
         self.to, self.k, self.fault = to, k, fault
-        self._sent, self._lock = collections.Counter(), threading.Lock()
+        self._sent, self._lock, self._held = collections.Counter(), threading.Lock(), None
         return self
 
     def send(self, to: Role, msg: Message):
         with self._lock:  # the dealer sends on one thread per party
             k = self._sent[to]
             self._sent[to] += 1
+        frames = [msg]
         if (to, k) == (self.to, self.k):
-            if self.fault == "truncate":
-                msg = Message(msg.session_id, msg.seq, msg.tag, msg.payload[:-1])
-            else:
-                super().send(to, msg)
-        super().send(to, msg)
+            frames = {"truncate": [dataclasses.replace(msg, payload=msg.payload[:-1])], "duplicate": [msg, msg],
+                      "drop": [], "reorder": []}[self.fault]
+            self._held = msg
+        elif (to, k) == (self.to, self.k + 1) and self.fault == "reorder":
+            frames = [msg, self._held]
+        for frame in frames:
+            super().send(to, frame)
 
 
 class FaultyFabric(Faults, InProcFabric):

@@ -1,6 +1,7 @@
-"""Frame faults: one frame of a small session cut short or sent twice ends
-the session in a typed TransportError within the timeout, or leaves its
-output as it was; it never hangs, crashes untyped or gives a wrong number."""
+"""Frame faults: one frame of a small session cut short, sent twice, never
+sent, or sent after the next frame to the same role ends the session in a
+typed TransportError within the timeout, or leaves its output as it was; it
+never hangs, crashes untyped or gives a wrong number."""
 
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from conftest import inproc_with_dealer, tcp_with_dealer
 TIMEOUT_MS = 150
 MARGIN_S = 2.0
 X = RingTensor(np.array([3, -2, 0, 5], dtype=np.int64).astype(np.uint64))
-FAULTS = ("truncate", "duplicate")
+FAULTS = ("truncate", "duplicate", "drop", "reorder")
 
 
 def probe(sess):
@@ -75,8 +76,8 @@ def test_every_frame_fault_ends_typed_or_clean(short_timeout):
     # 29 frames: P0 sends 9 exchanges (przs setup, mul, gtz's mask and 5
     # AND levels, select) and 4 dealer requests (seed, mul, gtz, select);
     # P1 the same 9 exchanges, its seed request and the reveal; the dealer
-    # answers both seed requests and P0's 3 others. Each is cut short and
-    # sent twice in turn, 58 cases on 4 threads
+    # answers both seed requests and P0's 3 others. Each is cut short, sent
+    # twice, dropped and held back one frame in turn, 116 cases on 4 threads
     clean, _ = run_probe(inproc_with_dealer)
     want = clean[Role.P0][0]
     assert want == RingTensor(np.array([9, 0, 0, 25], dtype=np.uint64))

@@ -8,16 +8,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from mpcnn import arith
 from mpcnn.engine import PlainEngine
 from mpcnn.ring import FixedPointConfig, RingTensor, encode
 from mpcnn.dealer import DealerService
-from mpcnn.runtime import LocalRuntime, establish
+from mpcnn.runtime import LocalRuntime, establish, run_pair_raw
 from mpcnn.sharing import reveal, share_input
-from mpcnn.transport import SERVICE, InProcFabric, Mailbox, Role, Session, TcpFabric
+from mpcnn.transport import SERVICE, InProcFabric, Mailbox, PlanMismatch, Role, Session, TcpFabric
 
-from conftest import free_port
+from conftest import free_port, inproc_with_dealer, tcp_with_dealer
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "securebench")
 
@@ -88,6 +89,25 @@ class TestSessionRelease:
         svc.stop()
         assert time.perf_counter() - t0 < 1.0
         assert not any(t.is_alive() for t in svc._threads)
+
+
+@pytest.mark.parametrize("dealer", [inproc_with_dealer, tcp_with_dealer], ids=["inproc", "tcp"])
+@pytest.mark.parametrize("p1_cfg", [FixedPointConfig(frac_bits=15), FixedPointConfig(cmp_bits=63)],
+                         ids=["frac_bits", "cmp_bits"])
+def test_config_mismatch_raises_at_setup(dealer, p1_cfg):
+    # P0 runs the default config and P1 another: both raise at set-up, and
+    # no online byte has moved
+    cfgs = {Role.P0: FixedPointConfig(), Role.P1: p1_cfg}
+
+    def run(sess):
+        try:
+            return one_mul(establish(sess, cfgs[sess.role]))
+        except PlanMismatch:
+            return sess.transcript.counters()
+
+    with dealer() as make_fabric:
+        got = run_pair_raw(make_fabric, {Role.P0: run, Role.P1: run})
+    assert got == {Role.P0: (0, 0, 0, ()), Role.P1: (0, 0, 0, ())}
 
 
 def test_benchmark_selftest_passes():
