@@ -89,7 +89,7 @@ from .ring import (
     matmul_ring,
 )
 from .sharing import (ArithShare, BinShare, PendingBit, PrzsStream, bytes_to_words, open_shares, packed_len,
-                      words_to_bytes)
+                      share_public, words_to_bytes)
 from .transport import Role, Session
 
 
@@ -117,8 +117,9 @@ class ProtocolCtx:
 # ---------------------------------------------------------------------------
 # multiplication family
 #
-# beaver_mul, both operands shared: z = c + e*b + a*d (+ e*d at P0), with
-# e = x - a and d = y - b opened in both directions.
+# beaver_mul, both operands shared: z = c + e*b + a*d + e*d, with e = x - a
+# and d = y - b opened in both directions and the public e*d added once
+# (`sharing.share_public`).
 #
 # conv2d / matmul, weight W held by P1 (f is the ring conv or matmul): P0
 # sends m = x0 - a0 and P1 sends d = W - b in one swap; P0 outputs
@@ -138,10 +139,7 @@ def beaver_mul(ctx: ProtocolCtx, x: ArithShare, y: ArithShare) -> ArithShare:
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
     t = ctx.triples.arith(x.shape)
     e, d = open_shares(ctx.session, "mul.open", [x - ctx.arith(t.a), y - ctx.arith(t.b)])
-    z = t.c + (e * t.b) + (t.a * d)
-    if ctx.role is Role.P0:
-        z = z + (e * d)
-    return ctx.arith(z)
+    return ctx.arith(t.c + e * t.b + t.a * d) + share_public(e * d, ctx.role)
 
 
 def _check_held(ctx: ProtocolCtx, w: ArithShare, tag: str):
@@ -162,8 +160,9 @@ def _held_linear(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, t: tuple, f, ta
 def conv2d(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, geom: ConvGeometry) -> ArithShare:
     """2D convolution of a shared input by P1's kernel (no truncation)."""
     _check_held(ctx, w, "conv.open")
-    if w.shape != geom.weight_shape():
-        raise ShapeMismatch(f"kernel {w.shape} vs geometry {geom.weight_shape()}")
+    if w.shape != geom.weight_shape() or x.t.data.ndim != 3 or x.shape[0] != geom.in_channels:
+        raise ShapeMismatch(f"input {x.shape} and kernel {w.shape} vs geometry {geom}")
+    geom.out_hw(*x.shape[1:])  # a kernel with no window is refused before the dealer is asked
     t = ctx.triples.take(TripleSpec("conv", x.shape, geom=geom))
     return _held_linear(ctx, x, w, t, lambda a, b: conv2d_ring(a, b, geom), "conv.open")
 
@@ -193,10 +192,7 @@ def _and_open(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: tuple) -> list:
 
 def _and_close(ctx: ProtocolCtx, t: tuple, e: RingTensor, f: RingTensor) -> BinShare:
     """x & y from the opened e = x ^ a and f = y ^ b."""
-    z = t.c ^ (t.b & e) ^ (t.a & f)
-    if ctx.role is Role.P0:
-        z = z ^ (e & f)
-    return ctx.bin(z)
+    return ctx.bin(t.c ^ (t.b & e) ^ (t.a & f)).xor_public(e & f)
 
 
 def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: tuple, tag: str = "and.open") -> BinShare:

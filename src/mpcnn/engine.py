@@ -27,13 +27,13 @@ from .ring import (
     WORD_BITS,
     conv2d_ring,
     encode,
+    from_words,
     gtz_plain,
     matmul_ring,
     trunc,
 )
 from .ring import pool_windows as _ring_pool_windows
 from .sharing import ArithShare, BinShare, share_public
-from .transport import Role
 
 
 class Engine:
@@ -154,7 +154,7 @@ class SecureEngine(Engine):
 
     def pool_windows(self, x, k: int, stride: int, padding: int):
         # the public sentinel must reconstruct once, not twice
-        fill = self.cfg.pool_sentinel if self.ctx.role is Role.P0 else 0
+        fill = share_public(from_words(self.cfg.pool_sentinel), self.ctx.role).t.data
         win, oh, ow = _ring_pool_windows(x.t, k, stride, padding, fill)
         return ArithShare(x.owner, win), oh, ow
 

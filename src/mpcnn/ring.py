@@ -210,6 +210,10 @@ class ConvGeometry:
     stride: int = 1
     padding: int = 0
 
+    def __post_init__(self):
+        if min(self.in_channels, self.out_channels, self.kernel_h, self.kernel_w, self.stride) < 1 or self.padding < 0:
+            raise ShapeMismatch(f"conv geometry {self} needs positive sizes and stride and padding >= 0")
+
     def out_hw(self, h: int, w: int) -> tuple:
         oh = (h + 2 * self.padding - self.kernel_h) // self.stride + 1
         ow = (w + 2 * self.padding - self.kernel_w) // self.stride + 1
@@ -221,25 +225,28 @@ class ConvGeometry:
         return (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
 
 
-def _pad_chw(data: np.ndarray, padding: int, fill: int) -> np.ndarray:
-    if padding == 0:
-        return data
-    c, h, w = data.shape
-    out = np.full((c, h + 2 * padding, w + 2 * padding), np.uint64(fill), dtype=np.uint64)
-    out[:, padding : padding + h, padding : padding + w] = data
-    return out
+def _windows(x: RingTensor, kh: int, kw: int, stride: int, padding: int, fill: int) -> np.ndarray:
+    """The (C, oh, ow, kh, kw) view of C x H x W `x`'s kh x kw windows at
+    `stride`, over `x` padded with the word `fill`: im2col's and
+    pool_windows' one unfold, which refuses a geometry with no window."""
+    if x.data.ndim != 3:
+        raise ShapeMismatch(f"expected rank-3 C,H,W tensor, got {x.shape}")
+    c, h, w = x.shape
+    if min(kh, kw, stride) < 1 or padding < 0 or h + 2 * padding < kh or w + 2 * padding < kw:
+        raise ShapeMismatch(f"no {kh}x{kw} window at stride {stride}, padding {padding} on {h}x{w}")
+    data = x.data
+    if padding:
+        data = np.full((c, h + 2 * padding, w + 2 * padding), np.uint64(fill), dtype=np.uint64)
+        data[:, padding : padding + h, padding : padding + w] = x.data
+    return sliding_window_view(data, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
 
 
 def im2col(x: RingTensor, kh: int, kw: int, stride: int, padding: int) -> tuple:
     """Unfold C x H x W into (oh*ow, C*kh*kw) patch rows, zero-padded. Row p
     is output cell p's window in the kernel's (C, kh, kw) order, so a patch
     row and a kernel row both run contiguously along the reduction."""
-    if x.data.ndim != 3:
-        raise ShapeMismatch(f"expected rank-3 C,H,W tensor, got {x.shape}")
-    c = x.shape[0]
-    padded = _pad_chw(x.data, padding, 0)
-    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    oh, ow = win.shape[1:3]
+    win = _windows(x, kh, kw, stride, padding, 0)
+    c, oh, ow = win.shape[:3]
     return win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw), oh, ow
 
 
@@ -275,7 +282,6 @@ def pool_windows(x: RingTensor, k: int, stride: int, padding: int, fill: int) ->
     """Unfold each channel into (C, k*k, oh*ow) windows; padded cells hold
     the word `fill` (the config's `pool_sentinel`, which never wins a
     comparison)."""
-    c = x.shape[0]
-    win = sliding_window_view(_pad_chw(x.data, padding, fill), (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    oh, ow = win.shape[1:3]
+    win = _windows(x, k, k, stride, padding, fill)
+    c, oh, ow = win.shape[:3]
     return RingTensor(win.transpose(0, 3, 4, 1, 2).reshape(c, k * k, oh * ow)), oh, ow

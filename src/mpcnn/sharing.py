@@ -202,7 +202,8 @@ class BinShare:
         return BinShare(self.owner, self.t & mask)
 
     def xor_public(self, mask: RingTensor) -> "BinShare":
-        """Only P0 folds in a public pattern, else it would cancel."""
+        """The one rule for a public term of a XOR sharing (an AND gate's
+        e & f): only P0 folds it in, else it would cancel."""
         if self.owner is Role.P0:
             return BinShare(self.owner, self.t ^ mask)
         return self
@@ -221,7 +222,10 @@ def share_input(przs: PrzsStream, x: RingTensor | None, holder: Role, shape) -> 
 
 
 def share_public(value: RingTensor, role: Role) -> ArithShare:
-    """Degenerate sharing of a public constant: P0 holds it, P1 holds zero."""
+    """Degenerate sharing of a public constant: P0 holds it, P1 holds zero.
+    The one rule for a public term of an additive sharing (a constant, a
+    Beaver product's e*d, max pooling's pad word): added at both parties, it
+    would count twice."""
     from .ring import zeros
 
     return ArithShare(role, value if role is Role.P0 else zeros(value.shape))

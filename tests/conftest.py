@@ -3,10 +3,11 @@ import contextlib
 import dataclasses
 import socket
 import threading
+import time
 
 from mpcnn.dealer import DealerService
 from mpcnn.runtime import establish, run_pair_raw
-from mpcnn.transport import InProcFabric, Mailbox, Message, Role, TcpFabric
+from mpcnn.transport import InProcFabric, Mailbox, Message, Role, TcpFabric, timeout_seconds
 
 
 def free_port() -> int:
@@ -35,8 +36,11 @@ def tcp_fabrics():
 class Faults:
     """Corrupts one frame of those a role sends: `arm(to, k, fault)` makes
     the k-th frame to `to` (from 0) lose its last byte ('truncate'), go out
-    twice ('duplicate'), never go out ('drop'), or go out right after the
-    next frame to `to` ('reorder'). Mixed in ahead of a fabric class."""
+    twice ('duplicate'), never go out ('drop'), go out right after the next
+    frame to `to` ('reorder'), go out after twice MPCNN_TIMEOUT_MS ('delay'),
+    or never go out because the sender cuts its link instead ('close'): the
+    shared mailbox in-process, the connection to `to` over TCP. Mixed in
+    ahead of a fabric class."""
 
     def arm(self, to: Role, k: int, fault: str):
         self.to, self.k, self.fault = to, k, fault
@@ -50,8 +54,12 @@ class Faults:
         frames = [msg]
         if (to, k) == (self.to, self.k):
             frames = {"truncate": [dataclasses.replace(msg, payload=msg.payload[:-1])], "duplicate": [msg, msg],
-                      "drop": [], "reorder": []}[self.fault]
+                      "drop": [], "reorder": [], "delay": [msg], "close": []}[self.fault]
             self._held = msg
+            if self.fault == "delay":
+                time.sleep(2 * timeout_seconds())
+            elif self.fault == "close":
+                (self.mailbox if isinstance(self, InProcFabric) else self._conn(to)).close()
         elif (to, k) == (self.to, self.k + 1) and self.fault == "reorder":
             frames = [msg, self._held]
         for frame in frames:

@@ -22,6 +22,7 @@ from mpcnn.ring import (
     FixedPointConfig,
     RingRangeError,
     RingTensor,
+    ShapeMismatch,
     conv2d_ring,
     decode,
     encode,
@@ -189,6 +190,22 @@ class TestConv2d:
 
         with pytest.raises(arith.WeightNotHeld):
             rt.run_session(fn, fn, cfg=CFG)
+
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 4, 4), (4, 4)], ids=["no-window", "channels", "rank-2"])
+    def test_bad_geometry_raises_before_any_byte(self, rt, shape):
+        # ShapeMismatch at both parties, with no online byte and no dealer
+        # request past the seed
+        geom = ConvGeometry(1, 1, 3, 3)
+
+        def fn(ctx):
+            x, w = shared_pair(ctx, zeros(shape)), shared_pair(ctx, zeros(geom.weight_shape()), holder=Role.P1)
+            with pytest.raises(ShapeMismatch):
+                arith.conv2d(ctx, x, w, geom)
+            return ctx.session.transcript.counters()[:3], ctx.session.dealer_transcript.rounds
+
+        got = rt.run_session(fn, fn, cfg=CFG)
+        assert got[Role.P0] == got[Role.P1] == ((0, 0, 0), 1)
 
 
 class TestMatmul:
@@ -831,6 +848,22 @@ class TestMaxpool:
         want = v.max(axis=-1)
         assert np.array_equal(decode(got, CFG), want)
 
+
+    def test_bad_geometry_raises_before_any_byte(self, rt):
+        # a 3x3 pool on 2x2 and stride 0: ShapeMismatch at both parties,
+        # with no online byte or round and no dealer request
+        x = rand_fixed((1, 2, 2))
+
+        def fn(ctx):
+            xs, raised = shared_pair(ctx, x), []
+            for k, stride in ((3, 1), (2, 0)):
+                with pytest.raises(ShapeMismatch):
+                    maxpool2d(SecureEngine(ctx), xs, k, stride, 0)
+                raised.append(ctx.session.transcript.counters()[:3])
+            return raised, ctx.triples.next_index
+
+        got = rt.run_session(fn, fn, cfg=CFG)
+        assert got[Role.P0] == got[Role.P1] == ([(0, 0, 0)] * 2, 0)
 
     def test_padded_negative_domain_vs_oracle(self, rt):
         # 3x3, stride 1, padding 1 over max pooling's whole domain

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mpcnn.engine import PlainEngine
+from mpcnn.engine import PlainEngine, maxpool2d
 from mpcnn.ring import (
     ConvGeometry,
     FixedPointConfig,
@@ -20,6 +20,7 @@ from mpcnn.ring import (
     im2col,
     matmul_ring,
     msb,
+    pool_windows,
     trunc,
     zeros,
 )
@@ -279,6 +280,25 @@ class TestConvMatmul:
         geom = ConvGeometry(1, 1, 3, 3)
         with pytest.raises(ShapeMismatch):
             conv2d_ring(rand_words((2, 4, 4)), rand_words((1, 1, 3, 3)), geom)
+        # no window fits: a 3x3 kernel or pool on 2x2
+        x = rand_words((1, 2, 2))
+        with pytest.raises(ShapeMismatch):
+            conv2d_ring(x, rand_words((1, 1, 3, 3)), geom)
+        with pytest.raises(ShapeMismatch):
+            maxpool2d(PlainEngine(CFG), x, 3, 1, 0)
+        # stride 0, a zero pool size, negative padding and a rank-2 input
+        with pytest.raises(ShapeMismatch):
+            maxpool2d(PlainEngine(CFG), x, 2, 0, 0)
+        for k, stride, padding in ((0, 1, 0), (1, 1, -1)):
+            with pytest.raises(ShapeMismatch):
+                pool_windows(x, k, stride, padding, 0)
+        with pytest.raises(ShapeMismatch):
+            im2col(rand_words((2, 2)), 1, 1, 1, 0)
+        # a geometry is refused when it is built, so a secure conv never
+        # reaches the division by its stride
+        for bad in ((1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, -1), (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
+            with pytest.raises(ShapeMismatch):
+                ConvGeometry(*bad)
 
 
 class TestTensorOps:

@@ -1,6 +1,8 @@
 """LocalRuntime: per-session state is freed, the benchmark's self-test, its
-tracer's hooks, and one inference of each benchmark network end to end."""
+tracer's hooks, one inference of each benchmark network end to end, and
+what each network asks of the dealer and the peer, whatever the data."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 from mpcnn import arith
 from mpcnn.engine import PlainEngine
 from mpcnn.ring import FixedPointConfig, RingTensor, encode
-from mpcnn.dealer import DealerService
+from mpcnn.dealer import DealerService, TripleSource
 from mpcnn.runtime import LocalRuntime, establish, run_pair_raw
 from mpcnn.sharing import reveal, share_input
 from mpcnn.transport import SERVICE, InProcFabric, Mailbox, PlanMismatch, Role, Session, TcpFabric
@@ -319,6 +321,40 @@ def test_compactcnn_inference_end_to_end():
     assert led0["sent"] + led0["recv"] == online == 552_696
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
+
+
+def test_plans_do_not_depend_on_the_data(monkeypatch):
+    # each party asks for the same correlations, and both parties' ledgers
+    # read the same, for two pool inputs and for an all-zero input with
+    # all-zero weights; P0 asks for the same specs as P1, which expands
+    # them. Semi-honest security needs this, and a plan simulated once per
+    # model rests on it. Requests and specs are P0's correction requests
+    infer, _ = import_bench()
+    specs = collections.defaultdict(list)
+    take_many = TripleSource.take_many
+
+    def recording(self, batch):
+        specs[self.session.session_id, self.session.role].append(list(batch))
+        return take_many(self, batch)
+
+    monkeypatch.setattr(TripleSource, "take_many", recording)
+    for name, requests, n_specs in (("compactcnn", 4, 9), ("detector", 21, 41)):
+        prep = infer.prepare(name, seed=5)
+        zeros = {layer: {k: np.zeros_like(v) for k, v in ws.items()} for layer, ws in prep.weights.items()}
+        runs = [(prep.inputs[0], prep.weights), (prep.inputs[1], prep.weights),
+                (np.zeros_like(prep.inputs[0]), zeros)]
+        seen = []
+        with LocalRuntime() as rt:
+            for x, weights in runs:
+                sid = rt.new_session_id()
+                res = rt.run_session(infer.party_fn(prep.model, x=x), infer.party_fn(prep.model, weights=weights),
+                                     session_id=sid)
+                seen.append((specs.pop((sid, Role.P0)), specs.pop((sid, Role.P1)), res[Role.P0][1], res[Role.P1][1]))
+        assert not np.array_equal(runs[0][0], runs[1][0])
+        assert seen[1] == seen[0] and seen[2] == seen[0], name
+        p0_specs, p1_specs, _, _ = seen[0]
+        assert p0_specs == p1_specs
+        assert (len(p0_specs), sum(map(len, p0_specs))) == (requests, n_specs), name
 
 
 def test_comparison_inputs_stay_in_domain():
