@@ -1,7 +1,9 @@
 """mpcnn: two-party secure CNN inference over additive secret shares.
 
 A data holder (P0) and a model holder (P1) evaluate fixed-point neural
-networks over shares in Z_2^64, assisted by a trusted dealer. The dealer
+networks over shares in Z_2^64, assisted by a trusted dealer. An input is
+shared as the value at its holder and zero at the peer; every message that
+carries it is masked by dealer randomness its receiver lacks. The dealer
 gives each party one seed per session, from which it expands its halves of
 every correlation: Beaver and boolean triples, the held conv and matmul
 correlations of the model holder's linear layers, mask pairs, and the

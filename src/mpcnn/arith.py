@@ -88,24 +88,30 @@ from .ring import (
     conv2d_ring,
     matmul_ring,
 )
-from .sharing import (ArithShare, BinShare, PendingBit, PrzsStream, bytes_to_words, open_shares, packed_len,
-                      share_public, words_to_bytes)
+from .sharing import (ArithShare, BinShare, PendingBit, bytes_to_words, open_shares, packed_len, share_public,
+                      words_to_bytes)
 from .transport import Role, Session
 
 
 @dataclass
 class ProtocolCtx:
-    """Party-local context threading one session's channels, randomness and
-    fixed-point configuration through every op."""
+    """Party-local context threading one session's channels, dealt
+    randomness and fixed-point configuration through every op. Inputs are
+    shared with `sharing.share_input(ctx.role, ...)`, which draws nothing."""
 
     session: Session
     triples: TripleSource
-    przs: PrzsStream
     cfg: FixedPointConfig = field(default_factory=FixedPointConfig)
 
     @property
     def role(self) -> Role:
         return self.session.role
+
+    @property
+    def przs(self) -> Role:
+        """`role` under its former name: the benchmark still calls
+        `share_input(ctx.przs, ...)`."""
+        return self.role
 
     def arith(self, t: RingTensor) -> ArithShare:
         return ArithShare(self.role, t)
@@ -171,10 +177,9 @@ def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare) -> ArithShare:
     """Matrix product of a shared (m, k) input by P1's (k, n) weight (no
     truncation)."""
     _check_held(ctx, w, "matmul.open")
-    m, k = x.shape
-    k2, n = w.shape
-    if k != k2:
+    if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"matmul {x.shape} @ {w.shape}")
+    (m, k), n = x.shape, w.shape[1]
     t = ctx.triples.take(TripleSpec("matmul", (m, k), mat=(m, k, n)))
     return _held_linear(ctx, x, w, t, matmul_ring, "matmul.open")
 

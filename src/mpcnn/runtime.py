@@ -1,38 +1,42 @@
 """Session establishment and local two-party execution helpers.
 
 A protocol context is established by fetching the party's dealer seed and
-exchanging PRZS seeds, with a digest of the fixed-point configuration that
-both parties check; all of it happens before the transcript starts
-counting, so a fresh session measures zero. The in-process runner drives both
-parties (and a dealer) on threads of one process, which is also how the
-benchmark harness hosts its agents.
+swapping a digest of the fixed-point configuration, which both parties
+check; all of it happens before the transcript starts counting, so a fresh
+session measures zero. Inputs need no set-up: `sharing.share_input` gives
+the value to its holder and zero to the peer. The in-process runner drives
+both parties (and a dealer) on threads of one process, which is also how
+the benchmark harness hosts its agents.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import threading
 
 from .arith import ProtocolCtx
 from .dealer import DealerService, TripleSource
 from .ring import FixedPointConfig
-from .sharing import przs_setup
-from .transport import Fabric, InProcFabric, Mailbox, Role, Session
+from .transport import Fabric, InProcFabric, Mailbox, PlanMismatch, Role, Session
 
 
 def establish(session: Session, cfg: FixedPointConfig | None = None) -> ProtocolCtx:
-    """Dealer seed fetch plus PRZS seed handshake, which checks that both
-    parties run the same fixed-point configuration (PlanMismatch if not);
-    counters start afterwards, and read 0 after a failed set-up. The seed
-    request goes out first, so the dealer answers it while the parties swap
-    PRZS seeds."""
+    """Dealer seed fetch plus one swap of a digest of every field of the
+    fixed-point configuration, which checks that both parties run the same
+    one (PlanMismatch if not); counters start afterwards, and read 0 after a
+    failed set-up. The seed request goes out first, so the dealer answers it
+    while the parties swap digests."""
     cfg = cfg or FixedPointConfig()
+    digest = hashlib.blake2b(repr(dataclasses.astuple(cfg)).encode(), digest_size=16).digest()
     triples = TripleSource(session)
     try:
-        przs = przs_setup(session, cfg)
+        if session.exchange("config.setup", digest) != digest:
+            raise PlanMismatch(f"the peer set up with a fixed-point configuration other than {cfg}")
         triples.seed()
     finally:
         session.transcript.reset()
-    return ProtocolCtx(session=session, triples=triples, przs=przs, cfg=cfg)
+    return ProtocolCtx(session=session, triples=triples, cfg=cfg)
 
 
 def run_pair_raw(make_fabric, fn_by_role, session_id=1):

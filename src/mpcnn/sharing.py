@@ -1,16 +1,25 @@
-"""Additive and XOR secret shares with pseudorandom zero-sharing.
+"""Additive and XOR secret shares, the wire codec and the dealer's PRG.
 
-Share material comes from a ChaCha20 keystream used as a counter-mode PRG
-(32-byte key; 16-byte nonce = 8-byte domain hash || 8 zero bytes, which
-`cryptography` reads as a 4-byte little-endian block counter || 12-byte
-nonce, so the hash's first 4 bytes set the stream's starting block; kept,
-as any other layout would change every mask). The two parties swap session
-seeds once and both key one stream with a hash of the pair, so their zero
-shares cancel: P0 draws r = PRG(H(s0 || s1)) and P1 draws -r. Sharing an
-input is then non-interactive: the holder adds the value onto its zero
-share, and its share also keeps the value itself, so that protocols which
-take one party's input in the clear (the model holder's weights in
-`arith.conv2d` / `arith.matmul`) can use it.
+A shared input is the value at its holder and zero at the peer
+(`share_input`). Each input has one holder: P0's sensor window and P1's
+model weights. Masking an input with a pseudo-random zero sharing, as
+CrypTen does (Knott et al., NeurIPS 2021), hides nothing between two
+parties: such a sharing hides a value only from a party that lacks one of
+its seeds, which needs three parties or more. With two, each party can
+compute the other's zero share, so its view of a run with the mask is its
+view without it plus shares it computes itself. Privacy comes instead from
+the masks on every message, which are dealer randomness that the receiver
+lacks: Beaver's a and b, gtz's mask, the select's a and r, and the held
+linear layer's a0 and b. The holder's share also keeps the value itself
+(`clear`), so that protocols which take one party's input in the clear (the
+model holder's weights in `arith.conv2d` / `arith.matmul`) can use it. Both
+are the caller's tensor, not a copy; no op writes share words in place.
+
+The dealer's share material comes from a ChaCha20 keystream used as a
+counter-mode PRG (`Prg`: 32-byte key; 16-byte nonce = 8-byte domain hash ||
+8 zero bytes, which `cryptography` reads as a 4-byte little-endian block
+counter || 12-byte nonce, so the hash's first 4 bytes set the stream's
+starting block; kept, as any other layout would change every mask).
 
 `words_to_bytes(t, w)` / `bytes_to_words(buf, shape, w)` are the one wire
 codec, for parties and dealer alike: whole words at w = 64, each word's low
@@ -33,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from .ring import WORD_BITS, FixedPointConfig, RingTensor, ShapeMismatch
-from .transport import PlanMismatch, ProtocolError, Role, Session
+from .ring import WORD_BITS, RingTensor, ShapeMismatch, zeros
+from .transport import ProtocolError, Role, Session
 
 SEED_BYTES = 32
 _ZEROS = memoryview(bytes(1 << 20))  # read-only plaintext of the keystream, 1 MB per update
@@ -109,34 +118,6 @@ def fresh_seed() -> bytes:
     return secrets.token_bytes(SEED_BYTES)
 
 
-class PrzsStream:
-    """One party's zero shares from the joint seed: r at P0 and -r at P1.
-    The two parties' streams advance in lockstep."""
-
-    def __init__(self, joint_seed: bytes, role: Role):
-        self.role = role
-        self._prg = Prg(joint_seed, b"przs")
-
-    def draw(self, shape) -> RingTensor:
-        r = self._prg.draw_words(shape)
-        return r if self.role is Role.P0 else -r
-
-
-def przs_setup(session: Session, cfg: FixedPointConfig) -> PrzsStream:
-    """Swap session seeds, each followed by a digest of its party's
-    (frac_bits, cmp_bits), so that parties which disagree on them both raise
-    PlanMismatch; both key their stream with the hash of the seed pair,
-    ordered (P0's, P1's)."""
-    digest = hashlib.blake2b(f"{cfg.frac_bits},{cfg.cmp_bits}".encode(), digest_size=16).digest()
-    mine = fresh_seed()
-    got = session.exchange("przs.setup", mine + digest)
-    theirs = got[:SEED_BYTES]
-    if got[SEED_BYTES:] != digest:
-        raise PlanMismatch(f"the peer set up with a (frac_bits, cmp_bits) other than ({cfg.frac_bits}, {cfg.cmp_bits})")
-    pair = mine + theirs if session.role is Role.P0 else theirs + mine
-    return PrzsStream(hashlib.blake2b(pair, digest_size=SEED_BYTES).digest(), session.role)
-
-
 # ---------------------------------------------------------------------------
 # share containers
 
@@ -209,16 +190,15 @@ class BinShare:
         return self
 
 
-def share_input(przs: PrzsStream, x: RingTensor | None, holder: Role, shape) -> ArithShare:
-    """Non-interactive input sharing; only the holder passes x. Both parties'
-    shares are marked as held by `holder`, and the holder's share keeps x
-    (the caller's tensor, not a copy) as its `clear` value."""
-    z = przs.draw(shape)
-    if przs.role is holder:
+def share_input(role: Role, x: RingTensor | None, holder: Role, shape) -> ArithShare:
+    """Non-interactive input sharing; only the holder passes x. The holder's
+    share is x itself (the caller's tensor, not a copy), also as its `clear`
+    value, and the peer's is zero; both are marked as held by `holder`."""
+    if role is holder:
         if x is None or x.shape != tuple(shape):
             raise ShapeMismatch(f"holder must supply tensor of shape {shape}")
-        return ArithShare(przs.role, z + x, holder, x)
-    return ArithShare(przs.role, z, holder)
+        return ArithShare(role, x, holder, x)
+    return ArithShare(role, zeros(shape), holder)
 
 
 def share_public(value: RingTensor, role: Role) -> ArithShare:
@@ -226,8 +206,6 @@ def share_public(value: RingTensor, role: Role) -> ArithShare:
     The one rule for a public term of an additive sharing (a constant, a
     Beaver product's e*d, max pooling's pad word): added at both parties, it
     would count twice."""
-    from .ring import zeros
-
     return ArithShare(role, value if role is Role.P0 else zeros(value.shape))
 
 

@@ -37,7 +37,7 @@ def rt():
 
 
 def share(ctx, xw):
-    return share_input(ctx.przs, xw if ctx.role is Role.P0 else None, Role.P0, xw.shape)
+    return share_input(ctx.role, xw if ctx.role is Role.P0 else None, Role.P0, xw.shape)
 
 
 T = 8.0  # where silu switches pieces

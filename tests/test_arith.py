@@ -50,7 +50,7 @@ def rt():
 
 
 def shared_pair(ctx, x: RingTensor, holder=Role.P0):
-    return share_input(ctx.przs, x if ctx.role is holder else None, holder, x.shape)
+    return share_input(ctx.role, x if ctx.role is holder else None, holder, x.shape)
 
 
 def bin_shared(ctx, bits: np.ndarray) -> BinShare:
@@ -256,6 +256,22 @@ class TestMatmul:
 
         with pytest.raises(arith.WeightNotHeld):
             rt.run_session(fn, fn, cfg=CFG)
+
+    @pytest.mark.parametrize("xshape, wshape", [((1, 2, 3), (3, 2)), ((3,), (3, 2)), ((1, 3), (3, 2, 1))],
+                             ids=["rank-3-input", "rank-1-input", "rank-3-weight"])
+    def test_bad_rank_raises_before_any_byte(self, rt, xshape, wshape):
+        # ShapeMismatch at both parties, as PlainEngine raises for the same
+        # operands, with no online byte and no correlation taken
+        def fn(ctx):
+            x, w = shared_pair(ctx, zeros(xshape)), shared_pair(ctx, zeros(wshape), holder=Role.P1)
+            with pytest.raises(ShapeMismatch):
+                arith.matmul(ctx, x, w)
+            return ctx.session.transcript.counters()[:3], ctx.triples.next_index
+
+        with pytest.raises(ShapeMismatch):
+            PlainEngine(CFG).matmul(zeros(xshape), zeros(wshape))
+        got = rt.run_session(fn, fn, cfg=CFG)
+        assert got[Role.P0] == got[Role.P1] == ((0, 0, 0), 0)
 
 
 class TestHeldOverTcp:

@@ -33,8 +33,8 @@ def secure():
     """{op: (revealed words, online bytes sent, rounds)}, all from one session."""
     def party(ctx):
         e = SecureEngine(ctx)
-        x = share_input(ctx.przs, X if ctx.role is Role.P0 else None, Role.P0, X.shape)
-        y = share_input(ctx.przs, Y if ctx.role is Role.P1 else None, Role.P1, Y.shape)
+        x = share_input(ctx.role, X if ctx.role is Role.P0 else None, Role.P0, X.shape)
+        y = share_input(ctx.role, Y if ctx.role is Role.P1 else None, Role.P1, Y.shape)
         out = {}
         for name, op in OPS.items():
             before = ctx.session.measure()

@@ -30,7 +30,7 @@ def probe(sess):
     role, frames read from each role), or the error that ended the party."""
     try:
         ctx = establish(sess)
-        x = share_input(ctx.przs, X if sess.role is Role.P0 else None, Role.P0, X.shape)
+        x = share_input(ctx.role, X if sess.role is Role.P0 else None, Role.P0, X.shape)
         sq = arith.beaver_mul(ctx, x, x)
         out = reveal(sess, arith.select(ctx, arith.gtz(ctx, x), sq), to="p0")
         return out, dict(sess._send_seq), dict(sess._recv_seq)
@@ -74,7 +74,7 @@ def short_timeout(monkeypatch):
 
 
 def test_every_frame_fault_ends_typed_or_clean(short_timeout):
-    # 29 frames: P0 sends 9 exchanges (przs setup, mul, gtz's mask and 5
+    # 29 frames: P0 sends 9 exchanges (config setup, mul, gtz's mask and 5
     # AND levels, select) and 4 dealer requests (seed, mul, gtz, select);
     # P1 the same 9 exchanges, its seed request and the reveal; the dealer
     # answers both seed requests and P0's 3 others. Each is cut short, sent

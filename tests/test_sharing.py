@@ -1,4 +1,4 @@
-"""Secret sharing: PRZS, input sharing, opening and reveal, local share algebra."""
+"""Secret sharing: input sharing, opening and reveal, local share algebra, the PRG."""
 
 import hashlib
 import time
@@ -12,12 +12,10 @@ from mpcnn.sharing import (
     ArithShare,
     BinShare,
     Prg,
-    PrzsStream,
     bytes_to_words,
     fresh_seed,
     open_shares,
     packed_len,
-    przs_setup,
     reveal,
     share_input,
     words_to_bytes,
@@ -36,66 +34,33 @@ def rand_words(shape):
     return RingTensor(RNG.integers(0, 1 << 64, size=shape, dtype=np.uint64))
 
 
-def seeds():
-    """A joint PRZS seed, as `przs_setup` derives one."""
-    return fresh_seed()
-
-
-class TestPrzs:
-    def test_streams_cancel(self):
-        sp = seeds()
-        s0, s1 = PrzsStream(sp, Role.P0), PrzsStream(sp, Role.P1)
-        a = s0.draw((1000,))
-        b = s1.draw((1000,))
-        assert a + b == zeros((1000,))
-
-    def test_reproducible(self):
-        sp = seeds()
-        a = PrzsStream(sp, Role.P0).draw((64,))
-        b = PrzsStream(sp, Role.P0).draw((64,))
-        assert a == b
-
-    def test_setup_over_channel(self):
-        def fn(sess):
-            return przs_setup(sess, FixedPointConfig()).draw((128,))
-
-        vals = run_pair_raw(inproc_fabrics(), {Role.P0: fn, Role.P1: fn})
-        assert vals[Role.P0] + vals[Role.P1] == zeros((128,))
-
-    def test_distinct_sessions_independent(self):
-        # chi-square uniformity on pooled bytes of two sessions, plus low
-        # cross-correlation between the streams
-        x = PrzsStream(seeds(), Role.P0).draw((1 << 16,)).data
-        y = PrzsStream(seeds(), Role.P0).draw((1 << 16,)).data
-        pooled = np.concatenate([x, y]).view(np.uint8)
-        counts = np.bincount(pooled, minlength=256)
-        chi2 = float(((counts - counts.mean()) ** 2 / counts.mean()).sum())
-        assert chi2 < CHI2_CUT
-        corr = np.corrcoef(x.astype(np.float64), y.astype(np.float64))[0, 1]
-        assert abs(corr) < 0.05
-
-
 class TestShareInput:
     def test_round_trip_vector(self):
-        sp = seeds()
         x = encode([1.0, 2.0, 3.0], CFG)
-        sh0 = share_input(PrzsStream(sp, Role.P0), x, Role.P0, (3,))
-        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, (3,))
+        sh0 = share_input(Role.P0, x, Role.P0, (3,))
+        sh1 = share_input(Role.P1, None, Role.P0, (3,))
         assert sh0.t + sh1.t == x
 
-    def test_zero_tensor_shares_nontrivial(self):
-        sp = seeds()
-        sh0 = share_input(PrzsStream(sp, Role.P0), zeros((16,)), Role.P0, (16,))
-        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, (16,))
-        assert sh0.t + sh1.t == zeros((16,))
-        assert np.any(sh0.t.data != 0) and np.any(sh1.t.data != 0)
+    @pytest.mark.parametrize("holder", [Role.P0, Role.P1], ids=lambda r: r.name)
+    def test_nonholder_share_is_zero_and_draws_nothing(self, monkeypatch, holder):
+        # whatever x is, the holder's share is x and the peer's is zero, and
+        # sharing draws no PRG word: with two parties a pseudo-random zero
+        # sharing masks nothing, as each party could compute the other's
+        draws = []
+        for name in ("draw_words", "draw_bytes"):
+            monkeypatch.setattr(Prg, name, lambda self, n, name=name: draws.append(name))
+        for x in (zeros((16,)), encode(np.ones(4096), CFG), rand_words((3, 5))):
+            mine = share_input(holder, x, holder, x.shape)
+            theirs = share_input(holder.peer, None, holder, x.shape)
+            assert mine.t is x and theirs.t == zeros(x.shape)
+            assert (mine.owner, theirs.owner) == (holder, holder.peer)
+        assert draws == []
 
     def test_model_weight_shape(self):
         # CompactCNN first conv: 32 filters of 1x64 held by P1
-        sp = seeds()
         w = rand_words((32, 1, 1, 64))
-        sh1 = share_input(PrzsStream(sp, Role.P1), w, Role.P1, (32, 1, 1, 64))
-        sh0 = share_input(PrzsStream(sp, Role.P0), None, Role.P1, (32, 1, 1, 64))
+        sh1 = share_input(Role.P1, w, Role.P1, (32, 1, 1, 64))
+        sh0 = share_input(Role.P0, None, Role.P1, (32, 1, 1, 64))
         assert sh0.t + sh1.t == w
         # both shares are marked as P1's input; P1's keeps w itself, not a copy
         assert sh0.held_by is Role.P1 and sh1.held_by is Role.P1
@@ -103,21 +68,13 @@ class TestShareInput:
         # anything computed from them is no longer anyone's input
         assert (sh1 + sh1).held_by is None
 
-    def test_nonholder_share_pseudorandom(self):
-        sp = seeds()
-        x = encode(np.ones(4096), CFG)
-        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, (4096,))
-        # crude uniformity: top byte spread over many values
-        assert len(np.unique(sh1.t.data >> np.uint64(56))) > 200
-
 
 class TestReveal:
     def test_round_trip_and_one_round(self):
         x = rand_words((50,))
-        sp = seeds()
 
         def fn(sess):
-            sh = share_input(PrzsStream(sp, sess.role), x if sess.role is Role.P0 else None, Role.P0, (50,))
+            sh = share_input(sess.role, x if sess.role is Role.P0 else None, Role.P0, (50,))
             got = reveal(sess, sh)
             return got, sess.measure()
 
@@ -128,10 +85,9 @@ class TestReveal:
 
     def test_directed_reveal_one_sided(self):
         x = rand_words((8,))
-        sp = seeds()
 
         def fn(sess):
-            sh = share_input(PrzsStream(sp, sess.role), x if sess.role is Role.P0 else None, Role.P0, (8,))
+            sh = share_input(sess.role, x if sess.role is Role.P0 else None, Role.P0, (8,))
             got = reveal(sess, sh, to="p0", tag="output")
             return got, sess.measure()
 
@@ -198,11 +154,10 @@ class TestReveal:
     @pytest.mark.parametrize("to", ["P0", "p2", ""])
     def test_unknown_target_refused_before_traffic(self, to):
         # anything but 'both', 'p0' or 'p1' used to reveal to P1
-        sp = seeds()
+        x = rand_words((8,))
 
         def fn(sess):
-            sh = share_input(PrzsStream(sp, sess.role), rand_words((8,)) if sess.role is Role.P0 else None,
-                             Role.P0, (8,))
+            sh = share_input(sess.role, x if sess.role is Role.P0 else None, Role.P0, (8,))
             with pytest.raises(ValueError, match="reveal to"):
                 reveal(sess, sh, to=to)
             return sess.measure().counters()
@@ -266,37 +221,34 @@ class TestOpenShares:
 
 
 class TestLocalAlgebra:
-    def _shared(self, sp, x):
-        sh0 = share_input(PrzsStream(sp, Role.P0), x, Role.P0, x.shape)
-        sh1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, x.shape)
-        return sh0, sh1
+    def _shared(self, x):
+        return share_input(Role.P0, x, Role.P0, x.shape), share_input(Role.P1, None, Role.P0, x.shape)
 
     def test_add_sub_property(self):
         # reconstruction correctness over many random tensors
         for _ in range(200):
             shape = tuple(RNG.integers(1, 20, size=RNG.integers(1, 3)))
             x, y = rand_words(shape), rand_words(shape)
-            sp = seeds()
-            x0, x1 = self._shared(sp, x)
-            y0 = share_input(PrzsStream(sp, Role.P0), y, Role.P0, shape)
-            y1 = share_input(PrzsStream(sp, Role.P1), None, Role.P0, shape)
+            x0, x1 = self._shared(x)
+            y0 = share_input(Role.P0, None, Role.P1, shape)
+            y1 = share_input(Role.P1, y, Role.P1, shape)
             assert (x0 + y0).t + (x1 + y1).t == x + y
             assert (x0 - y0).t + (x1 - y1).t == x - y
 
     def test_add_encoded_values(self):
-        sp = seeds()
-        x0, x1 = self._shared(sp, encode(2.0, CFG))
-        y0, y1 = self._shared(seeds(), encode(3.0, CFG))
+        x0, x1 = self._shared(encode(2.0, CFG))
+        y0, y1 = self._shared(encode(3.0, CFG))
         assert (x0 + y0).t + (x1 + y1).t == encode(5.0, CFG)
 
     def test_noninteractive_zero_bytes(self):
+        # sharing an input of each party and local share algebra send nothing
+        x, y, m = rand_words((10,)), rand_words((10,)), rand_words((10,))
+
         def fn(sess):
-            st = przs_setup(sess, FixedPointConfig())
-            sess.transcript.reset()
-            a = share_input(st, rand_words((10,)) if sess.role is Role.P0 else None, Role.P0, (10,))
-            b = ArithShare(sess.role, st.draw((10,)))
-            _ = a + b
-            bb = BinShare(sess.role, st.draw((10,)))
+            a = share_input(sess.role, x if sess.role is Role.P0 else None, Role.P0, (10,))
+            b = share_input(sess.role, y if sess.role is Role.P1 else None, Role.P1, (10,))
+            _ = a + b - a
+            bb = BinShare(sess.role, m)
             _ = bb ^ bb
             _ = bb.shift_left(3)
             return sess.measure()
@@ -335,10 +287,10 @@ class TestBinShares:
 
 class TestShareUniformity:
     def test_byte_frequency_and_serial_correlation(self):
-        # 10 MB of share material looked at alone should be featureless
+        # 10 MB of the dealer's share material looked at alone should be
+        # featureless
         n_words = (10 * 1024 * 1024) // 8
-        sp = seeds()
-        share = PrzsStream(sp, Role.P1).draw((n_words,))
+        share = Prg(fresh_seed(), b"uniformity").draw_words((n_words,))
         raw = share.data.view(np.uint8)
         counts = np.bincount(raw, minlength=256)
         chi2 = float(((counts - counts.mean()) ** 2 / counts.mean()).sum())
@@ -349,6 +301,18 @@ class TestShareUniformity:
 
 
 class TestPrg:
+    def test_distinct_seeds_independent(self):
+        # chi-square uniformity on pooled bytes of two seeds' streams, as two
+        # sessions' dealer seeds give, plus low cross-correlation between them
+        x = Prg(fresh_seed(), b"dealer").draw_words((1 << 16,)).data
+        y = Prg(fresh_seed(), b"dealer").draw_words((1 << 16,)).data
+        pooled = np.concatenate([x, y]).view(np.uint8)
+        counts = np.bincount(pooled, minlength=256)
+        chi2 = float(((counts - counts.mean()) ** 2 / counts.mean()).sum())
+        assert chi2 < CHI2_CUT
+        corr = np.corrcoef(x.astype(np.float64), y.astype(np.float64))[0, 1]
+        assert abs(corr) < 0.05
+
     def test_domain_separation(self):
         seed = fresh_seed()
         a = Prg(seed, b"one").draw_words((32,))
