@@ -20,10 +20,11 @@ from mpcnn.sharing import (
     share_input,
     words_to_bytes,
 )
-from mpcnn.runtime import run_pair_raw
-from mpcnn.transport import ProtocolError, Role
+from mpcnn import arith
+from mpcnn.runtime import establish, run_pair_raw
+from mpcnn.transport import ProtocolError, Role, Session
 
-from conftest import inproc_fabrics, tcp_fabrics
+from conftest import inproc_fabrics, inproc_with_dealer, tcp_fabrics
 
 CFG = FixedPointConfig(16)
 CHI2_CUT = 377.0781154988172  # scipy.stats.chi2.ppf(1 - 1e-6, 255) (scipy 1.17.1): the 1e-6 upper quantile at 255 dof
@@ -32,6 +33,30 @@ RNG = np.random.default_rng(7)
 
 def rand_words(shape):
     return RingTensor(RNG.integers(0, 1 << 64, size=shape, dtype=np.uint64))
+
+
+def peer_view(monkeypatch, x):
+    """The words P1 receives from P0 when P0's input x enters a Beaver
+    product: P0's opening x - a0, masked by its half of the dealer's a."""
+    seen, exchange = [], Session.exchange
+
+    def record(self, tag, payload, peer_len=None):
+        got = exchange(self, tag, payload, peer_len)
+        if self.role is Role.P1 and tag == ["mul.open"]:
+            seen.append(bytes(got))
+        return got
+
+    monkeypatch.setattr(Session, "exchange", record)
+
+    def fn(sess):
+        ctx = establish(sess)
+        xs = share_input(ctx.role, x if ctx.role is Role.P0 else None, Role.P0, x.shape)
+        arith.beaver_mul(ctx, xs, xs)
+
+    with inproc_with_dealer() as make_fabric:
+        run_pair_raw(make_fabric, {Role.P0: fn, Role.P1: fn})
+    (got,) = seen
+    return bytes_to_words(got[: packed_len(x.shape)], x.shape)
 
 
 class TestShareInput:
@@ -56,6 +81,15 @@ class TestShareInput:
             assert (mine.owner, theirs.owner) == (holder, holder.peer)
         assert draws == []
 
+    def test_zero_tensor_shares_nontrivial(self, monkeypatch):
+        # a zero input shares as zero at both parties, yet what the peer
+        # sees of it is not zero: the dealer's mask covers it on the wire
+        x = zeros((16,))
+        sh0 = share_input(Role.P0, x, Role.P0, (16,))
+        sh1 = share_input(Role.P1, None, Role.P0, (16,))
+        assert sh0.t + sh1.t == x
+        assert np.any(peer_view(monkeypatch, x).data != 0)
+
     def test_model_weight_shape(self):
         # CompactCNN first conv: 32 filters of 1x64 held by P1
         w = rand_words((32, 1, 1, 64))
@@ -67,6 +101,14 @@ class TestShareInput:
         assert sh1.clear is w and sh0.clear is None
         # anything computed from them is no longer anyone's input
         assert (sh1 + sh1).held_by is None
+
+    def test_nonholder_share_pseudorandom(self, monkeypatch):
+        # the peer's share of a constant input is zero, so the first words it
+        # learns of the input, the masked opening, must look uniform
+        x = encode(np.ones(4096), CFG)
+        assert share_input(Role.P1, None, Role.P0, (4096,)).t == zeros((4096,))
+        # crude uniformity: top byte spread over many values
+        assert len(np.unique(peer_view(monkeypatch, x).data >> np.uint64(56))) > 200
 
 
 class TestReveal:
