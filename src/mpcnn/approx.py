@@ -6,7 +6,7 @@ unspecified. Its round count never depends on the data; it is given at the
 default comparison domain cmp_bits = 31 (one more at cmp_bits = 63):
 
     fn          domain        tolerance         rounds
-    silu        [-16, 16]     abs err <= 2e-2   7
+    silu        [-16, 16]     abs err <= 2e-2   6
 
 It is piecewise with T = 8: on -T < x <= T it uses
 
@@ -57,14 +57,14 @@ def _chebyshev_terms(e, t):
 
 def sec_silu(e, x):
     """0 for x <= -T, q = x/2 + g(x) for -T < x <= T and x for x > T (see
-    the module docstring). 7 rounds.
+    the module docstring). 6 rounds.
 
     One gtz on the stacked [x + T, x - T] gives a = [x > -T] and b = [x > T]
-    as XOR-shared bits (6 openings; on the domain [-16, 16] both lie far
+    as XOR-shared bits (5 openings; on the domain [-16, 16] both lie far
     inside the comparison domain). y = x/T is a local truncation, t =
     2y^2 - 1 one product and T_1..T_8(t) three more. On shares gtz's mask
-    and first 3 AND levels ride those 4 product rounds, and its last 2
-    levels run when the select reads the bits: 4 + 2 + 1 rounds. q sums x
+    and first 3 AND levels ride those 4 product rounds, and its last level
+    runs when the select reads the bits: 4 + 1 + 1 rounds. q sums x
     and the terms with public coefficients under a single truncation. The
     select a*q + b*(x - q) is one exact `arith.select` on stacked operands
     (1 round): it is 0, q or x, bit for bit. For |x| > T, t reaches 7 and

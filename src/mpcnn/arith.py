@@ -10,10 +10,11 @@ Round structure (one round = one parallel phase, independent of tensor size):
                                       fetched)
   a2b                            7   (1 masked-word opening + 6 AND phases
                                       of the carry-lookahead prefix tree)
-  gtz                        <= 6   (1 masked-word opening + 5 AND phases
-                                      of the carry-out tree, at the default
+  gtz                        <= 5   (1 masked-word opening + 4 AND phases
+                                      of the carry-out tree, whose first
+                                      level is local, at the default
                                       comparison domain cmp_bits = 31;
-                                      7 with 6 phases at cmp_bits = 63.
+                                      6 with 5 phases at cmp_bits = 63.
                                       Each phase rides the session's next
                                       opening, adding no round; those left
                                       when the bit is read run alone)
@@ -21,9 +22,9 @@ Round structure (one round = one parallel phase, independent of tensor size):
                                       open together)
   mux                            1   (one select)
 
-A ReLU is select(gtz(x), x), 7 rounds: the select reads the bit at once, so
-all 6 of gtz's phases run alone. `models.ReLU` writes it on the engine
-surface as mul_raw(x, gtz(x)). A SiLU is 7 rounds too: gtz's phases ride
+A ReLU is select(gtz(x), x), 6 rounds: the select reads the bit at once, so
+all 5 of gtz's phases run alone. `models.ReLU` writes it on the engine
+surface as mul_raw(x, gtz(x)). A SiLU is 6 rounds too: gtz's phases ride
 its 4 products (see `approx.sec_silu`).
 
 Every opening goes through `sharing.open_shares` with its width: whole 8 B
@@ -49,15 +50,22 @@ No model calls a2b: it stays for its tests and for the benchmark's tracer,
 which wraps it by name.
 
 gtz is the bounded-input comparison of Catrina and de Hoogh (SCN 2010) on
-the same mask pairs. For |x| < 2^l (l = cmp_bits of the config), -x fits
+a mask of the same kind. For |x| < 2^l (l = cmp_bits of the config), -x fits
 the signed ring Z_2^(l+1), so gtz(x) is its top bit, bit l. Additive shares
 reduce modulo any power of two, so gtz opens only the low l + 1 bits of
 -x - r (4 B per element at l = 31, 8 B at l = 63) and computes only the
 carry into bit l: a bit-sliced prefix tree over lanes 0..l-1 whose groups
-halve at each level (55 bit-ANDs per element in 5 levels at l = 31, 118 in
-6 at l = 63, against a2b's 768). At l = 63 this is msb(-x), exact on every
-word. It fetches its mask pair and all levels' triples in one dealer round
-trip and returns the bit XOR-shared, with its openings still in flight
+halve at each level. At l = 63 this is msb(-x), exact on every word. As in
+ABY2.0 (Patra et al., USENIX Security 2021), products of masks are dealt
+rather than computed online: the comparison mask comes with XOR shares of
+r_(2k+1) & r_(2k) for each pair of lanes, so the tree's first level,
+whose operands are r and the public d, is local; and each later level
+opens a pair's P_hi once for both of its products, with a fan-out triple
+(`dealer.fan_out`). Each party opens 41 bits per element in 4 AND levels
+at l = 31 and 88 in 5 at l = 63, where a tree of plain AND gates would open
+110 in 5 and 236 in 6. It fetches its mask and all levels' triples in one
+dealer round trip and returns the bit XOR-shared, with its openings still
+in flight
 (`sharing.PendingBit`): the comparison is written as steps, one per
 opening, and each later `open_shares` of the session carries its next step
 in the same frame. This is circuit-depth scheduling as in ABY (Demmler et
@@ -78,13 +86,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dealer import TripleSource, TripleSpec
+from .dealer import TripleSource, TripleSpec, fan_out
 from .ring import (
     ConvGeometry,
     FixedPointConfig,
     RingTensor,
     ShapeMismatch,
     WORD_BITS,
+    bit_slice,
     conv2d_ring,
     matmul_ring,
 )
@@ -149,7 +158,7 @@ def beaver_mul(ctx: ProtocolCtx, x: ArithShare, y: ArithShare) -> ArithShare:
 
 
 def _check_held(ctx: ProtocolCtx, w: ArithShare, tag: str):
-    if w.held_by is not Role.P1 or (ctx.role is Role.P1 and w.clear is None):
+    if w.held_by is not Role.P1:
         raise WeightNotHeld(f"{tag}: the weight must be P1's input, shared with share_input")
 
 
@@ -159,8 +168,8 @@ def _held_linear(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, t: tuple, f, ta
     if ctx.role is Role.P0:
         got = ctx.session.exchange(tag, words_to_bytes(x.t - t.mask), packed_len(w.shape))
         return ctx.arith(f(t.mask, bytes_to_words(got, w.shape)) + t.c)
-    got = ctx.session.exchange(tag, words_to_bytes(w.clear - t.mask), packed_len(x.shape))
-    return ctx.arith(f(bytes_to_words(got, x.shape) + x.t, w.clear) + t.c)
+    got = ctx.session.exchange(tag, words_to_bytes(w.t - t.mask), packed_len(x.shape))  # P1's share is W itself
+    return ctx.arith(f(bytes_to_words(got, x.shape) + x.t, w.t) + t.c)
 
 
 def conv2d(ctx: ProtocolCtx, x: ArithShare, w: ArithShare, geom: ConvGeometry) -> ArithShare:
@@ -188,13 +197,6 @@ def matmul(ctx: ProtocolCtx, x: ArithShare, w: ArithShare) -> ArithShare:
 # boolean ops
 
 
-def _and_open(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: tuple) -> list:
-    """The shares an AND opens: x ^ a and y ^ b."""
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"{x.shape} vs {y.shape}")
-    return [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)]
-
-
 def _and_close(ctx: ProtocolCtx, t: tuple, e: RingTensor, f: RingTensor) -> BinShare:
     """x & y from the opened e = x ^ a and f = y ^ b."""
     return ctx.bin(t.c ^ (t.b & e) ^ (t.a & f)).xor_public(e & f)
@@ -203,7 +205,9 @@ def _and_close(ctx: ProtocolCtx, t: tuple, e: RingTensor, f: RingTensor) -> BinS
 def and_gate(ctx: ProtocolCtx, x: BinShare, y: BinShare, t: tuple, tag: str = "and.open") -> BinShare:
     """Bitwise AND over XOR shares with a boolean triple t of their shape,
     which the caller fetched; one opening phase."""
-    return _and_close(ctx, t, *open_shares(ctx.session, tag, _and_open(ctx, x, y, t)))
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"{x.shape} vs {y.shape}")
+    return _and_close(ctx, t, *open_shares(ctx.session, tag, [x ^ ctx.bin(t.a), y ^ ctx.bin(t.b)]))
 
 
 def _carry_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, tag: str) -> BinShare:
@@ -238,34 +242,14 @@ def a2b(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
 # comparison and selection
 
 
-def _bit_slice(words: np.ndarray) -> np.ndarray:
-    """(..., n) words -> (..., 64, ceil(n/64)) rows: bit k of word j in row l
-    is bit l of element 64j + k; padding elements are zero. Each block of 64
-    elements is a 64x64 bit transpose, done in six rounds of masked block
-    swaps: shifts only, so independent of host byte order."""
-    lead = words.shape[:-1]
-    pad = -words.shape[-1] % 64
-    padded = np.concatenate([words, np.zeros(lead + (pad,), np.uint64)], axis=-1)
-    a = np.ascontiguousarray(np.swapaxes(padded.reshape(lead + (-1, 64)), -1, -2))
-    w = a.shape[-1]
-    j, m = 32, (1 << 32) - 1  # m selects the low j bits of every 2j-bit field
-    while j:  # swap the off-diagonal j x j blocks of every 2j x 2j block
-        v = a.reshape(lead + (64 // (2 * j), 2, j, w))
-        lo, hi = v[..., 0, :, :], v[..., 1, :, :]
-        t = (lo >> np.uint64(j)) ^ hi
-        t &= np.uint64(m)
-        hi ^= t
-        lo ^= t << np.uint64(j)
-        j //= 2
-        m ^= m << j
-    return a
-
-
 def _tree_shapes(n: int, lanes: int) -> list:
-    """Shapes of the AND openings of `_msb_add_public`'s levels on n
-    elements and `lanes` lanes: at m groups a level ANDs h = m // 2 G-pairs
-    and h - 1 P-pairs, each a row of ceil(n / 64) words."""
-    shapes, m = [], lanes
+    """Spec shapes of the fan-out triples of `_msb_add_public`'s interactive
+    levels (2 and up) on n elements and `lanes` lanes. Level 1 is local and
+    leaves ceil(lanes / 2) groups; at m groups a level pairs h = m // 2 and
+    ANDs each pair's P_hi with its G_lo and, but for the lowest pair, its
+    P_lo: 2h - 1 products, from h + (2h - 1) = 3h - 1 opened rows of
+    ceil(n / 64) words."""
+    shapes, m = [], lanes - lanes // 2
     while m > 1:
         h = m // 2
         shapes.append((2 * h - 1, -(-n // WORD_BITS)))
@@ -273,41 +257,51 @@ def _tree_shapes(n: int, lanes: int) -> list:
     return shapes
 
 
-def _msb_add_public(ctx: ProtocolCtx, r: BinShare, d: RingTensor, levels: list, lanes: int, tag: str):
+def _msb_add_public(ctx: ProtocolCtx, r: BinShare, s: BinShare, d: RingTensor, levels: list, lanes: int, tag: str):
     """Steps (see `sharing.PendingBit`) that return the XOR share (0/1
-    words) of bit `lanes` of r + d, d public, with one dealt boolean triple
-    per level (shapes from `_tree_shapes`) and one AND opening each.
+    words) of bit `lanes` of r + d, d public, given XOR shares s of r's
+    lane pairs (`dealer.lane_pairs`) and one dealt fan-out triple per
+    interactive level (shapes from `_tree_shapes`), with one opening each.
 
     That bit is r_l ^ d_l ^ c_l, where c_l is the carry out of lanes
     0..l-1 (l = lanes). Lanes are bit-sliced 64 elements per word (XOR
     shares allow any local bit permutation), and a prefix tree pairs
     adjacent groups at each level: G = G_hi ^ (P_hi & G_lo), P = P_hi &
-    P_lo, with an odd top group passing through. At l = 31 groups go 31 ->
-    16 -> 8 -> 4 -> 2 -> 1, one AND phase each; at l = 63 they go 63 -> 32
-    -> ... -> 1 in 6. The lowest group's P is never read, so it is never
-    computed: 55 bit-ANDs per element at l = 31, 118 at l = 63."""
+    P_lo, with an odd top group passing through. The lowest group's P is
+    never read, so it is never computed.
+
+    Level 1 pairs single lanes, whose g = r & d and p = r ^ d are linear in
+    r since d is public. With s_k = r_(2k+1) & r_(2k) dealt, its products
+    are too: G_k = g_(2k+1) ^ d_(2k) & (s_k ^ d_(2k+1) & r_(2k)) and P_k =
+    s_k ^ d_(2k+1) & r_(2k) ^ p_(2k+1) & d_(2k), so it opens nothing. At
+    each later level every P_hi feeds two products, so it opens once
+    (`dealer.fan_out`). At l = 31 groups go 31 -> 16 locally, then 8 -> 4
+    -> 2 -> 1, one AND phase each; at l = 63 they go 63 -> 32, then 16 ->
+    ... -> 1 in 5."""
     n = d.data.size
-    g = r.and_public(d).t.data.reshape(-1)  # generate: r & d
-    p = r.xor_public(d).t.data.reshape(-1)  # propagate: r ^ d
-    gs, ps = _bit_slice(np.stack([g, p]))
-    G, P = gs[:lanes], ps[1:lanes]  # P[i] belongs to group i + 1
+    rs, ds = bit_slice(np.stack([r.t.data.reshape(-1), d.data.reshape(-1)]), lanes + 1)
+    g = rs & ds  # generate: r & d
+    p = ctx.bin(RingTensor(rs)).xor_public(RingTensor(ds)).t.data  # propagate: r ^ d
+    lo, hi = slice(0, lanes // 2 * 2, 2), slice(1, lanes // 2 * 2, 2)
+    u = s.t.data ^ (ds[hi] & rs[lo])  # s_k ^ d_(2k+1) & r_(2k)
+    G, P = g[hi] ^ (ds[lo] & u), (u ^ (p[hi] & ds[lo]))[1:]  # P[i] belongs to group i + 1
+    if lanes % 2:
+        G, P = np.concatenate([G, g[lanes - 1 : lanes]]), np.concatenate([P, p[lanes - 1 : lanes]])
     for t in levels:
         m, h = len(G), len(G) // 2
-        e, f = yield tag, _and_open(
-            ctx,
-            BinShare(r.owner, RingTensor(np.concatenate([P[0 : 2 * h - 1 : 2], P[2 : 2 * h - 1 : 2]]))),
-            BinShare(r.owner, RingTensor(np.concatenate([G[0 : 2 * h : 2], P[1 : 2 * h - 2 : 2]]))),
-            t,
-        ), None
-        z = _and_close(ctx, t, e, f).t.data
+        e, f = yield tag, [
+            ctx.bin(RingTensor(P[0 : 2 * h - 1 : 2])) ^ ctx.bin(t.a),
+            ctx.bin(RingTensor(np.concatenate([G[0 : 2 * h : 2], P[1 : 2 * h - 2 : 2]]))) ^ ctx.bin(t.b),
+        ], None
+        z = _and_close(ctx, t._replace(a=fan_out(t.a)), fan_out(e), f).t.data
         G_next, P_next = G[1 : 2 * h : 2] ^ z[:h], z[h:]
         if m % 2:
             G_next = np.concatenate([G_next, G[m - 1 :]])
             P_next = np.concatenate([P_next, P[m - 2 :]])
         G, P = G_next, P_next
-    top = ps[lanes] ^ G[0]  # (W,) words, element 64j + k at bit k of word j
+    top = p[lanes] ^ G[0]  # (W,) words, element 64j + k at bit k of word j
     bits = (top[:, None] >> np.arange(WORD_BITS, dtype=np.uint64)) & np.uint64(1)
-    return BinShare(r.owner, RingTensor(bits.reshape(-1)[:n].reshape(d.shape)))
+    return ctx.bin(RingTensor(bits.reshape(-1)[:n].reshape(d.shape)))
 
 
 def gtz(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
@@ -319,23 +313,25 @@ def gtz(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     (This is Catrina and de Hoogh's NOT of bit l of 2^l - x: adding 2^l
     flips exactly bit l mod 2^(l+1), so the offset and the NOT cancel.)
     One opening of the low l + 1 bits of -x - r, then the carry-out tree on
-    l lanes, with the mask pair (its correction in l + 1 bits) and every
-    level's triple fetched in one dealer round trip now. The openings stay
-    in flight: the bit comes back as a `sharing.PendingBit`, each of the
-    session's later openings carries the next one, and reading the bit runs
-    those left alone. 6 rounds if it is read at once at l = 31, 7 at
+    l lanes, with the comparison mask (its correction in l + 1 bits, with
+    its lane pairs) and every interactive level's fan-out triple fetched in
+    one dealer round trip now. The openings stay in flight: the bit comes
+    back as a `sharing.PendingBit`, each of the session's later openings
+    carries the next one, and reading the bit runs those left alone. 5
+    rounds if it is read at once at l = 31, 6 at l = 63; each party sends
+    4n + 328 * ceil(n / 64) bytes at l = 31 and 8n + 704 * ceil(n / 64) at
     l = 63."""
     lanes = ctx.cfg.cmp_bits
-    pairs, *levels = ctx.triples.take_many(
-        [TripleSpec("maskpair", x.shape, width=lanes + 1)]
-        + [TripleSpec("bool", s) for s in _tree_shapes(x.t.size, lanes)])
-    return PendingBit(ctx.session, x.shape, _gtz_steps(ctx, x, pairs, levels, lanes))
+    mask, *levels = ctx.triples.take_many(
+        [TripleSpec("cmpmask", x.shape, width=lanes + 1)]
+        + [TripleSpec("fanout", s) for s in _tree_shapes(x.t.size, lanes)])
+    return PendingBit(ctx.session, x.shape, _gtz_steps(ctx, x, mask, levels, lanes))
 
 
-def _gtz_steps(ctx: ProtocolCtx, x: ArithShare, pairs, levels: list, lanes: int):
-    """gtz's openings as steps: the mask, then one per level of the tree."""
-    (d,) = yield "gtz.mask", [-x - ctx.arith(pairs.arith)], [lanes + 1]
-    return (yield from _msb_add_public(ctx, ctx.bin(pairs.bin), d, levels, lanes, "gtz.and"))
+def _gtz_steps(ctx: ProtocolCtx, x: ArithShare, mask, levels: list, lanes: int):
+    """gtz's openings as steps: the mask, then one per interactive level."""
+    (d,) = yield "gtz.mask", [-x - ctx.arith(mask.arith)], [lanes + 1]
+    return (yield from _msb_add_public(ctx, ctx.bin(mask.bin), ctx.bin(mask.pairs), d, levels, lanes, "gtz.and"))
 
 
 def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.open") -> ArithShare:

@@ -9,20 +9,30 @@ gets the rest, its corrections, from the dealer: the product share c0 of a
 triple, the arithmetic half a0 of a mask pair, or the arithmetic shares of r
 and of a*r of a select correlation. It asks for them by index and spec, one
 dealer round trip per request, and one request may carry several specs at
-consecutive indices (gtz and a2b each ask for their mask pair and all of
-their AND levels' triples at once). A correction is masked by P1's
-expansion, which P0 cannot compute without P1's seed. A spec may ask for
-only the low `width` bits of its corrections, which the `sharing` codec
-packs at that width: gtz reads its mask pair's arithmetic half only mod
-2^(cmp_bits + 1), so it asks for 4 B per element at cmp_bits = 31.
+consecutive indices (gtz and a2b each ask for their mask and all of their
+AND levels' triples at once). A correction is masked by P1's expansion,
+which P0 cannot compute without P1's seed. A spec may ask for only the low
+`width` bits of its corrections, which the `sharing` codec packs at that
+width, except for the fields its row sends as whole words: gtz reads its
+mask's arithmetic half only mod 2^(cmp_bits + 1), so it asks for 4 B per
+element at cmp_bits = 31, while the XOR shares of its lane pairs are sent
+whole.
 
 Each kind is defined once, as one `Kind` row of `HALVES`: the names of the
 fields of a half in draw order, the suffix of them that P0 receives, the
-fields drawn as bits, the shape of each field at either role when it is not
-the spec's, and the algebra by which the dealer derives P0's corrections.
-The record a party gets is a namedtuple of the row's fields. `expand`,
-`derive_correlation`, `TripleSpec.correction_shapes` and `TripleSource`
-only read the row, so a new kind is one new row.
+fields drawn as bits, the received fields sent as whole words, the shape of
+each field at either role when it is not the spec's, and the algebra by
+which the dealer derives P0's corrections. The record a party gets is a
+namedtuple of the row's fields. `expand`, `derive_correlation`,
+`TripleSpec.corrections` and `TripleSource` only read the row, so a new
+kind is one new row.
+
+gtz's two kinds deal products of masks ahead, as ABY2.0 does (Patra et
+al., USENIX Security 2021). 'cmpmask' is a mask pair plus XOR shares of
+r_(2k+1) & r_(2k) for the lane pairs below lane cmp_bits, bit-sliced 64
+elements to a word (`lane_pairs`), which make the carry tree's first level
+local. 'fanout' is a boolean triple whose a feeds two products, c = (a ‖
+a[1:]) & b (`fan_out`), so a carry-tree level opens each P_hi once.
 
 The linear-layer kinds ('conv', 'matmul') are held correlations: P1 holds
 the weight in the clear, so only P0's input is masked there. P0 expands the
@@ -51,12 +61,15 @@ TRIPLE_RSP and is accounted separately from the party-to-party transcript.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
-from .ring import WORD_BITS, ConvGeometry, conv2d_ring, matmul_ring
+import numpy as np
+
+from .ring import WORD_BITS, ConvGeometry, RingTensor, bit_slice, conv2d_ring, matmul_ring
 from .sharing import SEED_BYTES, Prg, bytes_to_words, fresh_seed, packed_len, words_to_bytes
 from .transport import (SERVICE, TAG_DEALER_ERR, DealerError, Fabric, Message, PeerDisconnected, Role, Session,
                         SessionTimeout, tag_hash)
@@ -107,10 +120,14 @@ class TripleSpec:
         mat = tuple(body["mat"]) if "mat" in body else None
         return TripleSpec(body["kind"], tuple(body["shape"]), geom, mat, body.get("width", WORD_BITS))
 
-    def correction_shapes(self) -> list:
-        """The shapes of P0's corrections, in the order the dealer sends them."""
+    def corrections(self) -> list:
+        """(shape, width) of each of P0's corrections, in the order the
+        dealer sends them: the row's whole-word fields at 64 bits, the rest
+        at the spec's width."""
         kind = kind_of(self)
-        return kind.field_shapes(self)[0][len(kind.drawn[Role.P0]) :]
+        drawn = len(kind.drawn[Role.P0])
+        return [(shape, WORD_BITS if name in kind.words.split() else self.width)
+                for name, shape in zip(kind.half._fields[drawn:], kind.field_shapes(self)[0][drawn:])]
 
 
 def encode_request(first: int, specs: list) -> bytes:
@@ -131,9 +148,10 @@ def decode_request(payload: bytes) -> tuple:
 class Kind:
     """One row of `HALVES`: how one kind of correlation is dealt. It names
     the `fields` of a half in draw order, the suffix of them that P0
-    `receives` from the dealer, and the fields drawn as `bits` (the rest are
-    words). P1 draws every field and P0 all but those it receives, which the
-    dealer computes as `correct(spec, *P0's draws, *P1's fields)`.
+    `receives` from the dealer, the fields drawn as `bits` (the rest are
+    words) and the received fields that travel as whole `words` whatever the
+    spec's width. P1 draws every field and P0 all but those it receives,
+    which the dealer computes as `correct(spec, *P0's draws, *P1's fields)`.
     `shapes(spec)` gives the shapes of P0's fields and of P1's where they
     are not all the spec's. A party's half is a `half`: a namedtuple of the
     fields."""
@@ -143,11 +161,14 @@ class Kind:
     correct: Callable
     bits: str = ""
     shapes: Callable | None = None
+    words: str = ""
 
     def __post_init__(self):
         names, got = self.fields.split(), self.receives.split()
-        if names[len(names) - len(got) :] != got or not set(self.bits.split()) <= set(names):
-            raise ValueError(f"fields {self.fields!r} must end in {self.receives!r} and hold {self.bits!r}")
+        if (names[len(names) - len(got) :] != got or not set(self.bits.split()) <= set(names)
+                or not set(self.words.split()) <= set(got)):
+            raise ValueError(f"fields {self.fields!r} must end in {self.receives!r}, which holds "
+                             f"{self.words!r}, and hold {self.bits!r}")
         self.half = namedtuple("Half", names)
         self.drawn = {Role.P0: names[: len(names) - len(got)], Role.P1: names}
 
@@ -167,6 +188,29 @@ def _matmul_shapes(spec) -> tuple:
     return [(m, k), (m, n)], [(k, n), (m, n)]
 
 
+def lane_pairs(r: RingTensor, lanes: int) -> RingTensor:
+    """r_(2k+1) & r_(2k) for each pair of lanes below `lanes`, bit-sliced
+    (`ring.bit_slice`): one row of ceil(n / 64) words per pair."""
+    h = lanes // 2
+    rows = bit_slice(r.data.reshape(-1), 2 * h)
+    return RingTensor(rows[1::2] & rows[0::2])
+
+
+def _cmpmask_shapes(spec) -> tuple:  # the pairs of lanes 0..width-2, sliced
+    pairs = ((spec.width - 1) // 2, -(-math.prod(spec.shape) // WORD_BITS))
+    return ([spec.shape, pairs, spec.shape],) * 2
+
+
+def fan_out(a: RingTensor) -> RingTensor:
+    """a ‖ a[1:]: every row of a but the first feeds two products."""
+    return RingTensor(np.concatenate([a.data, a.data[1:]]))
+
+
+def _fanout_shapes(spec) -> tuple:  # a has (rows + 1) / 2 rows, b and c the spec's
+    a = ((spec.shape[0] + 1) // 2, *spec.shape[1:])
+    return ([a, spec.shape, spec.shape],) * 2
+
+
 HALVES = {
     # Beaver triples c = a * b over additive halves, and over XOR halves
     "arith": Kind("a b c", "c", lambda spec, a0, b0, a1, b1, c1: ((a0 + a1) * (b0 + b1) - c1,)),
@@ -175,8 +219,17 @@ HALVES = {
     "conv": Kind("mask c", "c", lambda spec, a0, b, c1: (conv2d_ring(a0, b, spec.geom) - c1,), shapes=_conv_shapes),
     "matmul": Kind("mask c", "c", lambda spec, a0, b, c1: (matmul_ring(a0, b) - c1,), shapes=_matmul_shapes),
     # a uniform word per element, XOR-shared and additively shared: the a2b
-    # and gtz mask
+    # mask
     "maskpair": Kind("bin arith", "arith", lambda spec, m0, m1, a1: ((m0 ^ m1) - a1,)),
+    # the gtz mask: a mask pair whose arithmetic half P0 reads mod 2^width,
+    # and XOR shares of the products of its lane pairs below lane width - 1,
+    # sent as whole words
+    "cmpmask": Kind("bin pairs arith", "pairs arith",
+                    lambda spec, m0, m1, s1, a1: (lane_pairs(m0 ^ m1, spec.width - 1) ^ s1, (m0 ^ m1) - a1),
+                    shapes=_cmpmask_shapes, words="pairs"),
+    # a boolean triple whose a feeds two products: c = fan_out(a) & b
+    "fanout": Kind("a b c", "c", lambda spec, a0, b0, a1, b1, c1: ((fan_out(a0 ^ a1) & (b0 ^ b1)) ^ c1,),
+                   shapes=_fanout_shapes),
     # a word a and a bit r = r0 ^ r1 per element, and additive shares of r
     # and of a*r
     "select": Kind("a r_bin r ar", "r ar",
@@ -258,8 +311,9 @@ class DealerService:
             return (), TAG_DEALER_ERR, b"P1 expands its whole half and gets no corrections"
         try:
             first, specs = decode_request(payload)
-            corrs = b"".join(words_to_bytes(c, spec.width) for i, spec in enumerate(specs)
-                             for c in derive_correlation(self.master_seed, sid, first + i, spec))
+            corrs = b"".join(words_to_bytes(c, w) for i, spec in enumerate(specs)
+                             for c, (_, w) in zip(derive_correlation(self.master_seed, sid, first + i, spec),
+                                                  spec.corrections(), strict=True))
         except Exception as e:  # any request P0 can send must be answered, or P0 waits out its timeout
             return (), TAG_DEALER_ERR, f"{type(e).__name__}: {e}".encode()
         return range(first, first + len(specs)), TAG_TRIPLE_RSP, corrs
@@ -335,13 +389,13 @@ class TripleSource:
             return [kind.half(*expand(self.seed(), i, spec, role)) for kind, (i, spec) in zip(kinds, indexed)]
         self.session.send_to_dealer(TAG_REQ, encode_request(first, specs))
         parts = [expand(self.seed(), i, spec, role) for i, spec in indexed]  # while the dealer derives
-        sizes = [[(shape, packed_len(shape, spec.width)) for shape in spec.correction_shapes()] for spec in specs]
-        got = memoryview(self._recv_answer(TAG_TRIPLE_RSP, "correction", sum(n for ss in sizes for _, n in ss)))
+        sizes = [[(shape, w, packed_len(shape, w)) for shape, w in spec.corrections()] for spec in specs]
+        got = memoryview(self._recv_answer(TAG_TRIPLE_RSP, "correction", sum(n for ss in sizes for *_, n in ss)))
         out, off = [], 0
-        for kind, spec, mine, ss in zip(kinds, specs, parts, sizes):
+        for kind, mine, ss in zip(kinds, parts, sizes):
             corrs = []
-            for shape, n in ss:
-                corrs.append(bytes_to_words(got[off : off + n], shape, spec.width))
+            for shape, w, n in ss:
+                corrs.append(bytes_to_words(got[off : off + n], shape, w))
                 off += n
             out.append(kind.half(*mine, *corrs))
         return out

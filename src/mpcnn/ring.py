@@ -195,6 +195,34 @@ def gtz_plain(t: RingTensor) -> RingTensor:
     return msb(-t)
 
 
+def bit_slice(words: np.ndarray, rows: int = WORD_BITS) -> np.ndarray:
+    """(..., n) words -> (..., rows, ceil(n/64)) rows: bit k of word j in row l
+    is bit l of element 64j + k; padding elements are zero. Each block of 64
+    elements is a 64x64 bit transpose, done in six rounds of masked block
+    swaps: shifts only, so independent of host byte order. The first round
+    leaves only the words' low halves in rows 0..31, so for rows <= 32 it
+    keeps just those, and the other five run on half the words."""
+    lead = words.shape[:-1]
+    pad = -words.shape[-1] % 64
+    padded = np.concatenate([words, np.zeros(lead + (pad,), np.uint64)], axis=-1)
+    a = np.ascontiguousarray(np.swapaxes(padded.reshape(lead + (-1, 64)), -1, -2))
+    j, m = 32, (1 << 32) - 1  # m selects the low j bits of every 2j-bit field
+    if rows <= 32:  # the first round's rows 0..31: element k's low half, then element k + 32's
+        a = (a[..., :32, :] & np.uint64(m)) | (a[..., 32:, :] << np.uint64(32))
+        j, m = 16, m ^ (m << 16)
+    h, w = a.shape[-2:]
+    while j:  # swap the off-diagonal j x j blocks of every 2j x 2j block
+        v = a.reshape(lead + (h // (2 * j), 2, j, w))
+        lo, hi = v[..., 0, :, :], v[..., 1, :, :]
+        t = (lo >> np.uint64(j)) ^ hi
+        t &= np.uint64(m)
+        hi ^= t
+        lo ^= t << np.uint64(j)
+        j //= 2
+        m ^= m << j
+    return a[..., :rows, :]
+
+
 # ---------------------------------------------------------------------------
 # convolution / matmul / pooling geometry
 

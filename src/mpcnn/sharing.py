@@ -10,10 +10,10 @@ compute the other's zero share, so its view of a run with the mask is its
 view without it plus shares it computes itself. Privacy comes instead from
 the masks on every message, which are dealer randomness that the receiver
 lacks: Beaver's a and b, gtz's mask, the select's a and r, and the held
-linear layer's a0 and b. The holder's share also keeps the value itself
-(`clear`), so that protocols which take one party's input in the clear (the
-model holder's weights in `arith.conv2d` / `arith.matmul`) can use it. Both
-are the caller's tensor, not a copy; no op writes share words in place.
+linear layer's a0 and b. The holder's share is the value itself, so
+protocols which take one party's input in the clear (the model holder's
+weights in `arith.conv2d` / `arith.matmul`) read it there. It is the
+caller's tensor, not a copy; no op writes share words in place.
 
 The dealer's share material comes from a ChaCha20 keystream used as a
 counter-mode PRG (`Prg`: 32-byte key; 16-byte nonce = 8-byte domain hash ||
@@ -127,14 +127,13 @@ class ArithShare:
     """One party's additive share: sum of both tensors is the secret (mod 2^64).
 
     A share made by `share_input` also records the party that supplied the
-    secret (`held_by`), and at that party `clear` is the secret itself. Every
-    other op returns a share with neither, because its result is no longer
-    one party's input."""
+    secret (`held_by`), at which `t` is the secret itself. Every other op
+    returns a share without it, because its result is no longer one party's
+    input."""
 
     owner: Role
     t: RingTensor
     held_by: Role | None = None
-    clear: RingTensor | None = None
 
     @property
     def shape(self):
@@ -192,12 +191,12 @@ class BinShare:
 
 def share_input(role: Role, x: RingTensor | None, holder: Role, shape) -> ArithShare:
     """Non-interactive input sharing; only the holder passes x. The holder's
-    share is x itself (the caller's tensor, not a copy), also as its `clear`
-    value, and the peer's is zero; both are marked as held by `holder`."""
+    share is x itself (the caller's tensor, not a copy) and the peer's is
+    zero; both are marked as held by `holder`."""
     if role is holder:
         if x is None or x.shape != tuple(shape):
             raise ShapeMismatch(f"holder must supply tensor of shape {shape}")
-        return ArithShare(role, x, holder, x)
+        return ArithShare(role, x, holder)
     return ArithShare(role, zeros(shape), holder)
 
 

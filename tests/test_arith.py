@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mpcnn import arith
+from mpcnn import arith, sharing
 from mpcnn.dealer import TripleSpec
 from mpcnn.engine import (
     PlainEngine,
@@ -23,6 +23,7 @@ from mpcnn.ring import (
     RingRangeError,
     RingTensor,
     ShapeMismatch,
+    bit_slice,
     conv2d_ring,
     decode,
     encode,
@@ -386,15 +387,33 @@ class TestConversions:
         assert 0.48 <= freq <= 0.52
 
 
-def _carry_tree_ands(lanes: int) -> int:
-    """Bit-ANDs per element in gtz's carry-out tree: each level pairs adjacent
-    groups of lanes 0..lanes-1, with a G-AND for every pair and a P-AND for
-    every pair but the lowest, whose P is never read."""
-    groups, ands = lanes, 0
+def _carry_tree_rows(lanes: int) -> tuple:
+    """(opened, dealt) rows of 64-element words per party in gtz's carry-out
+    tree. Level 1 pairs lanes 0..lanes-1 locally from lanes // 2 dealt
+    lane-pair rows. Each later level, at m groups, pairs h = m // 2 and opens
+    each pair's P_hi once, with its G_lo and, but for the lowest pair, whose
+    P is never read, its P_lo: 3h - 1 rows against 2h - 1 dealt product
+    rows."""
+    groups, opened, dealt = lanes - lanes // 2, 0, lanes // 2
     while groups > 1:
-        ands += 2 * (groups // 2) - 1
-        groups -= groups // 2
-    return ands
+        h = groups // 2
+        opened, dealt = opened + 3 * h - 1, dealt + 2 * h - 1
+        groups -= h
+    return opened, dealt
+
+
+def _gtz_openings(rt, monkeypatch, cfg, n):
+    """P0's openings in one gtz on n elements, read at once: (tag, shapes)."""
+    x, opened, real = rand_fixed((n,)), [], sharing._opening
+
+    def recording(tag, shares, widths):
+        if shares[0].owner is Role.P0:
+            opened.append((tag, [s.shape for s in shares]))
+        return real(tag, shares, widths)
+
+    monkeypatch.setattr(sharing, "_opening", recording)
+    run_secure(rt, lambda ctx: arith.gtz(ctx, shared_pair(ctx, x)).t, cfg)
+    return opened
 
 
 class TestGtz:
@@ -420,16 +439,56 @@ class TestGtz:
         assert both0 == both1 == to_p0 == to_p1 == gtz_plain(x)
         assert none0 is None and none1 is None
 
-    def test_rounds_is_6(self, rt):
-        # the mask opening and the 5 AND levels over 31 lanes, run alone when
-        # the bit is read at once; the bit stays XOR-shared
+    def test_rounds_is_5(self, rt):
+        # the mask opening and the 4 AND levels after the local first one
+        # over 31 lanes, run alone when the bit is read at once; the bit
+        # stays XOR-shared
         def fn(ctx):
             x = shared_pair(ctx, rand_fixed((100,)))
             before = ctx.session.measure().rounds
             arith.gtz(ctx, x).t  # reading the bit runs its openings
             return ctx.session.measure().rounds - before
 
-        assert run_secure(rt, fn) == 6
+        assert run_secure(rt, fn) == 5
+
+    @pytest.mark.parametrize("cfg", [CFG, FULL], ids=["l31", "l63"])
+    def test_each_level_opens_3h_minus_1_rows(self, rt, monkeypatch, cfg):
+        # at m groups a level opens the h = m // 2 pairs' P_hi once and their
+        # 2h - 1 G_lo and P_lo rows, in the shapes of its fan-out triple
+        n = 100
+        opened = _gtz_openings(rt, monkeypatch, cfg, n)
+        shapes = arith._tree_shapes(n, cfg.cmp_bits)
+        assert opened == [("gtz.mask", [(n,)])] + [
+            ("gtz.and", [((rows + 1) // 2, 2), (rows, 2)]) for rows, _ in shapes]
+        rows = [sum(s[0] for s in got) for _, got in opened[1:]]
+        assert rows == {31: [23, 11, 5, 2], 63: [47, 23, 11, 5, 2]}[cfg.cmp_bits]
+        assert sum(rows) == _carry_tree_rows(cfg.cmp_bits)[0]
+
+    @pytest.mark.parametrize("cfg", [CFG, FULL], ids=["l31", "l63"])
+    def test_no_level_1_and_is_opened(self, rt, monkeypatch, cfg):
+        # a tree on l lanes takes ceil(log2 l) AND levels, 5 at l = 31 and 6
+        # at l = 63; gtz opens one fewer, and its first AND opening pairs
+        # the ceil(l / 2) groups that level 1 left, not the l lanes
+        opened = _gtz_openings(rt, monkeypatch, cfg, 64)
+        ands = [shapes for tag, shapes in opened if tag == "gtz.and"]
+        assert len(ands) == {31: 4, 63: 5}[cfg.cmp_bits]
+        assert ands[0][0] == ((cfg.cmp_bits + 1) // 4, 1)
+
+    def test_fanout_opening_uniform(self, rt):
+        # P1's view of a fan-out level's opening, e = P_hi ^ a and f = (G_lo
+        # ‖ P_lo) ^ b, over 3 * 10^4 words of fixed operands (all ones and
+        # all zeros): each bit position is a fair coin
+        def fn(ctx):
+            t = ctx.triples.take(TripleSpec("fanout", (19_999, 1)))  # a has 10^4 rows
+            ones = from_words(np.full((10_000, 1), (1 << 64) - 1, dtype=np.uint64))
+            hi = BinShare(ctx.role, ones if ctx.role is Role.P0 else zeros((10_000, 1)))
+            lo = BinShare(ctx.role, zeros((19_999, 1)))
+            e, f = open_shares(ctx.session, "and", [hi ^ ctx.bin(t.a), lo ^ ctx.bin(t.b)])
+            words = np.concatenate([e.data, f.data]).reshape(-1)
+            return ((words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).mean(axis=0)
+
+        freq = rt.run_session(fn, fn, cfg=CFG)[Role.P1]
+        assert np.all((0.48 <= freq) & (freq <= 0.52))
 
     @pytest.mark.parametrize("n", [64 * 2, 100])
     def test_exact_bytes_per_element(self, rt, n):
@@ -452,15 +511,19 @@ class TestGtz:
             vals = rt.run_session(lambda ctx: fn(ctx, op), lambda ctx: fn(ctx, op), cfg=cfg)
             return vals[Role.P0], vals[Role.P1]
 
-        for cfg, ands, rounds, per_elem in ((CFG, 55, 6, (17.75, 10.875, 25.875, 26.875)),
-                                            (FULL, 118, 7, (37.5, 22.75, 45.625, 38.75))):
-            assert _carry_tree_ands(cfg.cmp_bits) == ands
-            # the low l + 1 bits of the masked word, then the AND openings
-            gtz_online = (cfg.cmp_bits + 1) // 8 * n + 2 * 8 * ands * words
-            # P0 receives the low l + 1 bits of one correction word per mask
-            # pair and one word per bool triple, all in one request; P1
-            # expands its halves from its seed and receives nothing
-            gtz_dealer = (cfg.cmp_bits + 1) // 8 * n + 8 * ands * words
+        for cfg, rows, rounds, per_elem in ((CFG, (41, 41), 5, (9.125, 9.125, 17.25, 25.125)),
+                                            (FULL, (88, 88), 6, (19.0, 19.0, 27.125, 35.0))):
+            opened, dealt = _carry_tree_rows(cfg.cmp_bits)
+            assert (opened, dealt) == rows
+            # the low l + 1 bits of the masked word, then the AND openings:
+            # 4n + 328 * ceil(n / 64) B at l = 31, 8n + 704 * ceil(n / 64) at 63
+            gtz_online = (cfg.cmp_bits + 1) // 8 * n + 8 * opened * words
+            assert 8 * opened == {31: 328, 63: 704}[cfg.cmp_bits]
+            # P0 receives the low l + 1 bits of one correction word per
+            # element of the mask, one word per lane-pair row and one per
+            # fan-out product row, all in one request; P1 expands its
+            # halves from its seed and receives nothing
+            gtz_dealer = (cfg.cmp_bits + 1) // 8 * n + 8 * dealt * words
             # relu adds one select: a masked word and a packed masked bit
             # open, and P0 receives two correction words per element in one
             # more request
@@ -494,13 +557,20 @@ class TestGtz:
     def test_bit_slice_layout(self):
         # bit k of word j in row l is bit l of element 64j + k; padding is zero
         x = rand_words((2, 70)).data
-        got = arith._bit_slice(x)
+        got = bit_slice(x)
         assert got.shape == (2, 64, 2)
         for b in range(2):
             for e in range(128):
                 for lane in range(64):
                     want = (int(x[b, e]) >> lane) & 1 if e < 70 else 0
                     assert (int(got[b, lane, e // 64]) >> (e % 64)) & 1 == want
+
+    @pytest.mark.parametrize("rows", [1, 30, 32, 33, 64])
+    def test_bit_slice_low_rows(self, rows):
+        # the first rows of the full slicing, by the half-width path at
+        # rows <= 32
+        x = rand_words((3, 130)).data
+        assert np.array_equal(bit_slice(x, rows), bit_slice(x)[:, :rows])
 
     def test_oracle_sweep(self, rt):
         ks = RNG.integers(-(1 << 40), 1 << 40, size=20_000)
@@ -751,8 +821,8 @@ class TestMuxRelu:
         assert r1 == encode([0.0, 0.0, 2.0], CFG)
         assert r2 == r1
 
-    def test_relu_rounds_7_size_invariant(self, rt):
-        # gtz 6, select 1
+    def test_relu_rounds_6_size_invariant(self, rt):
+        # gtz 5, select 1
         for n in (10, 1000):
             def fn(ctx, n=n):
                 x = shared_pair(ctx, rand_fixed((n,)))
@@ -760,7 +830,7 @@ class TestMuxRelu:
                 arith.select(ctx, arith.gtz(ctx, x), x)
                 return ctx.session.measure().rounds - before
 
-            assert run_secure(rt, fn) == 7
+            assert run_secure(rt, fn) == 6
 
     def test_relu_exact_oracle_sweep(self, rt):
         ks = RNG.integers(-(1 << 36), 1 << 36, size=20_000)

@@ -1,5 +1,5 @@
-"""Dealer correlations: triples, mask pairs, select correlations, seeds,
-batched fetches, and the service."""
+"""Dealer correlations: triples, mask pairs, comparison masks, fan-out
+triples, select correlations, seeds, batched fetches, and the service."""
 
 import time
 
@@ -22,7 +22,7 @@ from mpcnn.dealer import (
 )
 from mpcnn.ring import ConvGeometry, RingTensor, conv2d_ring, matmul_ring, zeros
 from mpcnn.runtime import LocalRuntime
-from mpcnn.sharing import fresh_seed, share_public
+from mpcnn.sharing import fresh_seed, packed_len, share_public
 from mpcnn.transport import Role
 
 
@@ -113,13 +113,39 @@ SPECS = {
     "matmul": TripleSpec("matmul", (4, 6), mat=(4, 6, 3)),
     "maskpair": TripleSpec("maskpair", (16,)),
     "select": TripleSpec("select", (16,)),
+    "cmpmask": TripleSpec("cmpmask", (2, 50), width=32),
+    "fanout": TripleSpec("fanout", (5, 2)),
 }
+
+
+def lane_pairs_plain(r, lanes):
+    """r_(2k+1) & r_(2k) for k < lanes // 2, one 0/1 entry per (k, element)."""
+    bits = (r.data.reshape(-1)[None, :] >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)
+    return bits[1 : lanes // 2 * 2 : 2] & bits[0 : lanes // 2 * 2 : 2]
+
+
+def unslice(rows, n):
+    """(k, ceil(n / 64)) bit-sliced rows -> (k, n) 0/1 entries."""
+    bits = (rows[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(len(rows), -1)[:, :n]
 
 
 def reconstruct(spec, h0, h1):
     """The correlation from both halves, checked for validity."""
     if spec.kind == "maskpair":
         assert h0.arith + h1.arith == (h0.bin ^ h1.bin)
+        return
+    if spec.kind == "cmpmask":
+        r, low = h0.bin ^ h1.bin, np.uint64((1 << spec.width) - 1)
+        assert np.array_equal((h0.arith + h1.arith).data & low, r.data & low)
+        pairs = (h0.pairs ^ h1.pairs).data
+        assert pairs.shape == ((spec.width - 1) // 2, -(-r.size // 64))
+        assert np.array_equal(unslice(pairs, r.size), lane_pairs_plain(r, spec.width - 1))
+        return
+    if spec.kind == "fanout":
+        a, b, c = h0.a ^ h1.a, h0.b ^ h1.b, h0.c ^ h1.c
+        assert a.shape == ((spec.shape[0] + 1) // 2, *spec.shape[1:]) and b.shape == c.shape == spec.shape
+        assert c == (RingTensor(np.concatenate([a.data, a.data[1:]])) & b)
         return
     if spec.kind == "select":
         r = h0.r + h1.r
@@ -256,17 +282,56 @@ class TestSeeds:
 
 class TestAudit:
     def test_one_number_per_session_and_role(self, rt):
-        # one gtz takes its mask pair and 5 AND levels at indices 0-5 after
-        # P0's seed, and P1 asks only for its seed: the re-request audit
-        # keeps each role's next index due, and forgets the session at its end
+        # one gtz takes its comparison mask and 4 fan-out levels at indices
+        # 0-4 after P0's seed, and P1 asks only for its seed: the re-request
+        # audit keeps each role's next index due, and forgets the session at
+        # its end
         def fn(ctx):
             arith.gtz(ctx, share_public(zeros((4,)), ctx.role)).t  # read the bit: every opening has run
             sid = ctx.session.session_id
             return sid, dict(rt.dealer._served[sid])
 
         vals = rt.run_session(fn, fn)
-        assert vals[Role.P0] == vals[Role.P1] == (vals[Role.P0][0], {Role.P0: 6, Role.P1: 0})
+        assert vals[Role.P0] == vals[Role.P1] == (vals[Role.P0][0], {Role.P0: 5, Role.P1: 0})
         assert rt.dealer._served == {} and rt.dealer.rerequest_count() == 0
+
+
+class TestComparisonMask:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65])
+    @pytest.mark.parametrize("cmp_bits", [31, 63])
+    def test_pairs_are_the_mask_lane_products(self, rt, cmp_bits, n):
+        # the reconstructed pairs are r_(2k+1) & r_(2k) of the reconstructed
+        # mask r, for each of the cmp_bits // 2 pairs below lane cmp_bits,
+        # bit-sliced; P0 receives the arithmetic half at cmp_bits + 1 bits
+        # and the pairs as whole words, zero past the n-th element
+        spec = TripleSpec("cmpmask", (n,), width=cmp_bits + 1)
+
+        def fn(ctx):
+            d = ctx.session.dealer_transcript
+            before = d.bytes_recv
+            return ctx.triples.take(spec), d.bytes_recv - before
+
+        vals = rt.run_session(fn, fn)
+        (h0, got0), (h1, got1) = vals[Role.P0], vals[Role.P1]
+        reconstruct(spec, h0, h1)
+        pairs = (h0.pairs ^ h1.pairs).data
+        assert pairs.shape == (cmp_bits // 2, -(-n // 64))
+        if n % 64:
+            assert not np.any(pairs[:, -1] >> np.uint64(n % 64))
+        assert (got0, got1) == ((cmp_bits + 1) // 8 * n + 8 * pairs.size, 0)
+
+    def test_fanout_feeds_a_to_two_products(self, rt):
+        # c = (a ‖ a[1:]) & b: every row of a but the first meets two rows
+        # of b, as a carry-tree level's P_hi meets its G_lo and its P_lo
+        vals = fetch_both(rt, lambda src: src.take(TripleSpec("fanout", (7, 3))))
+        h0, h1 = vals[Role.P0], vals[Role.P1]
+        a, b, c = (h0.a ^ h1.a).data, (h0.b ^ h1.b).data, (h0.c ^ h1.c).data
+        assert a.shape == (4, 3)
+        assert np.array_equal(c[:4], a & b[:4]) and np.array_equal(c[4:], a[1:] & b[4:])
+
+    def test_whole_word_fields_must_be_received(self):
+        with pytest.raises(ValueError, match="must end in"):
+            dealer.Kind("a b c", "c", lambda spec, *h: h, words="b")
 
 
 class TestBudget:
@@ -331,8 +396,8 @@ class TestBatch:
         for spec, a, b in zip(specs, h0, h1):
             reconstruct(spec, a, b)
         assert next0 == next1 == 1 + len(specs)
-        words = sum(int(np.prod(s)) for spec in specs for s in spec.correction_shapes())
-        assert cost0 == (1, len(encode_request(1, specs)), 8 * words)
+        dealt = sum(packed_len(s, w) for spec in specs for s, w in spec.corrections())
+        assert cost0 == (1, len(encode_request(1, specs)), dealt)
         assert cost1 == (0, 0, 0)
         assert encode_request(1, specs).count(b'"index"') == 1
 
@@ -355,6 +420,23 @@ class TestBatch:
             if ctx.role is Role.P0:
                 with pytest.raises(DealerError, match="correction bytes for a request of 32"):
                     ctx.triples.take_many([TripleSpec("arith", (4,))])
+
+        rt.run_session(fn, fn)
+
+    def test_short_mixed_width_answer_is_refused(self, rt, monkeypatch):
+        # a comparison mask's answer mixes 32-bit words (the arithmetic
+        # half) and whole words (the lane pairs): one element short of each,
+        # it is refused by its length check
+        derive = dealer.derive_correlation
+        monkeypatch.setattr(dealer, "derive_correlation",
+                            lambda *args: [RingTensor(c.data.reshape(-1)[1:]) for c in derive(*args)])
+        spec = TripleSpec("cmpmask", (4,), width=32)
+        assert spec.corrections() == [((15, 1), 64), ((4,), 32)]
+
+        def fn(ctx):
+            if ctx.role is Role.P0:
+                with pytest.raises(DealerError, match="correction bytes for a request of 136"):
+                    ctx.triples.take(spec)
 
         rt.run_session(fn, fn)
 

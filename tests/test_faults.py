@@ -74,18 +74,19 @@ def short_timeout(monkeypatch):
 
 
 def test_every_frame_fault_ends_typed_or_clean(short_timeout):
-    # 29 frames: P0 sends 9 exchanges (config setup, mul, gtz's mask and 5
+    # 27 frames: P0 sends 8 exchanges (config setup, mul, gtz's mask and 4
     # AND levels, select) and 4 dealer requests (seed, mul, gtz, select);
-    # P1 the same 9 exchanges, its seed request and the reveal; the dealer
+    # P1 the same 8 exchanges, its seed request and the reveal; the dealer
     # answers both seed requests and P0's 3 others. Each is cut short, sent
     # twice, dropped, held back one frame, delayed past the timeout and
-    # replaced by a cut link in turn, 174 cases on 4 threads
+    # replaced by a cut link in turn, 162 cases on 4 threads
     clean, _ = run_probe(inproc_with_dealer)
     want = clean[Role.P0][0]
     assert want == RingTensor(np.array([9, 0, 0, 25], dtype=np.uint64))
     frames = links(clean)
-    assert [sum(n for (frm, _), n in frames.items() if frm is role) for role in Role] == [13, 11, 5]
+    assert [sum(n for (frm, _), n in frames.items() if frm is role) for role in Role] == [12, 10, 5]
     cases = [(frm, to, k, fault) for (frm, to), n in frames.items() for k in range(n) for fault in FAULTS]
+    assert len(cases) == 162
     with ThreadPoolExecutor(4) as pool:
         problems = [p for ps in pool.map(lambda c: check_case(inproc_with_dealer, c, want), cases) for p in ps]
     assert problems == []

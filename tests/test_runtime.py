@@ -236,11 +236,13 @@ def test_tracer_hooks_resolve():
     # and decoded by its receiver, and so is every byte of P0's corrections
     # (TRIPLE_RSP), at the dealer and at P0; seeds bypass the codec
     online = 8 * (384 + 2048) + 2 * (gtz_bytes(n) + select_bytes(n)) + 8 * (32 + 64) + 16  # conv, relu, linear, output
-    dealt = 8 * (n + 55 * w + 2 * n + 2) + 4 * n  # conv, gtz's ANDs, select, linear, gtz's 4 B mask
-    assert (online, dealt) == (552_696, 358_472)
-    assert metrics["sharing.codec_bytes_per_inf"] == 2 * online + 2 * dealt == 1_822_336
-    # config setup, conv, gtz's mask and 5 AND levels, select, linear
-    assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 1 + 1 + 5 + 1 + 1) == 20
+    # conv, gtz's 15 lane-pair and 26 fan-out product rows, select, linear,
+    # gtz's 4 B mask
+    dealt = 8 * (n + (15 + 26) * w + 2 * n + 2) + 4 * n
+    assert (online, dealt) == (374_952, 340_440)
+    assert metrics["sharing.codec_bytes_per_inf"] == 2 * online + 2 * dealt == 1_430_784
+    # config setup, conv, gtz's mask and 4 AND levels, select, linear
+    assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 1 + 1 + 4 + 1 + 1) == 18
     # gtz's openings run when the select reads its bit, inside the select's
     # call, and its AND levels are steps of the comparison, not and_gate calls
     assert metrics["arith.gtz.online_bytes_per_inf"] == 0
@@ -249,49 +251,48 @@ def test_tracer_hooks_resolve():
     # requests
     assert layer_counts(metrics, ("conv", "relu", "linear")) == {
         "conv": (1, 8 * (384 + 2048), 82_254),
-        "relu": (7, 2 * (gtz_bytes(n) + select_bytes(n)), 276_571),
+        "relu": (6, 2 * (gtz_bytes(n) + select_bytes(n)), 258_513),
         "linear": (1, 8 * (32 + 64), 85)}
-    assert metrics["model.relu.online_bytes_per_inf"] == 532_456
+    assert metrics["model.relu.online_bytes_per_inf"] == 354_712
     # P0, P1 and the dealer each run the conv and the linear layer's product
     assert metrics["ring.calls_per_inf"] == 3 * 2 == 6
     assert metrics["ring.macs_per_inf"] == 3 * (32 * 64 * 321 + 32 * 2) == 1_972_416
 
 
 def test_traced_detector_layers():
-    # one traced detector inference: each SiLU layer takes 7 rounds (gtz's
-    # mask and first 3 AND levels ride its 4 products), each max-pool level 7
-    # and each conv 1, so the party exchanges fall by 8 each from the 42
-    # rounds of comparisons run alone. SiLU's gtz mask and levels 1-3 land
-    # in beaver_mul's calls and the max-pool levels' whole gtz in mux's
+    # one traced detector inference: each SiLU layer takes 6 rounds (gtz's
+    # mask and first 3 AND levels ride its 4 products), each max-pool level 6
+    # and each conv 1. SiLU's gtz mask and AND levels 1-3 land in
+    # beaver_mul's calls and the max-pool levels' whole gtz in mux's
     metrics, _ = traced_metrics("detector", 1)
-    assert metrics["approx.silu.rounds_per_inf"] == 14
-    # config setup, 5 convs, 4 + 2 + 1 per SiLU, 7 per max-pool level; the
+    assert metrics["approx.silu.rounds_per_inf"] == 12
+    # config setup, 5 convs, 4 + 1 + 1 per SiLU, 6 per max-pool level; the
     # reveal to P0 is no exchange
-    assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 5 + 2 * 7 + 2 * 7) == 68
-    silu, lvl13 = 2 * 1024, sum(2 * h - 1 for h in (15, 8, 4))  # AND rows of levels 1-3 at 31 lanes
+    assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 5 + 2 * 6 + 2 * 6) == 60
+    silu, lvl13 = 2 * 1024, sum(3 * h - 1 for h in (8, 4, 2))  # rows opened by AND levels 1-3 at 31 lanes
     assert metrics["arith.beaver_mul.online_bytes_per_inf"] == 2 * 2 * (
-        16 * 8 * 1024 + 4 * silu + 2 * 8 * lvl13 * silu // 64) == 661_504
+        16 * 8 * 1024 + 4 * silu + 8 * lvl13 * silu // 64) == 596_992
     assert metrics["arith.mux.online_bytes_per_inf"] == 2 * sum(
-        gtz_bytes(n) + select_bytes(n) for n in (512, 256)) == 39_744
+        gtz_bytes(n) + select_bytes(n) for n in (512, 256)) == 26_496
     assert metrics["arith.gtz.online_bytes_per_inf"] == 0
     # per-layer counts of one inference, as in test_detector_inference_end_to_end:
     # online bytes are P0's sent plus received. Dealer bytes are P0's
     # corrections (each conv's output-shaped c0; per gtz its 4 B mask and one
-    # word per AND row of 64 elements; 2 words per select element and 1 per
-    # product element) plus P0's JSON requests, each as long as its specs
-    # and the digits of its index and shapes: a conv's 76-80 B; per SiLU
-    # layer gtz's 229 B (its mask pair and 5 AND levels in one request),
-    # then 4 products' and the select's 56-60 B; per max-pool level gtz's
-    # 223 B and the select's 58 B
+    # word per lane-pair and fan-out product row of 64 elements, 15 + 26;
+    # 2 words per select element and 1 per product element) plus P0's JSON
+    # requests, each as long as its specs and the digits of its index and
+    # shapes: a conv's 76-80 B; per SiLU layer gtz's 204 B (its comparison
+    # mask and 4 fan-out levels in one request), then 4 products' and the
+    # select's 56-60 B; per max-pool level gtz's 199 B and the select's 58 B
     conv = 8 * (4 * 16 * 16 + 16 * 8 * 8 + 256 * 4 * 4 + 96 * 8 * 8 + 8 * 8 * 8) + (76 + 78 + 79 + 80 + 77)
-    silu_dealt = 2 * (4 * silu + 8 * 55 * silu // 64 + 8 * 2 * silu + 8 * 8 * 1024) + (
-        (229 + 56 + 58 + 58 + 59 + 60) + (229 + 56 + 58 + 58 + 58 + 59))
-    pool = sum(4 * n + 8 * 55 * n // 64 + 8 * 2 * n + (223 + 58) for n in (512, 256))
-    assert (conv, silu_dealt, pool) == (102_790, 242_190, 21_202)
+    silu_dealt = 2 * (4 * silu + 8 * 41 * silu // 64 + 8 * 2 * silu + 8 * 8 * 1024) + (
+        (204 + 56 + 58 + 58 + 58 + 60) + (204 + 56 + 58 + 58 + 58 + 59))
+    pool = sum(4 * n + 8 * 41 * n // 64 + 8 * 2 * n + (199 + 58) for n in (512, 256))
+    assert (conv, silu_dealt, pool) == (102_790, 234_971, 19_810)
     assert layer_counts(metrics, ("conv", "silu", "maxpool")) == {
         "conv": (5, 223_232 + 2_186_592, conv),
-        "silu": (2 * 7, 2 * 2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu)), silu_dealt),
-        "maxpool": (2 * 7, 2 * sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256)), pool)}
+        "silu": (2 * 6, 2 * 2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu)), silu_dealt),
+        "maxpool": (2 * 6, 2 * sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256)), pool)}
     # each of the 5 convs at P0, P1 and the dealer; a conv's MACs are its
     # output cells times C * kh * kw
     convs = [(4 * 16 * 16, 3 * 9), (16 * 8 * 8, 4 * 9), (256 * 4 * 4, 16 * 9), (96 * 8 * 8, 272 * 9),
@@ -318,9 +319,10 @@ def one_benchmark_inference(model_name):
 
 def gtz_bytes(n):
     """Bytes one party sends in a gtz on n elements at the default domain
-    cmp_bits = 31: the low 4 bytes of the masked word, and 55 bit-ANDs per
-    element, bit-sliced 64 elements to a word, each opening two words."""
-    return 4 * n + 2 * 8 * 55 * -(-n // 64)
+    cmp_bits = 31: the low 4 bytes of the masked word, then the carry tree,
+    bit-sliced 64 elements to a word, whose first level is local and whose
+    4 others open 23 + 11 + 5 + 2 = 41 rows."""
+    return 4 * n + 8 * 41 * -(-n // 64)
 
 
 def select_bytes(n):
@@ -335,10 +337,10 @@ def tag_bytes(led0):
 
 def test_detector_inference_end_to_end():
     # the output lies within the float64 reference's a-priori bound. Rounds:
-    # 5 convs, 2 SiLU layers at 7 (t 1 and Chebyshev terms 3, carrying gtz's
-    # mask and AND levels 1-3, then levels 4-5 and the select 3), 2 max-pool
-    # levels at 7 (gtz 6, mux 1) and the reveal; every tag still counts one
-    # phase per opening, so the phases add up to 42. Bytes: the five
+    # 5 convs, 2 SiLU layers at 6 (t 1 and Chebyshev terms 3, carrying gtz's
+    # mask and AND levels 1-3, then level 4 and the select 2), 2 max-pool
+    # levels at 6 (gtz 5, mux 1) and the reveal; every tag still counts one
+    # phase per opening, so the phases add up to 38. Bytes: the five
     # convs move their input-shaped masks (223,232 B) from P0 and their
     # weight-shaped masks (2,186,592 B) from P1; each SiLU runs gtz and the
     # select on the 2 x 1,024 stacked [x + T, x - T] and 8 x 1,024 Beaver
@@ -349,22 +351,22 @@ def test_detector_inference_end_to_end():
     assert tag_bytes(led0) == {
         "conv.open": (223_232, 2_186_592, 5),
         "gtz.mask": (4 * (2 * silu + 512 + 256),) * 2 + (4,),
-        "gtz.and": (sum(gtz_bytes(n) - 4 * n for n in (silu, silu, 512, 256)),) * 2 + (20,),
+        "gtz.and": (sum(gtz_bytes(n) - 4 * n for n in (silu, silu, 512, 256)),) * 2 + (16,),
         "mul.open": (2 * 16 * 8 * 1024,) * 2 + (8,),
         "select.open": (2 * select_bytes(silu),) * 2 + (2,),
         "mux.open": (select_bytes(512) + select_bytes(256),) * 2 + (2,),
         "reveal": (0, 8 * 512, 1),
     }
-    assert led0["rounds"] == 5 + 2 * 7 + 2 * 7 + 1 == 34
+    assert led0["rounds"] == 5 + 2 * 6 + 2 * 6 + 1 == 30
     online = 223_232 + 2_186_592 + 2 * (2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu))
                                         + sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256))) + 8 * 512
-    assert led0["sent"] + led0["recv"] == online == 3_189_920
+    assert led0["sent"] + led0["recv"] == online == 3_106_016
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
 
 
 def test_compactcnn_inference_end_to_end():
-    # conv 1, ReLU 7 (gtz 6 on the 32 x 321 conv output, select 1), linear 1,
+    # conv 1, ReLU 6 (gtz 5 on the 32 x 321 conv output, select 1), linear 1,
     # reveal 1; the conv and the linear layer move (384 + 32) words one way
     # and (2048 + 64) the other, and P0 receives the 2 logits
     out, ref, bound, led0, problems = one_benchmark_inference("compactcnn")
@@ -372,14 +374,14 @@ def test_compactcnn_inference_end_to_end():
     assert tag_bytes(led0) == {
         "conv.open": (8 * 384, 8 * 2048, 1),
         "gtz.mask": (4 * n, 4 * n, 1),
-        "gtz.and": (gtz_bytes(n) - 4 * n,) * 2 + (5,),
+        "gtz.and": (gtz_bytes(n) - 4 * n,) * 2 + (4,),
         "select.open": (select_bytes(n),) * 2 + (1,),
         "matmul.open": (8 * 32, 8 * 64, 1),
         "reveal": (0, 16, 1),
     }
-    assert led0["rounds"] == 10
+    assert led0["rounds"] == 9
     online = 8 * (384 + 32 + 2048 + 64) + 2 * (gtz_bytes(n) + select_bytes(n)) + 16
-    assert led0["sent"] + led0["recv"] == online == 552_696
+    assert led0["sent"] + led0["recv"] == online == 374_952
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
 
@@ -399,7 +401,7 @@ def test_plans_do_not_depend_on_the_data(monkeypatch):
         return take_many(self, batch)
 
     monkeypatch.setattr(TripleSource, "take_many", recording)
-    for name, requests, n_specs in (("compactcnn", 4, 9), ("detector", 21, 41)):
+    for name, requests, n_specs in (("compactcnn", 4, 8), ("detector", 21, 37)):
         prep = infer.prepare(name, seed=5)
         zeros = {layer: {k: np.zeros_like(v) for k, v in ws.items()} for layer, ws in prep.weights.items()}
         runs = [(prep.inputs[0], prep.weights), (prep.inputs[1], prep.weights),

@@ -40,8 +40,9 @@ def rand_fixed(n, lo=-64.0, hi=64.0):
 
 
 def gtz_bytes(n):
-    """Bytes one party sends in a gtz on n elements at cmp_bits = 31."""
-    return 4 * n + 2 * 8 * 55 * -(-n // 64)
+    """Bytes one party sends in a gtz on n elements at cmp_bits = 31: the
+    masked word's low 4 bytes and 41 rows of 64 elements in 4 AND levels."""
+    return 4 * n + 8 * 41 * -(-n // 64)
 
 
 def select_bytes(n):
@@ -67,9 +68,9 @@ def fixed_seeds(monkeypatch):
     monkeypatch.setattr(dealer, "fresh_seed", lambda: SEED)
 
 
-def test_comparison_with_nothing_to_ride_takes_6_rounds(rt):
+def test_comparison_with_nothing_to_ride_takes_5_rounds(rt):
     # local work between the comparison and its reader opens nothing, so the
-    # mask and the 5 AND levels run alone when the select reads the bit
+    # mask and the 4 AND levels run alone when the select reads the bit
     x = rand_fixed(100)
 
     def fn(ctx):
@@ -85,15 +86,15 @@ def test_comparison_with_nothing_to_ride_takes_6_rounds(rt):
         return rounds, [reveal(ctx.session, v) for v in (bit, y, z)]
 
     for rounds, (bit, y, z) in rt.run_session(fn, fn, cfg=CFG).values():
-        assert rounds == (0, 6, 7)
+        assert rounds == (0, 5, 6)
         assert bit == gtz_plain(x) and z == y * bit
 
 
 def test_two_overlapping_comparisons(rt):
     # a and b start together; one product carries its own opening and both
-    # masks; reading a runs a's 5 AND levels alone, and the select on a
-    # carries b's first level; reading b runs its last 4 alone. 1 + 6 + 5
-    # rounds where one after the other would take 1 + 7 + 7, and every tag
+    # masks; reading a runs a's 4 AND levels alone, and the select on a
+    # carries b's first level; reading b runs its last 3 alone. 1 + 5 + 4
+    # rounds where one after the other would take 1 + 6 + 6, and every tag
     # sees the bytes and phases of running each opening alone
     n, m = 100, 70
     x, y, u = rand_fixed(n), rand_fixed(m), rand_fixed(n, -4.0, 4.0)
@@ -113,10 +114,10 @@ def test_two_overlapping_comparisons(rt):
 
     vals = rt.run_session(fn, fn, cfg=CFG)
     for rounds, counters, (prod, ra, rb) in vals.values():
-        assert rounds == [0, 1, 7, 12]
+        assert rounds == [0, 1, 6, 10]
         assert tags(counters) == {
             "gtz.mask": (4 * (n + m),) * 2 + (2,),
-            "gtz.and": (gtz_bytes(n) - 4 * n + gtz_bytes(m) - 4 * m,) * 2 + (10,),
+            "gtz.and": (gtz_bytes(n) - 4 * n + gtz_bytes(m) - 4 * m,) * 2 + (8,),
             "mul.open": (16 * n,) * 2 + (1,),
             "select.open": (select_bytes(n) + select_bytes(m),) * 2 + (2,),
         }
@@ -124,9 +125,9 @@ def test_two_overlapping_comparisons(rt):
         assert ra == x * gtz_plain(x) and rb == y * gtz_plain(y)
 
 
-def test_silu_in_7_rounds_and_as_over_tcp(fixed_seeds):
+def test_silu_in_6_rounds_and_as_over_tcp(fixed_seeds):
     # in-process, SiLU's mask rides t's product and its AND levels 1-3 the
-    # three Chebyshev products: 4 + 2 + 1 rounds, with every tag's bytes and
+    # three Chebyshev products: 4 + 1 + 1 rounds, with every tag's bytes and
     # phases those of the unscheduled circuit (see test_approx.test_exact_cost);
     # over TCP the same seeds give the same output words and ledgers
     n, m = 100, 200
@@ -141,10 +142,10 @@ def test_silu_in_7_rounds_and_as_over_tcp(fixed_seeds):
     tcp = run_tcp_with_dealer(fn, CFG)
     for role in (Role.P0, Role.P1):
         out, party, dealt = inproc[role]
-        assert party[2] == 7 + 1  # and the reveal
+        assert party[2] == 6 + 1  # and the reveal
         assert tags(party) == {
             "gtz.mask": (4 * m,) * 2 + (1,),
-            "gtz.and": (gtz_bytes(m) - 4 * m,) * 2 + (5,),
+            "gtz.and": (gtz_bytes(m) - 4 * m,) * 2 + (4,),
             "mul.open": (16 * 8 * n,) * 2 + (4,),
             "select.open": (select_bytes(m),) * 2 + (1,),
             "reveal": (8 * n,) * 2 + (1,),
@@ -177,11 +178,13 @@ def test_schedule_mismatch_raises(rt, monkeypatch):
 def test_detector_output_words_unchanged(fixed_seeds):
     # one detector inference at fixed seeds: P0's revealed output words and
     # both parties' per-tag ledgers hash as they did when every comparison
-    # ran its openings alone (42 rounds); only the round total moved, to 34.
+    # ran its openings alone (38 rounds); only the round total moved, to 30.
     # The output words were re-pinned when inputs stopped carrying a zero
-    # sharing: the shares' offsets moved each local truncation's rounding by
-    # at most one unit, which reaches the output as at most 31 units of
-    # 2^-16, with the ledgers unchanged
+    # sharing, and again when gtz's first carry level became local: each gtz
+    # now takes one correlation fewer, so every later correlation sits at a
+    # lower dealer index and every later local truncation rounds on other
+    # shares. That moves the output by at most 36 units of 2^-16 (493 of 512
+    # words); the ledgers were re-pinned for gtz's smaller carry tree
     if BENCH not in sys.path:
         sys.path.insert(0, BENCH)
     import infer
@@ -202,9 +205,9 @@ def test_detector_output_words_unchanged(fixed_seeds):
     with LocalRuntime() as runtime:
         res = runtime.run_session(party(x=prep.inputs[0]), party(weights=prep.weights))
     (out, c0), (_, c1) = res[Role.P0], res[Role.P1]
-    assert c0[2] == c1[2] == 34
+    assert c0[2] == c1[2] == 30
     assert hashlib.sha256(out.data.astype("<u8").tobytes()).hexdigest() == (
-        "c3d10f9f499b5a7bb4a54e809b062393eef0f579bd000d014d9accba95351dea")
+        "4deeaca9fd5fd1ef4070d79f2b52f2b800b87e46872148adfde78fa01905013a")
     ledger = repr([[list(t) for t in c0[3]], [list(t) for t in c1[3]]]).encode()
     assert hashlib.sha256(ledger).hexdigest() == (
-        "ec6bd927b0572484a8fb5e2040933a657f3e27dc8f532f35c70e361fd9c8ec0e")
+        "9dba685f5652e29c390a8643b84881ce7332c083ff23d9be40855968aaa7e8fd")

@@ -98,7 +98,7 @@ class TestShareInput:
         assert sh0.t + sh1.t == w
         # both shares are marked as P1's input; P1's keeps w itself, not a copy
         assert sh0.held_by is Role.P1 and sh1.held_by is Role.P1
-        assert sh1.clear is w and sh0.clear is None
+        assert sh1.t is w
         # anything computed from them is no longer anyone's input
         assert (sh1 + sh1).held_by is None
 
