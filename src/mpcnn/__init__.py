@@ -12,7 +12,10 @@ in one round. Each kind is defined once, in the dealer's `HALVES` table.
 Only P0 asks for more: the corrections, in one dealer round trip per batch
 (a comparison or an a2b conversion fetches its mask and all of its AND
 triples at once). A comparison keeps its openings in flight, so they share
-rounds with the session's later openings until its bit is read. Every
+rounds with the session's later openings until its bit is read; one read
+first by a select of its own operand, as in ReLU and max pooling, fetches
+that select's correlation with its own and opens the operand once for
+both. Every
 protocol run produces an exact transcript of payload bytes and
 communication rounds.
 """

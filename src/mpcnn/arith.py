@@ -19,20 +19,28 @@ Round structure (one round = one parallel phase, independent of tensor size):
                                       opening, adding no round; those left
                                       when the bit is read run alone)
   select                         1   (the masked word and the masked bit
-                                      open together)
+                                      open together; the bit alone if
+                                      gtz opened the word)
   mux                            1   (one select)
 
 A ReLU is select(gtz(x), x), 6 rounds: the select reads the bit at once, so
 all 5 of gtz's phases run alone. `models.ReLU` writes it on the engine
-surface as mul_raw(x, gtz(x)). A SiLU is 6 rounds too: gtz's phases ride
-its 4 products (see `approx.sec_silu`).
+surface as mul_raw(x, gtz(x)), and a max-pool level as b + mul_raw(d,
+gtz(d)) with d = a - b (`engine.tournament_max`). There x is opened once:
+gtz's masked word is x - a for the select's own a, opened whole, and the
+select's round opens only its masked bit, so each party sends 8n + 328 *
+ceil(n / 64) + ceil(n / 8) B at l = 31 in place of gtz's 4n + 328 *
+ceil(n / 64) and the select's 8n + ceil(n / 8). A SiLU is 6 rounds too:
+gtz's phases ride its 4 products (see `approx.sec_silu`), and its select
+multiplies other operands, so it opens its own masked word.
 
 Every opening goes through `sharing.open_shares` with its width: whole 8 B
 words (Beaver products, AND levels, a2b's masked word, the select's masked
-word), the 4 B comparison masks of gtz (l + 1 bits, below), and the select's
-masked bit, packed 8 per byte. Only the held linear layers' swap, in which
-the two parties send different tensors, frames its own exchange, and so
-carries no phase of a comparison in flight.
+word and gtz's when a select reuses it), the 4 B comparison masks of gtz
+(l + 1 bits, below), and the select's masked bit, packed 8 per byte. Only
+the held linear layers' swap, in which the two parties send different
+tensors, frames its own exchange, and so carries no phase of a comparison
+in flight.
 
 conv2d and matmul are the client-server linear layer of Delphi (Mishra et
 al., USENIX Security 2020), with the dealer in place of homomorphic
@@ -53,9 +61,10 @@ gtz is the bounded-input comparison of Catrina and de Hoogh (SCN 2010) on
 a mask of the same kind. For |x| < 2^l (l = cmp_bits of the config), -x fits
 the signed ring Z_2^(l+1), so gtz(x) is its top bit, bit l. Additive shares
 reduce modulo any power of two, so gtz opens only the low l + 1 bits of
--x - r (4 B per element at l = 31, 8 B at l = 63) and computes only the
-carry into bit l: a bit-sliced prefix tree over lanes 0..l-1 whose groups
-halve at each level. At l = 63 this is msb(-x), exact on every word. As in
+x - a (4 B per element at l = 31, 8 B at l = 63) for a dealt word a, and
+adds d = a - x to XOR shares of r = -a: it computes only the carry into
+bit l, a bit-sliced prefix tree over lanes 0..l-1 whose groups halve at
+each level. At l = 63 this is msb(-x), exact on every word. As in
 ABY2.0 (Patra et al., USENIX Security 2021), products of masks are dealt
 rather than computed online: the comparison mask comes with XOR shares of
 r_(2k+1) & r_(2k) for each pair of lanes, so the tree's first level,
@@ -63,9 +72,9 @@ whose operands are r and the public d, is local; and each later level
 opens a pair's P_hi once for both of its products, with a fan-out triple
 (`dealer.fan_out`). Each party opens 41 bits per element in 4 AND levels
 at l = 31 and 88 in 5 at l = 63, where a tree of plain AND gates would open
-110 in 5 and 236 in 6. It fetches its mask and all levels' triples in one
-dealer round trip and returns the bit XOR-shared, with its openings still
-in flight
+110 in 5 and 236 in 6. It returns the bit XOR-shared, with its openings
+still in flight, and fetches its mask and all levels' triples in one dealer
+round trip when the first of them is needed
 (`sharing.PendingBit`): the comparison is written as steps, one per
 opening, and each later `open_shares` of the session carries its next step
 in the same frame. This is circuit-depth scheduling as in ABY (Demmler et
@@ -76,12 +85,16 @@ masks, shares and outputs are those of running each opening alone.
 select multiplies a shared word by a XOR-shared bit in one round: ABY3's
 bit injection (Mohassel-Rindal, CCS 2018) fused with the product, with the
 dealer in place of OT. So a comparison bit is never converted on its own:
-every consumer (ReLU, the SiLU select, the max-pool mux) spends one round
-on it.
+every consumer (ReLU, the SiLU select, each max-pool level) spends one
+round on it. When the select's operand is the comparison's own and it
+reaches the bit before anything starts it, the two share one dealt word a
+(`dealer`'s 'cmpselect' row), as ABY2.0 masks a wire once for every gate
+it feeds: the select's round opens only the masked bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,26 +325,35 @@ def gtz(ctx: ProtocolCtx, x: ArithShare) -> BinShare:
     In that domain -x fits Z_2^(l+1) as a signed word, so gtz is its bit l.
     (This is Catrina and de Hoogh's NOT of bit l of 2^l - x: adding 2^l
     flips exactly bit l mod 2^(l+1), so the offset and the NOT cancel.)
-    One opening of the low l + 1 bits of -x - r, then the carry-out tree on
-    l lanes, with the comparison mask (its correction in l + 1 bits, with
-    its lane pairs) and every interactive level's fan-out triple fetched in
-    one dealer round trip now. The openings stay in flight: the bit comes
-    back as a `sharing.PendingBit`, each of the session's later openings
-    carries the next one, and reading the bit runs those left alone. 5
-    rounds if it is read at once at l = 31, 6 at l = 63; each party sends
-    4n + 328 * ceil(n / 64) bytes at l = 31 and 8n + 704 * ceil(n / 64) at
-    l = 63."""
+    One opening of the low l + 1 bits of x - a, then the carry-out tree on
+    l lanes, which adds d = a - x to the XOR-shared r = -a. The bit comes
+    back as a `sharing.PendingBit` and fetches nothing yet: when its first
+    opening is needed it fetches the comparison mask (a, r's low l + 1 bits
+    and r's lane pairs) and every interactive level's fan-out triple in one
+    dealer round trip. Each of the session's later openings carries its
+    next one, and reading the bit runs those left alone. 5 rounds if it is
+    read at once at l = 31, 6 at l = 63; each party sends 4n + 328 *
+    ceil(n / 64) bytes at l = 31 and 8n + 704 * ceil(n / 64) at l = 63. A
+    `select` of the bit by x itself that reaches it first starts it on the
+    fused row instead, whose opening is all 64 bits of x - a (see
+    `select`)."""
+    return PendingBit(ctx.session, x.shape, functools.partial(_gtz_steps, ctx, x), operand=x)
+
+
+def _gtz_steps(ctx: ProtocolCtx, x: ArithShare, fused: dict | None = None):
+    """gtz's openings as steps: the mask, then one per interactive level.
+    Given a dict `fused`, it takes the select's correlation on its own word
+    a ('cmpselect'), opens all of x - a, and leaves the row and the opened
+    x - a in `fused` for the select."""
     lanes = ctx.cfg.cmp_bits
+    kind, width = ("cmpmask", lanes + 1) if fused is None else ("cmpselect", WORD_BITS)
     mask, *levels = ctx.triples.take_many(
-        [TripleSpec("cmpmask", x.shape, width=lanes + 1)]
+        [TripleSpec(kind, x.shape, width=lanes + 1)]
         + [TripleSpec("fanout", s) for s in _tree_shapes(x.t.size, lanes)])
-    return PendingBit(ctx.session, x.shape, _gtz_steps(ctx, x, mask, levels, lanes))
-
-
-def _gtz_steps(ctx: ProtocolCtx, x: ArithShare, mask, levels: list, lanes: int):
-    """gtz's openings as steps: the mask, then one per interactive level."""
-    (d,) = yield "gtz.mask", [-x - ctx.arith(mask.arith)], [lanes + 1]
-    return (yield from _msb_add_public(ctx, ctx.bin(mask.bin), ctx.bin(mask.pairs), d, levels, lanes, "gtz.and"))
+    (e,) = yield "gtz.mask", [x - ctx.arith(mask.a)], [width]
+    if fused is not None:
+        fused.update(row=mask, e=e)
+    return (yield from _msb_add_public(ctx, ctx.bin(mask.bin), ctx.bin(mask.pairs), -e, levels, lanes, "gtz.and"))
 
 
 def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.open") -> ArithShare:
@@ -342,20 +364,35 @@ def select(ctx: ProtocolCtx, bit: BinShare, x: ArithShare, tag: str = "select.op
     and a*r), the parties open e = x - a and z = bit ^ r together; then
     bit = z + r - 2zr, so x * bit = z*x + (1 - 2z)(e*r + a*r), which each
     party evaluates on its own shares of x, r and a*r. e is masked by a
-    and z by r, both uniform and known to neither party."""
+    and z by r, both uniform and known to neither party.
+
+    If the bit is gtz(x) of this very x and has not started, gtz's own
+    opening of x - a serves as e: it starts on the 'cmpselect' row, whose
+    select correlation shares gtz's a, and opens all 64 bits of x - a, and
+    the select's round opens z alone. A bit that has started, as one riding
+    other openings or one read before, or the bit of another operand, gets
+    a fresh correlation: reusing gtz's a on another y would open y - x."""
     if not isinstance(bit, BinShare) or not isinstance(x, ArithShare):
         raise TypeError(f"select takes a BinShare bit and an ArithShare, not {type(bit).__name__} "
                         f"and {type(x).__name__}")
     if bit.shape != x.shape:
         raise ShapeMismatch(f"{bit.shape} vs {x.shape}")
-    bit = ctx.bin(bit.t)  # a comparison in flight finishes first and frees its triples
-    t = ctx.triples.take(TripleSpec("select", x.shape))
-    e, z = open_shares(ctx.session, tag, [x - ctx.arith(t.a), bit ^ ctx.bin(t.r_bin)], [WORD_BITS, 1])
+    if isinstance(bit, PendingBit) and bit.operand is x and not bit.started:
+        fused = {}
+        bit.start(fused)
+        bit = ctx.bin(bit.t)
+        t, e = fused["row"], fused["e"]
+        (z,) = open_shares(ctx.session, tag, [bit ^ ctx.bin(t.r_bin)], [1])
+    else:
+        bit = ctx.bin(bit.t)  # a comparison in flight finishes first and frees its triples
+        t = ctx.triples.take(TripleSpec("select", x.shape))
+        e, z = open_shares(ctx.session, tag, [x - ctx.arith(t.a), bit ^ ctx.bin(t.r_bin)], [WORD_BITS, 1])
     sign = RingTensor(np.uint64(1) - np.uint64(2) * z.data)  # 1 - 2z: 1 or -1
     return ctx.arith(z * x.t + sign * (e * t.r + t.ar))
 
 
 def mux(ctx: ProtocolCtx, cond: BinShare, x: ArithShare, y: ArithShare) -> ArithShare:
-    """Oblivious select cond*x + (1-cond)*y for a XOR-shared 0/1 cond."""
+    """Oblivious select cond*x + (1-cond)*y for a XOR-shared 0/1 cond. No
+    model calls mux (max-pool is b + d * gtz(d)): it stays for its tests
+    and for the benchmark's tracer, which wraps it by name."""
     return y + select(ctx, cond, x - y, tag="mux.open")
-

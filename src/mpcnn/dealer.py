@@ -6,17 +6,19 @@ PRG(master_seed, "seed:{session}:{role}"), and each party expands its share
 of correlation i from PRG(seed, "deal:{i}"). P1 expands its whole half and
 never asks the dealer again. P0 expands the leading fields of its half and
 gets the rest, its corrections, from the dealer: the product share c0 of a
-triple, the arithmetic half a0 of a mask pair, or the arithmetic shares of r
-and of a*r of a select correlation. It asks for them by index and spec, one
-dealer round trip per request, and one request may carry several specs at
-consecutive indices (gtz and a2b each ask for their mask and all of their
-AND levels' triples at once). A correction is masked by P1's expansion,
-which P0 cannot compute without P1's seed. A spec may ask for only the low
-`width` bits of its corrections, which the `sharing` codec packs at that
-width, except for the fields its row sends as whole words: gtz reads its
-mask's arithmetic half only mod 2^(cmp_bits + 1), so it asks for 4 B per
-element at cmp_bits = 31, while the XOR shares of its lane pairs are sent
-whole.
+triple, the arithmetic half a0 of a mask pair, the XOR half of a
+comparison mask, or the arithmetic shares of r and of a*r of a select
+correlation. It asks for them by index and spec, one dealer round trip per
+request, and one request may carry several specs at consecutive indices
+(gtz and a2b each ask for their mask and all of their AND levels' triples
+at once, and a ReLU's or max-pool level's gtz also for its select's
+correlation). A correction is masked by P1's expansion, which P0 cannot
+compute without P1's seed. A spec may ask for only the low `width` bits of
+its corrections, which the `sharing` codec packs at that width, except for
+the fields its row sends as whole words: gtz reads its mask's XOR half only
+mod 2^(cmp_bits + 1), so it asks for 4 B per element at cmp_bits = 31,
+while the XOR shares of its lane pairs, and a fused select's corrections,
+are sent whole.
 
 Each kind is defined once, as one `Kind` row of `HALVES`: the names of the
 fields of a half in draw order, the suffix of them that P0 receives, the
@@ -27,12 +29,16 @@ namedtuple of the row's fields. `expand`, `derive_correlation`,
 `TripleSpec.corrections` and `TripleSource` only read the row, so a new
 kind is one new row.
 
-gtz's two kinds deal products of masks ahead, as ABY2.0 does (Patra et
-al., USENIX Security 2021). 'cmpmask' is a mask pair plus XOR shares of
-r_(2k+1) & r_(2k) for the lane pairs below lane cmp_bits, bit-sliced 64
-elements to a word (`lane_pairs`), which make the carry tree's first level
-local. 'fanout' is a boolean triple whose a feeds two products, c = (a ‖
-a[1:]) & b (`fan_out`), so a carry-tree level opens each P_hi once.
+gtz's kinds deal products of masks ahead, as ABY2.0 does (Patra et al.,
+USENIX Security 2021). 'cmpmask' is a word a, drawn by both parties as its
+additive shares, with XOR shares of r = -a, which P0 reads mod
+2^(cmp_bits + 1), and of r_(2k+1) & r_(2k) for the lane pairs below lane
+cmp_bits, bit-sliced 64 elements to a word (`lane_pairs`), which make the
+carry tree's first level local. 'cmpselect' is a 'cmpmask' and a 'select'
+correlation on the same a, for a select whose operand its comparison
+opens whole, at the dealt bytes of the two apart. 'fanout' is a boolean
+triple whose a feeds two products, c = (a ‖ a[1:]) & b (`fan_out`), so a
+carry-tree level opens each P_hi once.
 
 The linear-layer kinds ('conv', 'matmul') are held correlations: P1 holds
 the weight in the clear, so only P0's input is masked there. P0 expands the
@@ -196,9 +202,28 @@ def lane_pairs(r: RingTensor, lanes: int) -> RingTensor:
     return RingTensor(rows[1::2] & rows[0::2])
 
 
-def _cmpmask_shapes(spec) -> tuple:  # the pairs of lanes 0..width-2, sliced
-    pairs = ((spec.width - 1) // 2, -(-math.prod(spec.shape) // WORD_BITS))
-    return ([spec.shape, pairs, spec.shape],) * 2
+def _pairs_shape(spec) -> tuple:  # the pairs of lanes 0..width-2, sliced
+    return (spec.width - 1) // 2, -(-math.prod(spec.shape) // WORD_BITS)
+
+
+def _cmpmask_shapes(spec) -> tuple:  # a pairs bin
+    return ([spec.shape, _pairs_shape(spec), spec.shape],) * 2
+
+
+def _cmpselect_shapes(spec) -> tuple:  # a r_bin pairs bin r ar
+    return ([spec.shape, spec.shape, _pairs_shape(spec)] + [spec.shape] * 3,) * 2
+
+
+def _cmp_corrections(spec, a, s1, b1) -> tuple:
+    """P0's lane pairs and XOR half of the comparison mask r = -a."""
+    r = -a
+    return lane_pairs(r, spec.width - 1) ^ s1, r ^ b1
+
+
+def _select_corrections(a, r0, r1, rho1, c1) -> tuple:
+    """P0's additive shares of the bit r = r0 ^ r1 and of a * r."""
+    r = r0 ^ r1
+    return r - rho1, a * r - c1
 
 
 def fan_out(a: RingTensor) -> RingTensor:
@@ -221,19 +246,25 @@ HALVES = {
     # a uniform word per element, XOR-shared and additively shared: the a2b
     # mask
     "maskpair": Kind("bin arith", "arith", lambda spec, m0, m1, a1: ((m0 ^ m1) - a1,)),
-    # the gtz mask: a mask pair whose arithmetic half P0 reads mod 2^width,
-    # and XOR shares of the products of its lane pairs below lane width - 1,
-    # sent as whole words
-    "cmpmask": Kind("bin pairs arith", "pairs arith",
-                    lambda spec, m0, m1, s1, a1: (lane_pairs(m0 ^ m1, spec.width - 1) ^ s1, (m0 ^ m1) - a1),
+    # the gtz mask: a word a at both parties, XOR shares of r = -a, which P0
+    # reads mod 2^width, and of the products of r's lane pairs below lane
+    # width - 1, sent as whole words
+    "cmpmask": Kind("a pairs bin", "pairs bin",
+                    lambda spec, a0, a1, s1, b1: _cmp_corrections(spec, a0 + a1, s1, b1),
                     shapes=_cmpmask_shapes, words="pairs"),
+    # a gtz mask and a select correlation on the same word a, for a select
+    # whose operand its comparison opened: the select's fields travel whole
+    "cmpselect": Kind("a r_bin pairs bin r ar", "pairs bin r ar",
+                      lambda spec, a0, r0, a1, r1, s1, b1, rho1, c1: (
+                          _cmp_corrections(spec, a0 + a1, s1, b1) + _select_corrections(a0 + a1, r0, r1, rho1, c1)),
+                      bits="r_bin", shapes=_cmpselect_shapes, words="pairs r ar"),
     # a boolean triple whose a feeds two products: c = fan_out(a) & b
     "fanout": Kind("a b c", "c", lambda spec, a0, b0, a1, b1, c1: ((fan_out(a0 ^ a1) & (b0 ^ b1)) ^ c1,),
                    shapes=_fanout_shapes),
     # a word a and a bit r = r0 ^ r1 per element, and additive shares of r
     # and of a*r
     "select": Kind("a r_bin r ar", "r ar",
-                   lambda spec, a0, r0, a1, r1, rho1, c1: ((r0 ^ r1) - rho1, (a0 + a1) * (r0 ^ r1) - c1), bits="r_bin"),
+                   lambda spec, a0, r0, a1, r1, rho1, c1: _select_corrections(a0 + a1, r0, r1, rho1, c1), bits="r_bin"),
 }
 
 

@@ -8,7 +8,7 @@ only by the local-truncation noise of shared products.
 
 Each executor defines only its primitives: `raw` and `wrap_like` (the ring
 words of a value, and a value of the same kind around new words), `const`,
-`mul_raw`, `gtz`, `mux`, `conv2d`, `matmul` and `pool_windows`. Their base
+`mul_raw`, `gtz`, `conv2d`, `matmul` and `pool_windows`. Their base
 `Engine` writes the local ops once over those primitives: `add`, `sub`,
 `trunc` (the rescale), `fmul`, `add_const`, `mul_const` and `mul_const_int`.
 """
@@ -101,9 +101,6 @@ class PlainEngine(Engine):
             raise ComparisonDomainError(f"comparison input outside |x| < 2^{self.cfg.cmp_bits}")
         return gtz_plain(a)
 
-    def mux(self, c, a, b):
-        return b + c * (a - b)
-
     # linear layers (raw products; callers rescale)
     def conv2d(self, x, w, geom: ConvGeometry):
         return conv2d_ring(x, w, geom)
@@ -118,7 +115,7 @@ class PlainEngine(Engine):
 class SecureEngine(Engine):
     """Protocol executor over one party's shares. A comparison gives a XOR
     share of its 0/1 bit (`BinShare`), which the data movement below keeps
-    as one, and which `mul_raw` and `mux` multiply in with `arith.select`."""
+    as one, and which `mul_raw` multiplies in with `arith.select`."""
 
     def __init__(self, ctx: ProtocolCtx):
         self.ctx = ctx
@@ -142,9 +139,6 @@ class SecureEngine(Engine):
 
     def gtz(self, a):
         return arith.gtz(self.ctx, a)
-
-    def mux(self, c, a, b):
-        return arith.mux(self.ctx, c, a, b)
 
     def conv2d(self, x, w, geom: ConvGeometry):
         return arith.conv2d(self.ctx, x, w, geom)
@@ -199,8 +193,10 @@ def e_upsample2x(e, v):
 
 
 def tournament_max(e, v, axis: int):
-    """Pairwise max tree along `axis` via gtz + mux; ceil(log2(n)) comparison
-    phases, each a single batched round pair regardless of width."""
+    """Pairwise max tree along `axis`; ceil(log2(n)) comparison phases, each
+    one batched comparison regardless of width. A phase is max(a, b) = b +
+    d * gtz(d) with d = a - b, the ReLU pattern, so on shares the select
+    reuses the comparison's opening of d."""
     data = np.moveaxis(e.raw(v).data, axis, 0)
     cur = e.wrap_like(v, data)
     while cur.shape[0] > 1:
@@ -208,8 +204,8 @@ def tournament_max(e, v, axis: int):
         half = n // 2
         a = e.wrap_like(v, e.raw(cur).data[:half])
         b = e.wrap_like(v, e.raw(cur).data[half : 2 * half])
-        s = e.gtz(e.sub(a, b))
-        m = e.mux(s, a, b)
+        d = e.sub(a, b)
+        m = e.add(b, e.mul_raw(d, e.gtz(d)))
         if n % 2:
             m = e_concat(e, [m, e.wrap_like(v, e.raw(cur).data[-1:])], axis=0)
         cur = m

@@ -9,11 +9,15 @@ its seeds, which needs three parties or more. With two, each party can
 compute the other's zero share, so its view of a run with the mask is its
 view without it plus shares it computes itself. Privacy comes instead from
 the masks on every message, which are dealer randomness that the receiver
-lacks: Beaver's a and b, gtz's mask, the select's a and r, and the held
-linear layer's a0 and b. The holder's share is the value itself, so
-protocols which take one party's input in the clear (the model holder's
-weights in `arith.conv2d` / `arith.matmul`) read it there. It is the
-caller's tensor, not a copy; no op writes share words in place.
+lacks: Beaver's a and b, gtz's word a, the select's a and r, and the held
+linear layer's a0 and b. A select of gtz's own operand reuses gtz's a,
+whose single opening of x - a serves both, and masks only its bit with a
+fresh r; a select of any other operand draws its own a, since the two
+openings of one a would differ by the operands' difference. The holder's
+share is the value itself, so protocols which take one party's input in
+the clear (the model holder's weights in `arith.conv2d` / `arith.matmul`)
+read it there. It is the caller's tensor, not a copy; no op writes share
+words in place.
 
 The dealer's share material comes from a ChaCha20 keystream used as a
 counter-mode PRG (`Prg`: 32-byte key; 16-byte nonce = 8-byte domain hash ||
@@ -256,25 +260,44 @@ def open_shares(session: Session, tag: str, shares: list, widths: list | None = 
 class PendingBit(BinShare):
     """A XOR-shared bit (0/1 words) whose protocol is still in flight.
 
-    `steps` is a generator that yields one opening at a time as (tag,
-    shares, widths), receives the opened tensors, and returns the bit's
-    BinShare. Its first opening waits in the session's `in_flight` list,
-    and each later `open_shares` of the session carries its next one, so
-    its rounds ride work that does not read the bit. Reading `t`, as
-    `select`, `reveal` and every share op do, first runs the openings left
-    alone, one round each. Both parties run the same program, so they agree
-    on which openings share a frame; if they do not, the exchange raises
-    ProtocolError."""
+    `steps(*args)` makes a generator that yields one opening at a time as
+    (tag, shares, widths), receives the opened tensors, and returns the
+    bit's BinShare. The bit waits in the session's `in_flight` list and
+    runs nothing, fetches nothing and packs nothing until its first opening
+    is needed: each later `open_shares` of the session carries its next
+    opening, so its rounds ride work that does not read the bit, and
+    reading `t`, as `select`, `reveal` and every share op do, runs the
+    openings left alone, one round each. Either way it starts with no
+    arguments; a consumer that reaches it first may `start` it with its
+    own, as `arith.select` does when `operand`, the share the protocol
+    compares, is its own operand. Both parties run the same program, so
+    they agree on which openings share a frame; if they do not, the
+    exchange raises ProtocolError."""
 
-    def __init__(self, session: Session, shape, steps):
-        self.owner, self._shape = session.role, tuple(shape)
-        self._session, self._steps, self._bit = session, steps, None
-        self.step = _opening(*next(steps))
+    def __init__(self, session: Session, shape, steps, operand=None):
+        self.owner, self._shape, self.operand = session.role, tuple(shape), operand
+        self._session, self._make_steps, self._steps, self._step, self._bit = session, steps, None, None, None
         session.in_flight.append(self)
 
     @property
     def shape(self):
         return self._shape
+
+    @property
+    def started(self) -> bool:
+        return self._steps is not None
+
+    def start(self, *args):
+        """Make the steps from `args` and pack the first opening."""
+        self._steps = self._make_steps(*args)
+        self._step = _opening(*next(self._steps))
+
+    @property
+    def step(self) -> tuple:
+        """The next opening, packed; the first need of it starts the bit."""
+        if not self.started:
+            self.start()
+        return self._step
 
     @property
     def t(self) -> RingTensor:
@@ -286,9 +309,9 @@ class PendingBit(BinShare):
         """Hand the protocol its opened tensors; it prepares its next
         opening, or finishes and leaves the session's `in_flight` list."""
         try:
-            self.step = _opening(*self._steps.send(opened))
+            self._step = _opening(*self._steps.send(opened))
         except StopIteration as done:
-            self._bit, self.step = done.value, None
+            self._bit, self._step = done.value, None
             self._session.in_flight.remove(self)
 
 

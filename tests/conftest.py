@@ -5,9 +5,21 @@ import socket
 import threading
 import time
 
+import numpy as np
+
 from mpcnn.dealer import DealerService
 from mpcnn.runtime import establish, run_pair_raw
 from mpcnn.transport import InProcFabric, Mailbox, Message, Role, TcpFabric, timeout_seconds
+
+
+CHI2_CUT = 377.0781154988172  # scipy.stats.chi2.ppf(1 - 1e-6, 255) (scipy 1.17.1): the 1e-6 upper quantile at 255 dof
+
+
+def byte_chi2(raw) -> float:
+    """Chi-square statistic of a byte array's 256 byte frequencies against
+    the uniform; below CHI2_CUT but for one uniform array in 10^6."""
+    counts = np.bincount(raw, minlength=256)
+    return float(((counts - counts.mean()) ** 2 / counts.mean()).sum())
 
 
 def free_port() -> int:

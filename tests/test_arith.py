@@ -15,6 +15,7 @@ from mpcnn.engine import (
     e_take,
     e_upsample2x,
     maxpool2d,
+    tournament_max,
 )
 from mpcnn.ring import (
     ComparisonDomainError,
@@ -37,7 +38,7 @@ from mpcnn.runtime import LocalRuntime
 from mpcnn.sharing import ArithShare, BinShare, open_shares, reveal, share_input, share_public
 from mpcnn.transport import Role
 
-from conftest import run_tcp_with_dealer
+from conftest import CHI2_CUT, byte_chi2, run_tcp_with_dealer
 
 CFG = FixedPointConfig(16)  # comparison domain |x| < 2^31
 FULL = FixedPointConfig(16, cmp_bits=63)  # gtz exact on every word
@@ -416,6 +417,18 @@ def _gtz_openings(rt, monkeypatch, cfg, n):
     return opened
 
 
+def read_then_select(ctx, x):
+    bit = arith.gtz(ctx, x)
+    bit.t
+    return arith.select(ctx, bit, x)
+
+
+def reveal_then_select(ctx, x):
+    bit = arith.gtz(ctx, x)
+    reveal(ctx.session, bit)
+    return arith.select(ctx, bit, x)
+
+
 class TestGtz:
     def test_examples(self, rt):
         def fn(ctx):
@@ -511,8 +524,8 @@ class TestGtz:
             vals = rt.run_session(lambda ctx: fn(ctx, op), lambda ctx: fn(ctx, op), cfg=cfg)
             return vals[Role.P0], vals[Role.P1]
 
-        for cfg, rows, rounds, per_elem in ((CFG, (41, 41), 5, (9.125, 9.125, 17.25, 25.125)),
-                                            (FULL, (88, 88), 6, (19.0, 19.0, 27.125, 35.0))):
+        for cfg, rows, rounds, per_elem in ((CFG, (41, 41), 5, (9.125, 9.125, 13.25, 25.125)),
+                                            (FULL, (88, 88), 6, (19.0, 19.0, 19.125, 35.0))):
             opened, dealt = _carry_tree_rows(cfg.cmp_bits)
             assert (opened, dealt) == rows
             # the low l + 1 bits of the masked word, then the AND openings:
@@ -524,13 +537,24 @@ class TestGtz:
             # fan-out product row, all in one request; P1 expands its
             # halves from its seed and receives nothing
             gtz_dealer = (cfg.cmp_bits + 1) // 8 * n + 8 * dealt * words
-            # relu adds one select: a masked word and a packed masked bit
-            # open, and P0 receives two correction words per element in one
-            # more request
-            relu_online, relu_dealer = gtz_online + 8 * n + -(-n // 8), gtz_dealer + 16 * n
+            # relu adds one select, which reuses gtz's masked word: gtz opens
+            # all 8 bytes of it, the select's round opens only the packed
+            # masked bit, and P0 receives the select's two correction words
+            # per element in gtz's request. Per party that is 8n + 328 *
+            # ceil(n / 64) + ceil(n / 8) B at l = 31 and 8n + 704 *
+            # ceil(n / 64) + ceil(n / 8) at l = 63
+            relu_online = 8 * n + 8 * opened * words + -(-n // 8)
+            relu_dealer = gtz_dealer + 16 * n
             assert both(arith.gtz, cfg) == ((gtz_online, rounds, gtz_dealer, 1), (gtz_online, rounds, 0, 0))
             assert both(lambda ctx, x: arith.select(ctx, arith.gtz(ctx, x), x), cfg) == (
-                (relu_online, rounds + 1, relu_dealer, 2), (relu_online, rounds + 1, 0, 0))
+                (relu_online, rounds + 1, relu_dealer, 1), (relu_online, rounds + 1, 0, 0))
+            # a bit read, or revealed (one more round of 8n B), before its
+            # select has started on gtz's own correlation: the select opens
+            # its masked word itself and fetches its correlation in a request
+            # of its own
+            online = gtz_online + 8 * n + -(-n // 8)
+            assert both(read_then_select, cfg)[0] == (online, rounds + 1, relu_dealer, 2)
+            assert both(reveal_then_select, cfg)[0] == (online + 8 * n, rounds + 2, relu_dealer, 2)
             if n % 64 == 0:  # per element per party
                 assert (gtz_online / n, gtz_dealer / n, relu_online / n, relu_dealer / n) == per_elem
 
@@ -842,6 +866,106 @@ class TestMuxRelu:
 
         got = run_secure(rt, fn, FULL)
         assert np.array_equal(got.signed(), np.maximum(ks, 0))
+
+
+def p1_openings(monkeypatch, tag):
+    """A list that collects, per exchange, the public tensors that P1
+    reconstructs from the openings tagged `tag`, with their widths."""
+    seen, real = [], sharing._exchange
+
+    def recording(session, openings):
+        opened = real(session, openings)
+        if session.role is Role.P1:
+            seen.extend((got, widths) for (t, _, widths, _), got in zip(openings, opened) if t == tag)
+        return opened
+
+    monkeypatch.setattr(sharing, "_exchange", recording)
+    return seen
+
+
+class TestFusedSelect:
+    """select(gtz(x), x), as ReLU and max-pool write it: the select reuses
+    gtz's opening of x - a, so x is opened once."""
+
+    def test_fused_opening_uniform(self, rt, monkeypatch):
+        # P1's view of the fused opening, all 64 bits of x - a for one fixed
+        # x over 2^16 elements, is featureless: uniform bytes and no serial
+        # correlation, as the dealer's own share material
+        seen = p1_openings(monkeypatch, "gtz.mask")
+        x = encode(np.full(1 << 16, 3.0), CFG)
+
+        def fn(ctx):
+            xs = shared_pair(ctx, x)
+            return reveal(ctx.session, arith.select(ctx, arith.gtz(ctx, xs), xs))
+
+        assert run_secure(rt, fn) == x
+        ((e,), widths), = seen
+        assert widths == [64]
+        raw = e.data.view(np.uint8)
+        assert byte_chi2(raw) < CHI2_CUT
+        assert abs(np.corrcoef(raw[:-1].astype(np.float64), raw[1:].astype(np.float64))[0, 1]) < 0.01
+
+    def test_other_operand_gets_its_own_mask(self, rt, monkeypatch):
+        # SiLU's case: select(gtz(x), y) with y another share. Its select
+        # opens y - a' with a fresh a', so P1's two openings do not differ
+        # by y - x, which would leak y - x (SiLU's q - x - T) if gtz's a
+        # were reused
+        n = 10_000
+        x, y = rand_fixed((n,)), rand_fixed((n,))
+        masks, words = p1_openings(monkeypatch, "gtz.mask"), p1_openings(monkeypatch, "select.open")
+
+        def fn(ctx):
+            xs, ys = shared_pair(ctx, x), shared_pair(ctx, y, holder=Role.P1)
+            return reveal(ctx.session, arith.select(ctx, arith.gtz(ctx, xs), ys))
+
+        assert run_secure(rt, fn) == y * gtz_plain(x)
+        ((e_x,), _), = masks
+        ((e_y, _), widths), = words
+        assert widths == [64, 1]
+        low = np.uint64((1 << 32) - 1)
+        same = ((e_y.data - e_x.data) & low) == ((y.data - x.data) & low)
+        assert same.mean() < 0.01
+
+    @pytest.mark.parametrize("cfg", [CFG, FULL], ids=["l31", "l63"])
+    def test_relu_edges_vs_oracle(self, rt, cfg):
+        # 0, +-1, the comparison domain's edges +-(2^l - 1) and the pool
+        # sentinel, then uniform words of the domain; bit-exact
+        lim = 2**cfg.cmp_bits
+        edges = [0, 1, -1, lim - 1, -(lim - 1), cfg.pool_sentinel - 2**64]
+        ks = np.concatenate([edges, RNG.integers(-lim + 1, lim, size=100, dtype=np.int64)])
+        x = RingTensor(ks.view(np.uint64))
+
+        def fn(ctx):
+            e, xs = SecureEngine(ctx), shared_pair(ctx, x)
+            return reveal(ctx.session, e.mul_raw(xs, e.gtz(xs)))
+
+        plain = PlainEngine(cfg)
+        got = run_secure(rt, fn, cfg)
+        assert got == plain.mul_raw(x, plain.gtz(x))
+        assert np.array_equal(got.signed(), np.maximum(ks, 0))
+
+    @pytest.mark.parametrize("cfg", [CFG, FULL], ids=["l31", "l63"])
+    def test_maxpool_edges_vs_oracle(self, rt, cfg):
+        # one tournament level on pairs whose differences reach 0, +-1 and
+        # +-(2^l - 1), the largest input 2^(l-1) - 1 of max-pool's domain
+        # against its sentinel -2^(l-1) either way round; then a padded
+        # 3x3 pool over the same words; bit-exact
+        m, s = 2 ** (cfg.cmp_bits - 1) - 1, cfg.pool_sentinel - 2**64
+        pairs = np.array([[0, 1, -1, m, -m, s, m, s, 0, 1],
+                          [1, 0, 0, -m, m, m, s, s, s, -1]], dtype=np.int64)
+        v = RingTensor(pairs.view(np.uint64))
+        grid = RingTensor(pairs[:, :9].reshape(2, 3, 3).view(np.uint64))
+
+        def fn(ctx):
+            e = SecureEngine(ctx)
+            return [reveal(ctx.session, tournament_max(e, shared_pair(ctx, v), 0)),
+                    reveal(ctx.session, maxpool2d(e, shared_pair(ctx, grid), 3, 1, 1))]
+
+        plain = PlainEngine(cfg)
+        got_max, got_pool = run_secure(rt, fn, cfg)
+        assert got_max == tournament_max(plain, v, 0)
+        assert np.array_equal(got_max.signed(), pairs.max(axis=0))
+        assert got_pool == maxpool2d(plain, grid, 3, 1, 1)
 
 
 class TestAndGate:

@@ -114,6 +114,7 @@ SPECS = {
     "maskpair": TripleSpec("maskpair", (16,)),
     "select": TripleSpec("select", (16,)),
     "cmpmask": TripleSpec("cmpmask", (2, 50), width=32),
+    "cmpselect": TripleSpec("cmpselect", (2, 50), width=32),
     "fanout": TripleSpec("fanout", (5, 2)),
 }
 
@@ -135,22 +136,26 @@ def reconstruct(spec, h0, h1):
     if spec.kind == "maskpair":
         assert h0.arith + h1.arith == (h0.bin ^ h1.bin)
         return
-    if spec.kind == "cmpmask":
-        r, low = h0.bin ^ h1.bin, np.uint64((1 << spec.width) - 1)
-        assert np.array_equal((h0.arith + h1.arith).data & low, r.data & low)
+    if spec.kind in ("cmpmask", "cmpselect"):
+        # r = -a, whose low width bits are XOR-shared, with its lane pairs
+        r, low = -(h0.a + h1.a), np.uint64((1 << spec.width) - 1)
+        assert np.array_equal((h0.bin ^ h1.bin).data & low, r.data & low)
         pairs = (h0.pairs ^ h1.pairs).data
         assert pairs.shape == ((spec.width - 1) // 2, -(-r.size // 64))
         assert np.array_equal(unslice(pairs, r.size), lane_pairs_plain(r, spec.width - 1))
+        if spec.kind == "cmpmask":
+            return
+    if spec.kind in ("select", "cmpselect"):
+        # a bit r in both sharings and a * r, on the mask's own a in a
+        # 'cmpselect'
+        r = h0.r + h1.r
+        assert r == (h0.r_bin ^ h1.r_bin) and set(np.unique(r.data)) <= {0, 1}
+        assert h0.ar + h1.ar == (h0.a + h1.a) * r
         return
     if spec.kind == "fanout":
         a, b, c = h0.a ^ h1.a, h0.b ^ h1.b, h0.c ^ h1.c
         assert a.shape == ((spec.shape[0] + 1) // 2, *spec.shape[1:]) and b.shape == c.shape == spec.shape
         assert c == (RingTensor(np.concatenate([a.data, a.data[1:]])) & b)
-        return
-    if spec.kind == "select":
-        r = h0.r + h1.r
-        assert r == (h0.r_bin ^ h1.r_bin) and set(np.unique(r.data)) <= {0, 1}
-        assert h0.ar + h1.ar == (h0.a + h1.a) * r
         return
     if spec.kind == "bool":
         a, b, c = h0.a ^ h1.a, h0.b ^ h1.b, h0.c ^ h1.c
@@ -301,11 +306,32 @@ class TestComparisonMask:
     @pytest.mark.parametrize("cmp_bits", [31, 63])
     def test_pairs_are_the_mask_lane_products(self, rt, cmp_bits, n):
         # the reconstructed pairs are r_(2k+1) & r_(2k) of the reconstructed
-        # mask r, for each of the cmp_bits // 2 pairs below lane cmp_bits,
-        # bit-sliced; P0 receives the arithmetic half at cmp_bits + 1 bits
-        # and the pairs as whole words, zero past the n-th element
-        spec = TripleSpec("cmpmask", (n,), width=cmp_bits + 1)
+        # mask r = -a, for each of the cmp_bits // 2 pairs below lane
+        # cmp_bits, bit-sliced; both parties draw their share of a, and P0
+        # receives its XOR half of r at cmp_bits + 1 bits and the pairs as
+        # whole words, zero past the n-th element
+        pairs = self.check_row(rt, TripleSpec("cmpmask", (n,), width=cmp_bits + 1), (cmp_bits + 1) // 8 * n)
+        assert pairs.shape == (cmp_bits // 2, -(-n // 64))
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65])
+    @pytest.mark.parametrize("cmp_bits", [31, 63])
+    def test_fused_row_selects_on_the_mask_word(self, rt, cmp_bits, n):
+        # 'cmpselect' is the comparison mask plus a select correlation whose
+        # a*r is on the mask's own a; P0 receives the mask's fields as a
+        # 'cmpmask' does and r and a*r as whole words, which is what the
+        # two rows cost apart
+        spec = TripleSpec("cmpselect", (n,), width=cmp_bits + 1)
+        pairs = self.check_row(rt, spec, (cmp_bits + 1) // 8 * n + 16 * n)
+        assert pairs.shape == (cmp_bits // 2, -(-n // 64))
+        apart = [TripleSpec("cmpmask", (n,), width=cmp_bits + 1), TripleSpec("select", (n,))]
+        assert sum(packed_len(s, w) for s, w in spec.corrections()) == sum(
+            packed_len(s, w) for t in apart for s, w in t.corrections())
+
+    @staticmethod
+    def check_row(rt, spec, mask_bytes):
+        """Fetches one comparison row at both parties, checks it and the
+        bytes P0 receives (mask_bytes plus one word per pair row; P1 none),
+        and returns its reconstructed lane pairs."""
         def fn(ctx):
             d = ctx.session.dealer_transcript
             before = d.bytes_recv
@@ -315,10 +341,11 @@ class TestComparisonMask:
         (h0, got0), (h1, got1) = vals[Role.P0], vals[Role.P1]
         reconstruct(spec, h0, h1)
         pairs = (h0.pairs ^ h1.pairs).data
-        assert pairs.shape == (cmp_bits // 2, -(-n // 64))
+        n = spec.shape[0]
         if n % 64:
             assert not np.any(pairs[:, -1] >> np.uint64(n % 64))
-        assert (got0, got1) == ((cmp_bits + 1) // 8 * n + 8 * pairs.size, 0)
+        assert (got0, got1) == (mask_bytes + 8 * pairs.size, 0)
+        return pairs
 
     def test_fanout_feeds_a_to_two_products(self, rt):
         # c = (a ‖ a[1:]) & b: every row of a but the first meets two rows
@@ -425,18 +452,21 @@ class TestBatch:
 
     def test_short_mixed_width_answer_is_refused(self, rt, monkeypatch):
         # a comparison mask's answer mixes 32-bit words (the arithmetic
-        # half) and whole words (the lane pairs): one element short of each,
-        # it is refused by its length check
+        # half of r) and whole words (the lane pairs, and the fused row's r
+        # and a*r): one element short of each, it is refused by its length
+        # check
         derive = dealer.derive_correlation
         monkeypatch.setattr(dealer, "derive_correlation",
                             lambda *args: [RingTensor(c.data.reshape(-1)[1:]) for c in derive(*args)])
-        spec = TripleSpec("cmpmask", (4,), width=32)
-        assert spec.corrections() == [((15, 1), 64), ((4,), 32)]
+        specs = [TripleSpec("cmpmask", (4,), width=32), TripleSpec("cmpselect", (4,), width=32)]
+        assert specs[0].corrections() == [((15, 1), 64), ((4,), 32)]
+        assert specs[1].corrections() == [((15, 1), 64), ((4,), 32), ((4,), 64), ((4,), 64)]
 
         def fn(ctx):
             if ctx.role is Role.P0:
-                with pytest.raises(DealerError, match="correction bytes for a request of 136"):
-                    ctx.triples.take(spec)
+                for spec, want in zip(specs, (136, 200)):
+                    with pytest.raises(DealerError, match=f"correction bytes for a request of {want}"):
+                        ctx.triples.take(spec)
 
         rt.run_session(fn, fn)
 

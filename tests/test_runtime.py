@@ -235,12 +235,12 @@ def test_tracer_hooks_resolve():
     # codec bytes are wire bytes: every online byte is encoded by its sender
     # and decoded by its receiver, and so is every byte of P0's corrections
     # (TRIPLE_RSP), at the dealer and at P0; seeds bypass the codec
-    online = 8 * (384 + 2048) + 2 * (gtz_bytes(n) + select_bytes(n)) + 8 * (32 + 64) + 16  # conv, relu, linear, output
+    online = 8 * (384 + 2048) + 2 * relu_bytes(n) + 8 * (32 + 64) + 16  # conv, relu, linear, output
     # conv, gtz's 15 lane-pair and 26 fan-out product rows, select, linear,
     # gtz's 4 B mask
     dealt = 8 * (n + (15 + 26) * w + 2 * n + 2) + 4 * n
-    assert (online, dealt) == (374_952, 340_440)
-    assert metrics["sharing.codec_bytes_per_inf"] == 2 * online + 2 * dealt == 1_430_784
+    assert (online, dealt) == (292_776, 340_440)
+    assert metrics["sharing.codec_bytes_per_inf"] == 2 * online + 2 * dealt == 1_266_432
     # config setup, conv, gtz's mask and 4 AND levels, select, linear
     assert metrics["transport.exchange_calls_per_inf"] == 2 * (1 + 1 + 1 + 4 + 1 + 1) == 18
     # gtz's openings run when the select reads its bit, inside the select's
@@ -248,12 +248,13 @@ def test_tracer_hooks_resolve():
     assert metrics["arith.gtz.online_bytes_per_inf"] == 0
     assert metrics["arith.and_gate.calls_per_inf"] == metrics["arith.and_gate.online_bytes_per_inf"] == 0
     # dealer bytes are P0's corrections, gtz's mask in 4 B, plus its JSON
-    # requests
+    # requests: ReLU's is one, its comparison's fused row with its 4
+    # fan-out levels
     assert layer_counts(metrics, ("conv", "relu", "linear")) == {
         "conv": (1, 8 * (384 + 2048), 82_254),
-        "relu": (6, 2 * (gtz_bytes(n) + select_bytes(n)), 258_513),
+        "relu": (6, 2 * relu_bytes(n), 258_457),
         "linear": (1, 8 * (32 + 64), 85)}
-    assert metrics["model.relu.online_bytes_per_inf"] == 354_712
+    assert metrics["model.relu.online_bytes_per_inf"] == 272_536
     # P0, P1 and the dealer each run the conv and the linear layer's product
     assert metrics["ring.calls_per_inf"] == 3 * 2 == 6
     assert metrics["ring.macs_per_inf"] == 3 * (32 * 64 * 321 + 32 * 2) == 1_972_416
@@ -263,7 +264,8 @@ def test_traced_detector_layers():
     # one traced detector inference: each SiLU layer takes 6 rounds (gtz's
     # mask and first 3 AND levels ride its 4 products), each max-pool level 6
     # and each conv 1. SiLU's gtz mask and AND levels 1-3 land in
-    # beaver_mul's calls and the max-pool levels' whole gtz in mux's
+    # beaver_mul's calls; max-pool calls no mux, and its levels' whole gtz
+    # and select run in no traced op, only in the max-pool layer
     metrics, _ = traced_metrics("detector", 1)
     assert metrics["approx.silu.rounds_per_inf"] == 12
     # config setup, 5 convs, 4 + 1 + 1 per SiLU, 6 per max-pool level; the
@@ -272,8 +274,7 @@ def test_traced_detector_layers():
     silu, lvl13 = 2 * 1024, sum(3 * h - 1 for h in (8, 4, 2))  # rows opened by AND levels 1-3 at 31 lanes
     assert metrics["arith.beaver_mul.online_bytes_per_inf"] == 2 * 2 * (
         16 * 8 * 1024 + 4 * silu + 8 * lvl13 * silu // 64) == 596_992
-    assert metrics["arith.mux.online_bytes_per_inf"] == 2 * sum(
-        gtz_bytes(n) + select_bytes(n) for n in (512, 256)) == 26_496
+    assert metrics["arith.mux.calls_per_inf"] == metrics["arith.mux.online_bytes_per_inf"] == 0
     assert metrics["arith.gtz.online_bytes_per_inf"] == 0
     # per-layer counts of one inference, as in test_detector_inference_end_to_end:
     # online bytes are P0's sent plus received. Dealer bytes are P0's
@@ -283,16 +284,17 @@ def test_traced_detector_layers():
     # requests, each as long as its specs and the digits of its index and
     # shapes: a conv's 76-80 B; per SiLU layer gtz's 204 B (its comparison
     # mask and 4 fan-out levels in one request), then 4 products' and the
-    # select's 56-60 B; per max-pool level gtz's 199 B and the select's 58 B
+    # select's 56-60 B; per max-pool level one 201 B request for gtz's fused
+    # row, which holds the select's correlation, and its fan-out levels
     conv = 8 * (4 * 16 * 16 + 16 * 8 * 8 + 256 * 4 * 4 + 96 * 8 * 8 + 8 * 8 * 8) + (76 + 78 + 79 + 80 + 77)
     silu_dealt = 2 * (4 * silu + 8 * 41 * silu // 64 + 8 * 2 * silu + 8 * 8 * 1024) + (
         (204 + 56 + 58 + 58 + 58 + 60) + (204 + 56 + 58 + 58 + 58 + 59))
-    pool = sum(4 * n + 8 * 41 * n // 64 + 8 * 2 * n + (199 + 58) for n in (512, 256))
-    assert (conv, silu_dealt, pool) == (102_790, 234_971, 19_810)
+    pool = sum(4 * n + 8 * 41 * n // 64 + 8 * 2 * n + 201 for n in (512, 256))
+    assert (conv, silu_dealt, pool) == (102_790, 234_971, 19_698)
     assert layer_counts(metrics, ("conv", "silu", "maxpool")) == {
         "conv": (5, 223_232 + 2_186_592, conv),
         "silu": (2 * 6, 2 * 2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu)), silu_dealt),
-        "maxpool": (2 * 6, 2 * sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256)), pool)}
+        "maxpool": (2 * 6, 2 * sum(relu_bytes(n) for n in (512, 256)), pool)}
     # each of the 5 convs at P0, P1 and the dealer; a conv's MACs are its
     # output cells times C * kh * kw
     convs = [(4 * 16 * 16, 3 * 9), (16 * 8 * 8, 4 * 9), (256 * 4 * 4, 16 * 9), (96 * 8 * 8, 272 * 9),
@@ -331,6 +333,15 @@ def select_bytes(n):
     return 8 * n + -(-n // 8)
 
 
+def relu_bytes(n):
+    """Bytes one party sends in select(gtz(x), x) on n elements at cmp_bits
+    = 31, as ReLU and each max-pool level run it: gtz opens all 8 bytes of
+    x - a, which is also the select's masked word, so the select opens only
+    the masked bit. gtz_bytes(n) + select_bytes(n) less gtz's 4n: 8n + 328 *
+    ceil(n / 64) + ceil(n / 8)."""
+    return 8 * n + 8 * 41 * -(-n // 64) + -(-n // 8)
+
+
 def tag_bytes(led0):
     return {tag: (sent, recv, phases) for tag, sent, recv, phases in led0["tags"]}
 
@@ -339,28 +350,28 @@ def test_detector_inference_end_to_end():
     # the output lies within the float64 reference's a-priori bound. Rounds:
     # 5 convs, 2 SiLU layers at 6 (t 1 and Chebyshev terms 3, carrying gtz's
     # mask and AND levels 1-3, then level 4 and the select 2), 2 max-pool
-    # levels at 6 (gtz 5, mux 1) and the reveal; every tag still counts one
-    # phase per opening, so the phases add up to 38. Bytes: the five
+    # levels at 6 (gtz 5, select 1) and the reveal; every tag still counts
+    # one phase per opening, so the phases add up to 38. Bytes: the five
     # convs move their input-shaped masks (223,232 B) from P0 and their
     # weight-shaped masks (2,186,592 B) from P1; each SiLU runs gtz and the
     # select on the 2 x 1,024 stacked [x + T, x - T] and 8 x 1,024 Beaver
-    # products; the max-pool levels compare 512 and 256 pairs; P0 receives
-    # the 8 x 8 x 8 head
+    # products; the max-pool levels compare 512 and 256 pairs, gtz opening
+    # all 8 bytes of each masked difference for its select; P0 receives the
+    # 8 x 8 x 8 head
     out, ref, bound, led0, problems = one_benchmark_inference("detector")
     silu = 2 * 1024
     assert tag_bytes(led0) == {
         "conv.open": (223_232, 2_186_592, 5),
-        "gtz.mask": (4 * (2 * silu + 512 + 256),) * 2 + (4,),
+        "gtz.mask": (4 * 2 * silu + 8 * (512 + 256),) * 2 + (4,),
         "gtz.and": (sum(gtz_bytes(n) - 4 * n for n in (silu, silu, 512, 256)),) * 2 + (16,),
         "mul.open": (2 * 16 * 8 * 1024,) * 2 + (8,),
-        "select.open": (2 * select_bytes(silu),) * 2 + (2,),
-        "mux.open": (select_bytes(512) + select_bytes(256),) * 2 + (2,),
+        "select.open": (2 * select_bytes(silu) + sum(-(-n // 8) for n in (512, 256)),) * 2 + (4,),
         "reveal": (0, 8 * 512, 1),
     }
     assert led0["rounds"] == 5 + 2 * 6 + 2 * 6 + 1 == 30
     online = 223_232 + 2_186_592 + 2 * (2 * (gtz_bytes(silu) + 16 * 8 * 1024 + select_bytes(silu))
-                                        + sum(gtz_bytes(n) + select_bytes(n) for n in (512, 256))) + 8 * 512
-    assert led0["sent"] + led0["recv"] == online == 3_106_016
+                                        + sum(relu_bytes(n) for n in (512, 256))) + 8 * 512
+    assert led0["sent"] + led0["recv"] == online == 3_099_872
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
 
@@ -368,20 +379,21 @@ def test_detector_inference_end_to_end():
 def test_compactcnn_inference_end_to_end():
     # conv 1, ReLU 6 (gtz 5 on the 32 x 321 conv output, select 1), linear 1,
     # reveal 1; the conv and the linear layer move (384 + 32) words one way
-    # and (2048 + 64) the other, and P0 receives the 2 logits
+    # and (2048 + 64) the other, gtz opens the whole masked word, which the
+    # select reuses, and P0 receives the 2 logits
     out, ref, bound, led0, problems = one_benchmark_inference("compactcnn")
     n = 32 * 321
     assert tag_bytes(led0) == {
         "conv.open": (8 * 384, 8 * 2048, 1),
-        "gtz.mask": (4 * n, 4 * n, 1),
+        "gtz.mask": (8 * n, 8 * n, 1),
         "gtz.and": (gtz_bytes(n) - 4 * n,) * 2 + (4,),
-        "select.open": (select_bytes(n),) * 2 + (1,),
+        "select.open": (-(-n // 8),) * 2 + (1,),
         "matmul.open": (8 * 32, 8 * 64, 1),
         "reveal": (0, 16, 1),
     }
     assert led0["rounds"] == 9
-    online = 8 * (384 + 32 + 2048 + 64) + 2 * (gtz_bytes(n) + select_bytes(n)) + 16
-    assert led0["sent"] + led0["recv"] == online == 374_952
+    online = 8 * (384 + 32 + 2048 + 64) + 2 * relu_bytes(n) + 16
+    assert led0["sent"] + led0["recv"] == online == 292_776
     assert problems == []
     assert np.all(np.abs(out - ref) <= bound)
 
@@ -401,7 +413,7 @@ def test_plans_do_not_depend_on_the_data(monkeypatch):
         return take_many(self, batch)
 
     monkeypatch.setattr(TripleSource, "take_many", recording)
-    for name, requests, n_specs in (("compactcnn", 4, 8), ("detector", 21, 37)):
+    for name, requests, n_specs in (("compactcnn", 3, 7), ("detector", 19, 35)):
         prep = infer.prepare(name, seed=5)
         zeros = {layer: {k: np.zeros_like(v) for k, v in ws.items()} for layer, ws in prep.weights.items()}
         runs = [(prep.inputs[0], prep.weights), (prep.inputs[1], prep.weights),

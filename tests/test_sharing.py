@@ -24,10 +24,9 @@ from mpcnn import arith
 from mpcnn.runtime import establish, run_pair_raw
 from mpcnn.transport import ProtocolError, Role, Session
 
-from conftest import inproc_fabrics, inproc_with_dealer, tcp_fabrics
+from conftest import CHI2_CUT, byte_chi2, inproc_fabrics, inproc_with_dealer, tcp_fabrics
 
 CFG = FixedPointConfig(16)
-CHI2_CUT = 377.0781154988172  # scipy.stats.chi2.ppf(1 - 1e-6, 255) (scipy 1.17.1): the 1e-6 upper quantile at 255 dof
 RNG = np.random.default_rng(7)
 
 
@@ -334,9 +333,7 @@ class TestShareUniformity:
         n_words = (10 * 1024 * 1024) // 8
         share = Prg(fresh_seed(), b"uniformity").draw_words((n_words,))
         raw = share.data.view(np.uint8)
-        counts = np.bincount(raw, minlength=256)
-        chi2 = float(((counts - counts.mean()) ** 2 / counts.mean()).sum())
-        assert chi2 < CHI2_CUT
+        assert byte_chi2(raw) < CHI2_CUT
         f = raw[:-1].astype(np.float64)
         g = raw[1:].astype(np.float64)
         assert abs(np.corrcoef(f, g)[0, 1]) < 0.01
@@ -348,10 +345,7 @@ class TestPrg:
         # sessions' dealer seeds give, plus low cross-correlation between them
         x = Prg(fresh_seed(), b"dealer").draw_words((1 << 16,)).data
         y = Prg(fresh_seed(), b"dealer").draw_words((1 << 16,)).data
-        pooled = np.concatenate([x, y]).view(np.uint8)
-        counts = np.bincount(pooled, minlength=256)
-        chi2 = float(((counts - counts.mean()) ** 2 / counts.mean()).sum())
-        assert chi2 < CHI2_CUT
+        assert byte_chi2(np.concatenate([x, y]).view(np.uint8)) < CHI2_CUT
         corr = np.corrcoef(x.astype(np.float64), y.astype(np.float64))[0, 1]
         assert abs(corr) < 0.05
 
